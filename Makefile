@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick load-smoke figures figures-full examples serve clean
+.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick bench-module-test load-smoke figures figures-full examples serve clean
 
 all: build lint test race bench-check
 
@@ -66,11 +66,21 @@ bench-check:
 # bit-identical to full runs (cold-then-warm sweep with plan hits
 # asserted in TestReservedSweepSharesPlans). The -race list also replays
 # the elastic degenerate differential (rigid jobs byte-identical under the
-# elastic machinery) and the resize/cancel-storm wheel-vs-heap fuzz seeds.
+# elastic machinery), the resize/cancel-storm wheel-vs-heap fuzz seeds, the
+# shard-private usage-delta fill, and the shard-boundary cases of the
+# replay's parallel validation scans.
 bench-quick:
 	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath' -benchtime=0.1s -benchmem .
-	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
+	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
 		./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
+
+# The benchmark (benchmark/) is a module of its own that imports this one
+# through a replace, so the root `go test ./...` never compiles it: an
+# exported core/metrics/runcache API change could break it unnoticed. This
+# vets it and runs its unit tests, including TestSmoke (every workload at
+# tiny scale, about 10 s).
+bench-module-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # End-to-end fleet smoke test: gaia-load boots two gaia-serve replicas
 # joined into one cache tier, drives a short mixed load, and fails unless

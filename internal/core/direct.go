@@ -34,7 +34,8 @@ import (
 //	         arithmetic and folding the order-sensitive float totals in
 //	         the exact finish order the engine would produce;
 //	phase 3  fan the remaining order-free accounting (per-job columns,
-//	         usage bins, cost column, retained records) back across cores.
+//	         shard-private usage deltas, cost column, retained records)
+//	         back across cores, then fold the deltas into the usage bins.
 //
 // Phase 1 is the decide phase; phases 2-3 together are the replay
 // (replayDirect). The split is the seam the decision-plan cache rides
@@ -84,6 +85,22 @@ func directWorkers(n int) int {
 		w = max
 	}
 	return w
+}
+
+// scanShards runs a read-only validation scan over [0, n) and returns its
+// error. scan(x, lo, hi) must report the failure at the lowest index of
+// its range. Below two shards (directWorkers) the scan is one sequential
+// call with no fan-out allocation; otherwise the ranges of par.Shards scan
+// in parallel and par.ForEach returns the lowest-ranged shard's error —
+// the failure a sequential scan meets first, with the same text.
+func scanShards[T any](n int, x T, scan func(x T, lo, hi int) error) error {
+	w := directWorkers(n)
+	if w < 2 {
+		return scan(x, 0, n)
+	}
+	return par.ForEach(w, par.Shards(w, n), func(_ int, sh par.Range) error {
+		return scan(x, sh.Lo, sh.Hi)
+	})
 }
 
 // runDirect executes a direct-eligible configuration: decide, then replay.
@@ -140,17 +157,19 @@ func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]sim
 	return starts, nil
 }
 
-// directScratch is the per-replay scratch the sweep phase needs: the two
-// endpoint orderings, the rank-indexed start/finish/CPU columns, the
-// reserved-allocation column and the counting-sort buckets. Replayed cells
-// recycle it through directScratchPool so a warm sweep costs no per-cell
-// endpoint allocations.
+// directScratch is the per-replay scratch the sweep and accounting phases
+// need: the two endpoint orderings, the rank-indexed start/finish/CPU
+// columns, the reserved-allocation column, the counting-sort buckets and
+// one usage delta per accounting shard. Replayed cells recycle it through
+// directScratchPool so a warm sweep costs no per-cell endpoint or usage
+// allocations.
 type directScratch struct {
 	startOrd, finOrd []int32
 	stR, enR         []simtime.Time
 	cpuR             []int32
 	reservedBy       []int32
 	cnt              []int32
+	deltas           []metrics.UsageDelta
 }
 
 var directScratchPool = sync.Pool{New: func() any { return new(directScratch) }}
@@ -200,6 +219,19 @@ func (s *directScratch) growReserved(n int) {
 	} else {
 		s.reservedBy = s.reservedBy[:n]
 	}
+}
+
+// usageDeltas returns k usage deltas Reset against acc, reusing the
+// storage of earlier replays.
+func (s *directScratch) usageDeltas(k int, acc *metrics.Accumulator) []metrics.UsageDelta {
+	if cap(s.deltas) < k {
+		s.deltas = make([]metrics.UsageDelta, k)
+	}
+	s.deltas = s.deltas[:k]
+	for i := range s.deltas {
+		s.deltas[i].Reset(acc)
+	}
+	return s.deltas
 }
 
 // replayOrders is the sweep phase's endpoint geometry: job IDs in start
@@ -319,12 +351,13 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 
 	// Phase 3: order-free accounting back in parallel — per-job columns,
-	// the cost column and retained records are ID-indexed, and usage bins
-	// commute under integer addition (atomic adds into the pre-grown
-	// bins). The per-job carbon and baseline integrals live here rather
-	// than in the decide phase because they are accounting (they read the
-	// realized carbon trace and power model), so a replayed cell computes
-	// them under its own knobs.
+	// the cost column and retained records are ID-indexed, and each shard
+	// bins usage into its own difference-encoded delta (O(1) per job),
+	// folded into the pre-grown bins after the fan-out; integer addition
+	// commutes, so the fold order is free. The per-job carbon and baseline
+	// integrals live here rather than in the decide phase because they are
+	// accounting (they read the realized carbon trace and power model), so
+	// a replayed cell computes them under its own knobs.
 	var results []metrics.JobResult
 	var segs []metrics.Segment
 	if cfg.RetainJobs {
@@ -337,14 +370,9 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 	odRate, spotRate := cfg.Pricing.HourlyRate(cloud.OnDemand), cfg.Pricing.HourlyRate(cloud.Spot)
 	shards := par.Shards(directWorkers(n), n)
-	// With a single shard the pass is sequential, so the cheaper
-	// non-atomic binning applies; sharded passes need the atomic variant
-	// (identical arithmetic — integer adds commute exactly).
-	addUsage := acc.AddUsageAtomic
-	if len(shards) <= 1 {
-		addUsage = acc.AddUsage
-	}
-	account := func(sh par.Range) error {
+	deltas := sc.usageDeltas(len(shards), acc)
+	account := func(k int, sh par.Range) error {
+		usage := &deltas[k]
 		for i := sh.Lo; i < sh.Hi; i++ {
 			if done != nil && (i-sh.Lo)%interruptStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -364,7 +392,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 			hours := iv.Len().Hours()
 			cost := (float64(od)*odRate + float64(0)*spotRate) * hours
 			acc.PutCost(i, cost)
-			addUsage(iv, res, od, 0)
+			usage.Add(iv, res, od, 0)
 			if results != nil {
 				var h [3]float64
 				h[cloud.Reserved] = float64(res) * hours
@@ -394,13 +422,14 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	if len(shards) == 1 {
 		// Replayed sweep cells are the hot caller (one cell per core
 		// already); skipping the worker pool keeps them allocation-light.
-		if err := account(shards[0]); err != nil {
+		if err := account(0, shards[0]); err != nil {
 			return nil, err
 		}
-	} else if err := par.ForEach(len(shards), shards, func(_ int, sh par.Range) error {
-		return account(sh)
-	}); err != nil {
+	} else if err := par.ForEach(len(shards), shards, account); err != nil {
 		return nil, err
+	}
+	for k := range deltas {
+		acc.AddUsageDelta(&deltas[k])
 	}
 
 	directRuns.Add(1)

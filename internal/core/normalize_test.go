@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"github.com/carbonsched/gaia/internal/par"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -70,5 +72,81 @@ func TestRunDoesNotMutateSharedTrace(t *testing.T) {
 	}
 	if !reflect.DeepEqual(jobs.Jobs, before) {
 		t.Errorf("shared trace mutated:\nafter  %+v\nbefore %+v", jobs.Jobs, before)
+	}
+}
+
+// evenTrace is a normalized n-job trace arriving every ten minutes.
+func evenTrace(n int) *workload.Trace {
+	jobs := make([]workload.Job, n)
+	for i := range jobs {
+		jobs[i] = workload.Job{Arrival: simtime.Time(10 * i), Length: simtime.Hour, CPUs: 1 + i%3}
+	}
+	return workload.MustTrace("even", jobs)
+}
+
+// withShards forces the direct path's fan-out width for the rest of the
+// test.
+func withShards(t *testing.T, w int32) {
+	t.Helper()
+	directWorkersOverride.Store(w)
+	t.Cleanup(func() { directWorkersOverride.Store(0) })
+}
+
+// TestShardedScanRebuildsBoundaryInversion pins the shard seam of
+// normalizedTrace's parallel scan: an arrival inversion whose two jobs sit
+// on either side of a shard boundary — each shard sorted on its own — must
+// still force the normalizing rebuild, and a clean trace must still be
+// shared.
+func TestShardedScanRebuildsBoundaryInversion(t *testing.T) {
+	const n = 40
+	for _, w := range []int32{2, 3, 4} {
+		withShards(t, w)
+		clean := evenTrace(n)
+		if got := normalizedTrace(clean); got != clean {
+			t.Errorf("%d shards: clean trace copied, want shared", w)
+		}
+		for _, sh := range par.Shards(int(w), n)[1:] {
+			b := sh.Lo
+			jobs := append([]workload.Job(nil), clean.Jobs...)
+			jobs[b-1].Arrival = jobs[b].Arrival + 1
+			tr := &workload.Trace{Name: "inverted", Jobs: jobs}
+			got := normalizedTrace(tr)
+			if got == tr {
+				t.Errorf("%d shards: inversion across boundary %d not rebuilt", w, b)
+				continue
+			}
+			if want := workload.MustTrace("inverted", jobs); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d shards: boundary %d rebuilt to %+v, want %+v", w, b, got.Jobs[b-1:b+1], want.Jobs[b-1:b+1])
+			}
+		}
+	}
+}
+
+// TestShardedScanRebuildsLastShardDefect pins the far end of the scan: a
+// trace whose only defect is its last job — misnumbered, or invalid — must
+// get the same outcome as the sequential scan: a renumbered copy, or the
+// validation error Run reports.
+func TestShardedScanRebuildsLastShardDefect(t *testing.T) {
+	const n = 40
+	cfg := baseConfig(flatTrace(48, 100), policy.CarbonTime{})
+	for _, w := range []int32{1, 2, 4} {
+		withShards(t, w)
+		misnumbered := append([]workload.Job(nil), evenTrace(n).Jobs...)
+		misnumbered[n-1].ID = 0
+		tr := &workload.Trace{Name: "misnumbered", Jobs: misnumbered}
+		got := normalizedTrace(tr)
+		if got == tr {
+			t.Errorf("%d shards: misnumbered last job not rebuilt", w)
+		} else if got.Jobs[n-1].ID != n-1 {
+			t.Errorf("%d shards: rebuilt last job has ID %d, want %d", w, got.Jobs[n-1].ID, n-1)
+		}
+
+		invalid := append([]workload.Job(nil), evenTrace(n).Jobs...)
+		invalid[n-1].CPUs = 0
+		_, err := Run(cfg, &workload.Trace{Name: "invalid", Jobs: invalid})
+		want := fmt.Sprintf("core: run failed: workload: job %d has non-positive CPUs 0", n-1)
+		if err == nil || err.Error() != want {
+			t.Errorf("%d shards: invalid last job: got %v, want %q", w, err, want)
+		}
 	}
 }

@@ -196,11 +196,26 @@ func RunWithPlan(ctx context.Context, cfg Config, jobs *workload.Trace, plan *De
 		}
 		return nil, fmt.Errorf("core: plan covers %d jobs, trace has %d", got, len(trace.Jobs))
 	}
-	for i := range plan.starts {
-		if plan.starts[i] < trace.Jobs[i].Arrival {
-			return nil, fmt.Errorf("core: plan starts job %d at %v before its arrival %v",
-				i, plan.starts[i], trace.Jobs[i].Arrival)
-		}
+	if err := scanShards(len(plan.starts), planSpan{plan.starts, trace.Jobs}, checkPlanStarts); err != nil {
+		return nil, err
 	}
 	return replayDirect(ctx, cfg, trace, plan.starts, plan)
+}
+
+// planSpan pairs a plan's start column with the trace it replays over.
+type planSpan struct {
+	starts []simtime.Time
+	jobs   []workload.Job
+}
+
+// checkPlanStarts is RunWithPlan's shape scan over jobs [lo, hi): no job
+// may start before it arrives.
+func checkPlanStarts(p planSpan, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if p.starts[i] < p.jobs[i].Arrival {
+			return fmt.Errorf("core: plan starts job %d at %v before its arrival %v",
+				i, p.starts[i], p.jobs[i].Arrival)
+		}
+	}
+	return nil
 }

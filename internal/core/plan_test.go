@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/cloud"
+	"github.com/carbonsched/gaia/internal/par"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -278,12 +280,50 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Without the sync.Pool the sweep adds 7+ slices per replay (two order
-	// columns, three rank columns, the allocation column, counting
-	// buckets); pooled replay measures 20 allocs/run, unpooled ~28, so the
-	// ceiling sits between them.
+	// Pooled replay measures 18 allocs/run, 18-21 under -race (whose
+	// sync.Pool drops a quarter of Puts). A replay without the pool
+	// measures 22 (the scratch, its allocation column, the usage deltas
+	// and their storage); one that loses the plan's memoized endpoint
+	// orders measures 23 (two order and three rank columns).
 	const ceiling = 24
 	if allocs > ceiling {
 		t.Errorf("replay allocates %.0f objects/run, want <= %d (scratch pooling regressed?)", allocs, ceiling)
+	}
+}
+
+// TestShardedScanReportsLowestBadStart pins RunWithPlan's parallel shape
+// check: with bad starts in two shards, the error names the lower job with
+// exactly the sequential check's message, on every run.
+func TestShardedScanReportsLowestBadStart(t *testing.T) {
+	tr, jobs := randomInstance(58)
+	cfg := baseConfig(tr, policy.CarbonTime{})
+	cfg.RetainJobs = false
+	plan := mustDecidePlan(t, cfg, jobs)
+	const shards = 4
+	bounds := par.Shards(shards, jobs.Len())
+	for _, bad := range [][2]int{
+		{bounds[1].Lo, bounds[3].Hi - 1},
+		{bounds[2].Hi - 1, bounds[3].Lo},
+		{bounds[0].Hi - 1, bounds[1].Lo},
+	} {
+		tampered := &DecisionPlan{
+			starts:  append([]simtime.Time(nil), plan.starts...),
+			classes: append([]uint8(nil), plan.classes...),
+		}
+		for _, i := range bad {
+			tampered.starts[i] = jobs.Jobs[i].Arrival - 1
+		}
+		lo := bad[0]
+		want := fmt.Sprintf("core: plan starts job %d at %v before its arrival %v",
+			lo, tampered.starts[lo], jobs.Jobs[lo].Arrival)
+		for _, w := range []int32{1, shards} {
+			withShards(t, w)
+			for rep := 0; rep < 20; rep++ {
+				_, err := RunWithPlan(context.Background(), cfg, jobs, tampered)
+				if err == nil || err.Error() != want {
+					t.Fatalf("%d shards, bad starts %v: got %v, want %q", w, bad, err, want)
+				}
+			}
+		}
 	}
 }

@@ -174,14 +174,28 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 // invariants workload.NewTrace establishes — sorted by arrival, IDs
 // numbered in order, every job valid — and a normalizing copy otherwise.
 // The fast path is what makes a 30-cell sweep share one immutable trace
-// instead of deep-copying it 30 times.
+// instead of deep-copying it 30 times. Large traces scan in parallel
+// shards (scanShards); each checks its first job's arrival against the
+// previous shard's last, so a shard boundary hides no inversion.
 func normalizedTrace(jobs *workload.Trace) *workload.Trace {
-	for i, j := range jobs.Jobs {
-		if j.ID != i || (i > 0 && jobs.Jobs[i-1].Arrival > j.Arrival) || j.Validate() != nil {
-			return workload.MustTrace(jobs.Name, jobs.Jobs)
-		}
+	if scanShards(len(jobs.Jobs), jobs.Jobs, checkNormalized) != nil {
+		return workload.MustTrace(jobs.Name, jobs.Jobs)
 	}
 	return jobs
+}
+
+// errNotNormalized marks a trace normalizedTrace must rebuild.
+var errNotNormalized = errors.New("core: trace is not normalized")
+
+// checkNormalized is normalizedTrace's scan over jobs[lo:hi].
+func checkNormalized(jobs []workload.Job, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		j := &jobs[i]
+		if j.ID != i || (i > 0 && jobs[i-1].Arrival > j.Arrival) || j.Validate() != nil {
+			return errNotNormalized
+		}
+	}
+	return nil
 }
 
 // scheduler is the run-scoped state machine driven by the event engine.

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"sync/atomic"
-
 	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -89,12 +87,13 @@ func (a *Accumulator) AddJob(rec *JobResult) {
 
 // The sharded-fill API below decomposes AddJob for producers that compute
 // per-job metrics out of finish order (core's direct-execution run path):
-// PutJob writes the order-free ID-indexed columns, AddCPUHours folds the
-// order-sensitive float totals, and AddUsageAtomic bins usage from
-// concurrent shards. Splitting the fold out is what makes the
-// decomposition exact: every float64 the accumulator ever sums across jobs
-// is either stored per job (columns — summation order fixed at query time)
-// or folded here by the caller in the engine's finish order, so a sharded
+// PutJob and PutCost write the order-free ID-indexed columns, AddCPUHours
+// folds the order-sensitive float totals, and UsageDelta bins usage in
+// shard-private columns that AddUsageDelta folds in afterwards. Splitting
+// the fold out is what makes the decomposition exact: every float64 the
+// accumulator ever sums across jobs is either stored per job (columns —
+// summation order fixed at query time) or folded here by the caller in the
+// engine's finish order, and usage is integer arithmetic, so a sharded
 // fill is bit-identical to a sequential AddJob stream. The remaining
 // totals (evictions, wasted work) are only ever incremented by zero in the
 // configurations that shard (no spot, no evictions), so skipping them
@@ -126,8 +125,8 @@ func (a *Accumulator) AddCPUHours(h [3]float64) {
 // GrowUsage extends the usage bins to cover an execution ending at end,
 // replicating AddUsage's on-demand growth rule so a pre-grown accumulator
 // is indistinguishable from one grown incrementally to the same maximum.
-// Callers using AddUsageAtomic must pre-grow with the latest end they will
-// bin — the atomic path cannot resize concurrently-shared slices.
+// A UsageDelta covers the bins its accumulator had at Reset, so callers
+// pre-grow with the latest end they will bin before resetting deltas.
 func (a *Accumulator) GrowUsage(end simtime.Time) {
 	e := int64(end)
 	if e <= 0 {
@@ -141,12 +140,46 @@ func (a *Accumulator) GrowUsage(end simtime.Time) {
 	}
 }
 
-// AddUsageAtomic is AddUsage for concurrent shards: identical binning
-// arithmetic, but bin updates go through atomic adds. Integer addition
-// commutes exactly, so any interleaving yields the same bins as the
-// sequential calls. The bins must already cover the interval (GrowUsage);
-// an out-of-range interval panics rather than silently dropping usage.
-func (a *Accumulator) AddUsageAtomic(iv simtime.Interval, reserved, onDemand, spot int) {
+// UsageDelta is a shard-private, difference-encoded copy of an
+// accumulator's usage bins: AddUsage's result at O(1) per interval instead
+// of one update per hour spanned, and with no sharing between shards.
+//
+// Usage of u units over [s, e) is u·(F(e) − F(s)) per hour h, where
+// F(t)[h] = clamp(t − 60h, 0, 60) is the overlap of [0, t) with hour h.
+// Relative to the constant 60, F(t) is 0 before hour q = t/60, r − 60 at
+// hour q (r = t%60) and −60 after it, so its first differences are r − 60
+// at hour q and −r at hour q+1. Each endpoint with weight w (−u at the
+// start, +u at the finish) therefore adds w·(r−60) at q and −w·r at q+1;
+// the constant 60·w every endpoint contributes cancels within the job.
+// AddUsageDelta's prefix sum turns the differences back into bins. Every
+// step is integer arithmetic, so the folded bins equal AddUsage's exactly.
+type UsageDelta struct {
+	buf []int64
+	// d[o] is option o's difference column: one slot per usage bin, plus
+	// two that keep the closing differences of an interval ending in the
+	// last bin in range (they fall past every bin the fold covers).
+	d [3][]int64
+}
+
+// Reset zeroes the delta and sizes it to a's current usage bins, reusing
+// the delta's storage when it is large enough.
+func (u *UsageDelta) Reset(a *Accumulator) {
+	stride := len(a.usage[0]) + 2
+	if cap(u.buf) < 3*stride {
+		u.buf = make([]int64, 3*stride)
+	} else {
+		u.buf = u.buf[:3*stride]
+		clear(u.buf)
+	}
+	for o := range u.d {
+		u.d[o] = u.buf[o*stride : (o+1)*stride : (o+1)*stride]
+	}
+}
+
+// Add is AddUsage into the delta. An interval reaching past the bins the
+// delta was Reset to panics rather than silently dropping usage: a delta
+// cannot grow the accumulator's bins.
+func (u *UsageDelta) Add(iv simtime.Interval, reserved, onDemand, spot int) {
 	s, e := int64(iv.Start), int64(iv.End)
 	if s < 0 {
 		s = 0
@@ -154,27 +187,42 @@ func (a *Accumulator) AddUsageAtomic(iv simtime.Interval, reserved, onDemand, sp
 	if s >= e {
 		return
 	}
-	lastHour := int((e - 1) / 60)
-	if lastHour >= len(a.usage[0]) {
-		panic("metrics: AddUsageAtomic past GrowUsage horizon")
+	if bins := int64(len(u.d[0]) - 2); e > bins*60 {
+		panic("metrics: UsageDelta.Add past the accumulator's usage bins")
 	}
 	var byOption [3]int
 	byOption[cloud.Reserved] = reserved
 	byOption[cloud.OnDemand] = onDemand
 	byOption[cloud.Spot] = spot
+	sq, sr := s/60, s%60
+	eq, er := e/60, e%60
 	for o, units := range byOption {
 		if units == 0 {
 			continue
 		}
-		for h := int(s / 60); h <= lastHour; h++ {
-			lo, hi := int64(h)*60, int64(h+1)*60
-			if lo < s {
-				lo = s
-			}
-			if hi > e {
-				hi = e
-			}
-			atomic.AddInt64(&a.usage[o][h], int64(units)*(hi-lo))
+		w, col := int64(units), u.d[o]
+		col[sq] -= w * (sr - 60)
+		col[sq+1] += w * sr
+		col[eq] += w * (er - 60)
+		col[eq+1] -= w * er
+	}
+}
+
+// AddUsageDelta folds a delta into a's usage bins with one prefix-sum pass
+// per option. Folds commute (integer addition), so shards may merge in any
+// order. The delta must have been Reset against a: bins a grew since are
+// past every interval the delta could hold, so their share is zero.
+func (a *Accumulator) AddUsageDelta(u *UsageDelta) {
+	for o, col := range u.d {
+		n := len(col) - 2
+		if n > len(a.usage[o]) {
+			panic("metrics: UsageDelta folded into an accumulator with fewer usage bins")
+		}
+		bins := a.usage[o][:n]
+		var run int64
+		for h := range bins {
+			run += col[h]
+			bins[h] += run
 		}
 	}
 }
