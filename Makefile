@@ -58,9 +58,11 @@ bench-check:
 
 # Fast CI smoke of the run-path micro-benchmarks: a short -benchtime run
 # that exists to execute the wheel, heap, direct and plan-replay paths
-# under bench conditions (and catch gross regressions or panics), not to
-# produce stable numbers — those come from the committed BENCH_PR*.json
-# snapshots. The second command replays the run-path differentials under
+# and the node-level prototype runtime under bench conditions (and catch
+# gross regressions or panics; PrototypeScale takes seconds per op if
+# node acquisition falls back to fleet scans), not to produce stable
+# numbers — those come from the committed BENCH_PR*.json snapshots. The
+# second command replays the run-path differentials under
 # the race detector at a fixed parallelism, so every bench-quick run also
 # re-proves the direct path bit-identical to the engine and plan replays
 # bit-identical to full runs (cold-then-warm sweep with plan hits
@@ -70,7 +72,7 @@ bench-check:
 # shard-private usage-delta fill, and the shard-boundary cases of the
 # replay's parallel validation scans.
 bench-quick:
-	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale' -benchtime=0.1s -benchmem .
 	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
 		./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 

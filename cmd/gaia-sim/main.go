@@ -133,6 +133,20 @@ func run(args []string) error {
 		if elasticTr != nil {
 			return fmt.Errorf("the prototype runtime does not support -elastic workloads")
 		}
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"work-conserving", *workCons},
+			{"checkpoint", *checkpoint != 0},
+			{"out", *out != ""},
+			{"db", *dbPath != ""},
+			{"elastic-capacity", *elasticCap != 0},
+		} {
+			if f.set {
+				return fmt.Errorf("the prototype runtime does not support -%s", f.name)
+			}
+		}
 		return runPrototype(batch.Config{
 			Policy:        pol,
 			Carbon:        carbonTr,

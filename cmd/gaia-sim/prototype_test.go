@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestRunPrototypeRuntime(t *testing.T) {
 	err := run([]string{"-runtime", "prototype", "-policy", "carbon-time",
@@ -39,5 +44,31 @@ func TestRunPrototypeSuspendResumePolicies(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s on prototype: %v", p, err)
 		}
+	}
+}
+
+func TestRunPrototypeRejectsUnsupportedFlags(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		flag string
+		args []string
+	}{
+		{"-work-conserving", []string{"-work-conserving"}},
+		{"-checkpoint", []string{"-spot-max", "2", "-eviction", "0.2", "-checkpoint", "0.5"}},
+		{"-out", []string{"-out", filepath.Join(dir, "run")}},
+		{"-db", []string{"-db", filepath.Join(dir, "acct.csv")}},
+		{"-elastic-capacity", []string{"-elastic-capacity", "4"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.flag, func(t *testing.T) {
+			args := append([]string{"-runtime", "prototype", "-jobs", "10", "-days", "2", "-reserved", "3"}, tc.args...)
+			err := run(args)
+			if err == nil || !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("err = %v, want an error naming %s", err, tc.flag)
+			}
+		})
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("rejected runs wrote %d files", len(files))
 	}
 }

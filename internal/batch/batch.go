@@ -54,8 +54,12 @@ type Job struct {
 	// Submit is the user's submission instant; Start the first execution
 	// instant; End the completion instant.
 	Submit, Start, End simtime.Time
-	// Attempts counts executions (1 + spot interruptions).
+	// Attempts counts executions: one per suspend-resume plan segment
+	// plus one per restart after a spot interruption.
 	Attempts int
+	// Interruptions counts spot revocations that killed a running
+	// execution of this job.
+	Interruptions int
 	// ReservedBusyCarbon accumulates carbon for reserved nodes while
 	// this job occupied them (reserved nodes are powered off when idle,
 	// so their carbon is attributed per use; elastic nodes are accounted
@@ -115,6 +119,9 @@ type System struct {
 		Carbon(float64, int) float64
 	}
 	carbonIntegral func(simtime.Interval) float64
+	// retry is kick's reusable snapshot of pending (kick never runs
+	// inside itself: nodes become ready and jobs finish only in events).
+	retry []*request
 }
 
 // NewSystem wires the batch layer onto a cluster manager.
@@ -184,12 +191,7 @@ func (s *System) outstandingLaunches(req *request) int {
 	if req.launch < 0 {
 		return 0
 	}
-	count := 0
-	for _, n := range s.mgr.Nodes() {
-		if n.State == cluster.Provisioning && n.Option == req.launch {
-			count++
-		}
-	}
+	count := s.mgr.Provisioning(req.launch)
 	// Subtract claims of requests ahead of this one in the queue.
 	for _, other := range s.pending {
 		if other == req {
@@ -222,7 +224,8 @@ func (s *System) Upgrade(j *Job, prefs []cloud.Option, launch cloud.Option) {
 
 // kick retries the pending queue in FIFO order whenever capacity appears.
 func (s *System) kick() {
-	for _, req := range append([]*request(nil), s.pending...) {
+	s.retry = append(s.retry[:0], s.pending...)
+	for _, req := range s.retry {
 		s.satisfy(req)
 		s.startIfReady(req)
 	}
@@ -288,6 +291,7 @@ func (s *System) startIfReady(req *request) {
 // assumption); surviving nodes are released and the job requeues on
 // reserved-then-on-demand capacity.
 func (s *System) interrupt(j *Job, dead *cluster.Node) {
+	j.Interruptions++
 	now := s.engine.Now()
 	// Book reserved busy time of the lost segment (spot gangs normally
 	// hold no reserved nodes, but a requeued mixed gang can).

@@ -305,6 +305,11 @@ func TestPrototypeSuspendResumeSegments(t *testing.T) {
 	if j.Start != simtime.Time(2*simtime.Hour+3*simtime.Minute) {
 		t.Errorf("start = %v", j.Start)
 	}
+	// Two plan segments are two executions, not a spot interruption.
+	if j.Attempts != 2 || j.Interruptions != 0 || res.TotalEvictions() != 0 {
+		t.Errorf("attempts = %d, interruptions = %d, evictions = %d; want 2, 0, 0 with spot off",
+			j.Attempts, j.Interruptions, res.TotalEvictions())
+	}
 }
 
 func TestPrototypeSuspendResumeOnReserved(t *testing.T) {

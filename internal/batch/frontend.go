@@ -71,13 +71,11 @@ func (r *Result) MeanWaiting() simtime.Duration {
 // CarbonKg returns total emissions in kilograms.
 func (r *Result) CarbonKg() float64 { return r.CarbonG / 1000 }
 
-// TotalEvictions counts spot interruptions (attempts beyond the first).
+// TotalEvictions counts spot interruptions across the run.
 func (r *Result) TotalEvictions() int {
 	n := 0
 	for _, j := range r.Jobs {
-		if j.Attempts > 1 {
-			n += j.Attempts - 1
-		}
+		n += j.Interruptions
 	}
 	return n
 }

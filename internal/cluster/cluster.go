@@ -118,8 +118,13 @@ func (c Config) withDefaults() Config {
 // engine's goroutine (the whole simulation is single-threaded and
 // deterministic).
 type Manager struct {
-	cfg     Config
-	nodes   []*Node
+	cfg Config
+	// nodes is the fleet in launch order; a node's ID is its index.
+	nodes []*Node
+	// idle holds, per purchase option, the indices of that option's idle
+	// nodes; booting counts its provisioning nodes.
+	idle    [3]idleIndex
+	booting [3]int
 	evict   *cloud.EvictionModel
 	nextID  int
 	onReady func()
@@ -157,6 +162,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		n := &Node{ID: m.nextID, Option: cloud.Reserved, State: Idle}
 		m.nextID++
 		m.nodes = append(m.nodes, n)
+		m.idle[cloud.Reserved].push(n.ID)
 	}
 	return m, nil
 }
@@ -168,37 +174,35 @@ func (m *Manager) SetOnReady(fn func()) { m.onReady = fn }
 // Nodes returns the full fleet (all states).
 func (m *Manager) Nodes() []*Node { return m.nodes }
 
-// CountByState tallies live nodes.
-func (m *Manager) CountByState(s NodeState) int {
-	n := 0
-	for _, nd := range m.nodes {
-		if nd.State == s {
-			n++
-		}
-	}
-	return n
-}
+// Provisioning returns how many nodes of the option are still booting.
+func (m *Manager) Provisioning(opt cloud.Option) int { return m.booting[opt] }
 
-// idleNode returns an idle node of the given option, or nil.
-func (m *Manager) idleNode(opt cloud.Option) *Node {
-	for _, nd := range m.nodes {
-		if nd.State == Idle && nd.Option == opt {
-			return nd
-		}
-	}
-	return nil
-}
-
-// Acquire claims one idle node, preferring the options in order. It
-// returns nil when no idle node of any listed option exists.
+// Acquire claims one idle node, preferring the options in order: the
+// lowest-ID idle node of the first listed option that has one. It returns
+// nil when no idle node of any listed option exists.
 func (m *Manager) Acquire(prefs ...cloud.Option) *Node {
 	for _, opt := range prefs {
-		if nd := m.idleNode(opt); nd != nil {
+		h := &m.idle[opt]
+		// Prune entries whose node left Idle (terminated by the idle
+		// timeout or Shutdown) since it was pushed.
+		for len(*h) > 0 && m.nodes[(*h)[0]].State != Idle {
+			h.pop()
+		}
+		if len(*h) > 0 {
+			nd := m.nodes[h.pop()]
 			nd.State = Busy
 			return nd
 		}
 	}
 	return nil
+}
+
+// setIdle moves a node to Idle, arms its scale-down timer and indexes it.
+func (m *Manager) setIdle(n *Node) {
+	n.State = Idle
+	n.idleSince = m.cfg.Engine.Now()
+	m.scheduleIdleCheck(n)
+	m.idle[n.Option].push(n.ID)
 }
 
 // Launch starts provisioning a fresh on-demand or spot node; after the
@@ -218,13 +222,13 @@ func (m *Manager) Launch(opt cloud.Option) *Node {
 	}
 	m.nextID++
 	m.nodes = append(m.nodes, n)
+	m.booting[opt]++
 	m.cfg.Engine.Schedule(n.ReadyAt, sim.PriorityFinish, func() {
 		if n.State != Provisioning {
 			return
 		}
-		n.State = Idle
-		n.idleSince = m.cfg.Engine.Now()
-		m.scheduleIdleCheck(n)
+		m.booting[opt]--
+		m.setIdle(n)
 		if m.onReady != nil {
 			m.onReady()
 		}
@@ -276,9 +280,7 @@ func (m *Manager) ReleaseNode(n *Node) {
 		panic(fmt.Sprintf("cluster: releasing node %d in state %v", n.ID, n.State))
 	}
 	delete(m.occupants, n.ID)
-	n.State = Idle
-	n.idleSince = m.cfg.Engine.Now()
-	m.scheduleIdleCheck(n)
+	m.setIdle(n)
 }
 
 // scheduleIdleCheck terminates elastic nodes that stay idle past the
@@ -296,7 +298,12 @@ func (m *Manager) scheduleIdleCheck(n *Node) {
 	})
 }
 
+// terminate ends a node's lifetime. An idle node's index entry stays
+// behind and is pruned when Acquire reaches it.
 func (m *Manager) terminate(n *Node) {
+	if n.State == Provisioning {
+		m.booting[n.Option]--
+	}
 	n.State = Terminated
 	n.TerminatedAt = m.cfg.Engine.Now()
 }
@@ -335,4 +342,45 @@ func (m *Manager) Bill(horizon simtime.Duration) (cost, carbonG float64) {
 		carbonG += m.cfg.Power.Carbon(m.cfg.Carbon.Integral(iv), 1)
 	}
 	return cost, carbonG
+}
+
+// idleIndex is a binary min-heap of fleet indices. Only Acquire removes a
+// live idle node, always the minimum, and a terminated node never returns
+// to Idle, so an index is never present twice while its node is idle.
+type idleIndex []int
+
+func (h *idleIndex) push(i int) {
+	*h = append(*h, i)
+	s := *h
+	for c := len(s) - 1; c > 0; {
+		p := (c - 1) / 2
+		if s[p] <= s[c] {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		c = p
+	}
+}
+
+func (h *idleIndex) pop() int {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	s = s[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && s[c+1] < s[c] {
+			c++
+		}
+		if s[p] <= s[c] {
+			break
+		}
+		s[p], s[c] = s[c], s[p]
+		p = c
+	}
+	*h = s
+	return top
 }

@@ -26,6 +26,17 @@ func testConfig(engine *sim.Engine, reserved int) Config {
 	}
 }
 
+// countByState tallies the fleet's nodes in state s by a full scan.
+func countByState(m *Manager, s NodeState) int {
+	n := 0
+	for _, nd := range m.Nodes() {
+		if nd.State == s {
+			n++
+		}
+	}
+	return n
+}
+
 func TestManagerValidation(t *testing.T) {
 	e := sim.NewEngine()
 	if _, err := NewManager(Config{}); err == nil {
@@ -48,7 +59,7 @@ func TestReservedFleetPreexists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CountByState(Idle); got != 3 {
+	if got := countByState(m, Idle); got != 3 {
 		t.Fatalf("idle reserved = %d", got)
 	}
 	n := m.Acquire(cloud.Reserved)
@@ -103,7 +114,7 @@ func TestIdleTimeoutTerminatesElasticOnly(t *testing.T) {
 	if od.State != Terminated {
 		t.Errorf("elastic node state = %v, want terminated", od.State)
 	}
-	if m.CountByState(Idle) != 1 {
+	if countByState(m, Idle) != 1 {
 		t.Error("reserved node must survive idleness")
 	}
 }
