@@ -62,7 +62,7 @@ bench-check:
 # gross regressions or panics; PrototypeScale takes seconds per op if
 # node acquisition falls back to fleet scans), not to produce stable
 # numbers — those come from the committed BENCH_PR*.json snapshots. The
-# second command replays the run-path differentials under
+# -race pass replays the run-path differentials under
 # the race detector at a fixed parallelism, so every bench-quick run also
 # re-proves the direct path bit-identical to the engine and plan replays
 # bit-identical to full runs (cold-then-warm sweep with plan hits
@@ -70,11 +70,20 @@ bench-check:
 # the elastic degenerate differential (rigid jobs byte-identical under the
 # elastic machinery), the resize/cancel-storm wheel-vs-heap fuzz seeds, the
 # shard-private usage-delta fill, and the shard-boundary cases of the
-# replay's parallel validation scans.
+# replay's parallel validation scans. go test -run skips an entry that
+# matches no test without complaint, so bench-quick first checks that
+# every entry matches a test `go test -list` reports in the listed
+# packages, and fails naming any entry that does not.
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate
+BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 bench-quick:
+	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \
+	for name in $$(echo '$(BENCH_QUICK_RACE)' | tr '|' ' '); do \
+		echo "$$listed" | grep -q -- "$$name" || { \
+			echo "bench-quick: -run entry $$name matches no test in $(BENCH_QUICK_PKGS)" >&2; exit 1; }; \
+	done
 	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale' -benchtime=0.1s -benchmem .
-	$(GO) test -race -cpu 4 -run 'TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate' \
-		./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
+	$(GO) test -race -cpu 4 -run '$(BENCH_QUICK_RACE)' $(BENCH_QUICK_PKGS)
 
 # The benchmark (benchmark/) is a module of its own that imports this one
 # through a replace, so the root `go test ./...` never compiles it: an

@@ -316,15 +316,15 @@ func BenchmarkMillionJobRun(b *testing.B) {
 	tr := carbon.RegionSAAU.GenerateYear(1)
 	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 350*simtime.Day)
 	for _, mode := range []struct {
-		name   string
-		retain bool
-		engine bool
+		name      string
+		retain    bool
+		mechanism core.Mechanism
 	}{
-		{"streaming", false, false},
-		{"retained", true, false},
-		// The same cell with the event engine forced on: the gap to
+		{"streaming", false, core.MechanismAuto},
+		{"retained", true, core.MechanismAuto},
+		// The same cell pinned to the event engine: the gap to
 		// "streaming" is what the direct-execution run path saves.
-		{"streaming/engine", false, true},
+		{"streaming/engine", false, core.MechanismEngine},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := core.Config{
@@ -332,10 +332,7 @@ func BenchmarkMillionJobRun(b *testing.B) {
 				Carbon:     tr,
 				Reserved:   500,
 				RetainJobs: mode.retain,
-			}
-			if mode.engine {
-				core.ForceEventEngine(true)
-				defer core.ForceEventEngine(false)
+				Mechanism:  mode.mechanism,
 			}
 			var res interface{ JobCount() int }
 			b.ReportAllocs()
@@ -372,15 +369,14 @@ func BenchmarkDirectRun(b *testing.B) {
 	const nJobs = 200_000
 	tr := carbon.RegionSAAU.GenerateYear(1)
 	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 300*simtime.Day)
-	run := func(forceEngine bool) func(*testing.B) {
+	run := func(m core.Mechanism) func(*testing.B) {
 		return func(b *testing.B) {
 			cfg := core.Config{
-				Policy:   policy.CarbonTime{},
-				Carbon:   tr,
-				Reserved: 100,
+				Policy:    policy.CarbonTime{},
+				Carbon:    tr,
+				Reserved:  100,
+				Mechanism: m,
 			}
-			core.ForceEventEngine(forceEngine)
-			defer core.ForceEventEngine(false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -395,8 +391,8 @@ func BenchmarkDirectRun(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/nJobs, "ns/job")
 		}
 	}
-	b.Run("direct", run(false))
-	b.Run("engine", run(true))
+	b.Run("direct", run(core.MechanismAuto))
+	b.Run("engine", run(core.MechanismEngine))
 }
 
 // BenchmarkCarbonIntegral measures the O(1) prefix-sum window integral.

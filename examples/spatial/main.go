@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("  %-6s %8.2f kg\n", tr.Region(), res.TotalCarbonKg())
 	}
 
-	multi, err := geo.Run(geo.Config{Policy: policy.CarbonTime{}, Regions: regions}, jobs)
+	multi, err := geo.Run(geo.Config{Policy: policy.CarbonTime{}, Regions: regions}, jobs, core.Run)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
@@ -133,65 +132,37 @@ type Config struct {
 	// both modes.
 	RetainJobs bool
 
+	// Mechanism pins the run to one execution mechanism; the zero value
+	// lets Run choose. Every mechanism produces bit-identical results, so
+	// a pinned run exists only to compare mechanisms (differential tests
+	// and benchmarks), and it never reads or writes the result or plan
+	// caches — a cached answer would compare a mechanism against itself.
+	Mechanism Mechanism
+
 	// Seed drives the spot eviction process.
 	Seed int64
 }
 
-// forceRetainJobs globally overrides Config.RetainJobs for differential
-// tests that re-run whole figure suites in retained mode without
-// threading a flag through every experiment.
-var forceRetainJobs atomic.Bool
+// Mechanism selects how Run executes a configuration. It is one byte so
+// that, beside RetainJobs, it fits in padding Config already had: as an
+// 8-byte field it grew Config from 248 to 256 bytes, and the engine-only
+// year benchmark ran about 4% slower (2-core VM, 10 alternating pairs)
+// although no per-event code reads the field.
+type Mechanism uint8
 
-// ForceRetainJobs makes every subsequent Run retain per-job records as if
-// Config.RetainJobs were set (v=false restores the configs' own flags).
-// It exists for the retained-vs-streaming differential tests; production
-// callers should set Config.RetainJobs instead.
-func ForceRetainJobs(v bool) { forceRetainJobs.Store(v) }
-
-// forceHeapEngine globally switches every subsequent Run's event engine
-// to the reference 4-ary heap queue instead of the timing wheel.
-var forceHeapEngine atomic.Bool
-
-// ForceHeapEngine makes every subsequent Run drive its event loop with
-// the heap queue the timing wheel replaced (v=false restores the wheel).
-// Both mechanisms execute bit-identical event sequences; this seam exists
-// for the wheel-vs-heap differential tests and benchmarks, and like
-// ForceRetainJobs it also disables fingerprint-keyed caching so a forced
-// run can never be answered from (or poison) a cache entry produced by
-// the other mechanism.
-func ForceHeapEngine(v bool) { forceHeapEngine.Store(v) }
-
-// forceEventEngine globally disables the direct-execution run path so
-// every subsequent Run drives the full event engine.
-var forceEventEngine atomic.Bool
-
-// ForceEventEngine makes every subsequent Run take the event-engine path
-// even for configurations the direct-execution path could serve (v=false
-// restores automatic selection). Both paths produce bit-identical results;
-// this seam exists for the direct-vs-engine differential tests and
-// benchmarks, and like the other Force* overrides it disables
-// fingerprint-keyed caching so a forced run can never be answered from (or
-// poison) a cache entry produced by the other path.
-func ForceEventEngine(v bool) { forceEventEngine.Store(v) }
-
-// forceElasticDegenerate globally wraps every subsequent non-elastic Run's
-// trace in a degenerate ElasticTrace (flat curve, single replica, no
-// edges), driving it through the elastic-aware engine configuration.
-var forceElasticDegenerate atomic.Bool
-
-// ForceElasticDegenerate makes every subsequent Run without an Elastic
-// trace behave as if Config.Elastic were the degenerate wrapping of its
-// workload (v=false restores the configs' own traces). Degenerate specs
-// engage no elastic machinery, but the configuration leaves the direct
-// path for the event engine — the seam exists for the elastic-vs-rigid
-// differential tests, and like the other Force* overrides it disables
-// fingerprint-keyed caching so a forced run can never be answered from
-// (or poison) a cache entry produced by the rigid path.
-func ForceElasticDegenerate(v bool) { forceElasticDegenerate.Store(v) }
+const (
+	// MechanismAuto takes the direct path when directEligible admits the
+	// configuration and the event engine on the timing wheel otherwise.
+	MechanismAuto Mechanism = iota
+	// MechanismEngine always runs the event engine on the timing wheel.
+	MechanismEngine
+	// MechanismHeapEngine always runs the event engine on the reference
+	// heap queue the timing wheel replaced.
+	MechanismHeapEngine
+)
 
 // DirectPathEligible reports whether Run would serve this configuration
-// via the direct-execution path (ignoring the Force* overrides, which are
-// test seams, not configuration). The rule is deliberately conservative —
+// via the direct-execution path. The rule is deliberately conservative —
 // see directEligible for the reasoning per knob.
 func (c Config) DirectPathEligible() bool {
 	canon := c.withDefaults()
@@ -203,7 +174,8 @@ func (c Config) DirectPathEligible() bool {
 
 // directEligible is the direct-path admission rule, evaluated on a
 // defaulted config. The path is sound exactly when every job's execution
-// is a pure function of (job, arrival, oracle tables):
+// is a pure function of (job, arrival, oracle tables), and the caller left
+// the choice of mechanism to Run (MechanismAuto):
 //
 //   - WorkConserving couples decisions to pool occupancy (early starts on
 //     freed reserved units), so starts stop being pure — fall back.
@@ -224,6 +196,9 @@ func (c Config) DirectPathEligible() bool {
 // Every other knob (Reserved level, queues, pricing, power, horizon,
 // retention) is replicated exactly by the sweep replay.
 func (c Config) directEligible() bool {
+	if c.Mechanism != MechanismAuto {
+		return false
+	}
 	if c.WorkConserving || c.SpotMaxLen > 0 {
 		return false
 	}
@@ -306,9 +281,6 @@ func (c Config) withDefaults() Config {
 	if c.Elastic != nil && c.Allocator == nil {
 		c.Allocator = policy.StaticAlloc{}
 	}
-	if forceRetainJobs.Load() {
-		c.RetainJobs = true
-	}
 	if c.Label == "" {
 		c.Label = c.deriveLabel()
 	}
@@ -380,6 +352,9 @@ func (c Config) validate() error {
 	}
 	if c.ElasticCapacity < 0 {
 		return fmt.Errorf("core: elastic capacity %d must be non-negative", c.ElasticCapacity)
+	}
+	if c.Mechanism > MechanismHeapEngine {
+		return fmt.Errorf("core: mechanism %d must be MechanismAuto, MechanismEngine or MechanismHeapEngine", c.Mechanism)
 	}
 	if c.Elastic != nil && c.Elastic.ManagedCount() > 0 {
 		// Managed (non-degenerate or DAG) jobs execute through the hourly

@@ -61,6 +61,14 @@ func TestDirectPathEligibility(t *testing.T) {
 			c.Policy = policy.CarbonTime{}
 			c.CIS = carbon.NewNoisyService(tr, 0.1, 1)
 		}, false},
+		{"force-event-engine", func(c *Config) {
+			c.Policy = policy.CarbonTime{}
+			c.Mechanism = MechanismEngine
+		}, false},
+		{"force-heap-engine", func(c *Config) {
+			c.Policy = policy.CarbonTime{}
+			c.Mechanism = MechanismHeapEngine
+		}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,24 +84,6 @@ func TestDirectPathEligibility(t *testing.T) {
 		})
 	}
 
-	t.Run("force-event-engine", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceEventEngine(true)
-		defer ForceEventEngine(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceEventEngine did not disable the direct path")
-		}
-	})
-	t.Run("force-heap-engine", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceHeapEngine(true)
-		defer ForceHeapEngine(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceHeapEngine did not disable the direct path")
-		}
-	})
 	// Elastic metadata disqualifies a config even when it is fully
 	// degenerate: the decide-replay sweep has no resize or precedence
 	// model, so any Elastic pointer must fall back to the event engine.
@@ -120,18 +110,9 @@ func TestDirectPathEligibility(t *testing.T) {
 			t.Error("managed elastic config rode the direct path")
 		}
 	})
-	t.Run("force-elastic-degenerate", func(t *testing.T) {
-		cfg := baseConfig(tr, policy.CarbonTime{})
-		cfg.RetainJobs = false
-		ForceElasticDegenerate(true)
-		defer ForceElasticDegenerate(false)
-		if tookDirectPath(t, cfg, jobs) {
-			t.Error("ForceElasticDegenerate did not disable the direct path")
-		}
-	})
 }
 
-// runBothPaths executes cfg on the direct path and on the forced event
+// runBothPaths executes cfg on the direct path and pinned to the event
 // engine, failing unless the direct path actually served the first run.
 func runBothPaths(t *testing.T, cfg Config, jobs *workload.Trace) (direct, engine *metrics.Result) {
 	t.Helper()
@@ -143,9 +124,8 @@ func runBothPaths(t *testing.T, cfg Config, jobs *workload.Trace) (direct, engin
 	if directRuns.Load() == before {
 		t.Fatal("config unexpectedly fell back to the event engine")
 	}
-	ForceEventEngine(true)
+	cfg.Mechanism = MechanismEngine
 	engine, err = Run(cfg, jobs)
-	ForceEventEngine(false)
 	if err != nil {
 		t.Fatal(err)
 	}

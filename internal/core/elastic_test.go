@@ -277,11 +277,11 @@ func encodedResult(t *testing.T, cfg Config, jobs *workload.Trace) ([]byte, *met
 	return metrics.EncodeAccumulator(res.Accumulator()), res
 }
 
-// TestElasticDegenerateMatchesRigid is the tentpole differential: under
-// ForceElasticDegenerate every rigid run is wrapped in an all-degenerate
-// ElasticTrace, and the results must be byte-identical to the unwrapped
-// run across every mechanism the rigid path supports — including spot,
-// work conservation and plan policies, which the wrap must leave alone.
+// TestElasticDegenerateMatchesRigid is the tentpole differential: every
+// rigid run is repeated wrapped in an all-degenerate ElasticTrace, and the
+// results must be byte-identical to the unwrapped run across every
+// mechanism the rigid path supports — including spot, work conservation
+// and plan policies, which the wrap must leave alone.
 func TestElasticDegenerateMatchesRigid(t *testing.T) {
 	tr, jobs := randomInstance(55)
 	cases := []struct {
@@ -318,8 +318,7 @@ func TestElasticDegenerateMatchesRigid(t *testing.T) {
 			cfg := baseConfig(tr, nil)
 			tc.mutate(&cfg)
 			rigidBytes, rigidRes := encodedResult(t, cfg, jobs)
-			ForceElasticDegenerate(true)
-			defer ForceElasticDegenerate(false)
+			cfg.Elastic = workload.Degenerate(jobs)
 			elasticBytes, elasticRes := encodedResult(t, cfg, jobs)
 			if !bytes.Equal(rigidBytes, elasticBytes) {
 				t.Error("degenerate elastic accumulator differs from rigid run")
@@ -398,8 +397,7 @@ func (a stormAlloc) Allocate(views []policy.ElasticJobView, now simtime.Time, _ 
 func runWheelAndHeap(t *testing.T, cfg Config, jobs *workload.Trace) (wheel, heapB []byte) {
 	t.Helper()
 	wheel, _ = encodedResult(t, cfg, jobs)
-	ForceHeapEngine(true)
-	defer ForceHeapEngine(false)
+	cfg.Mechanism = MechanismHeapEngine
 	heapB, _ = encodedResult(t, cfg, jobs)
 	return wheel, heapB
 }
@@ -520,16 +518,6 @@ func TestElasticPathAndFingerprintGuards(t *testing.T) {
 	opaque.Allocator = grantAll(1)
 	if _, ok := opaque.Fingerprint(jobs); ok {
 		t.Error("unknown allocator fingerprinted")
-	}
-
-	// The degenerate seam, like every Force* override, disables caching.
-	ForceElasticDegenerate(true)
-	defer ForceElasticDegenerate(false)
-	if _, ok := rigid.Fingerprint(jobs); ok {
-		t.Error("ForceElasticDegenerate did not disable the simulation fingerprint")
-	}
-	if _, ok := rigid.DecisionFingerprint(jobs); ok {
-		t.Error("ForceElasticDegenerate did not disable the decision fingerprint")
 	}
 }
 

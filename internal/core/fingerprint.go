@@ -13,9 +13,9 @@ import (
 
 // Canonical returns the configuration exactly as Run will execute it:
 // defaults filled in (CIS, price book, power model, queue ladder, horizon,
-// checkpoint overhead, derived label, any forced retention). It is the
-// normal form the simulation cache fingerprints, and what cache layers use
-// to rebuild a Result identical to the one Run would have produced.
+// checkpoint overhead, derived label). It is the normal form the
+// simulation cache fingerprints, and what cache layers use to rebuild a
+// Result identical to the one Run would have produced.
 func (c Config) Canonical() Config { return c.withDefaults() }
 
 // Fingerprint returns a content hash identifying the simulation outcome of
@@ -23,8 +23,8 @@ func (c Config) Canonical() Config { return c.withDefaults() }
 // only if core.Run is guaranteed to produce bit-identical aggregate
 // results for them. ok=false means the configuration cannot be
 // fingerprinted (an unrecognized policy or CIS implementation whose
-// behaviour is opaque, or per-job retention requested) and the caller must
-// simulate.
+// behaviour is opaque, per-job retention requested, or a pinned
+// Mechanism) and the caller must simulate.
 //
 // The hash covers the canonical (defaulted) form, so a zero field and its
 // explicit default collide as required, and it deliberately excludes or
@@ -34,6 +34,10 @@ func (c Config) Canonical() Config { return c.withDefaults() }
 //   - Presentation-only retention (RetainJobs) makes the config
 //     non-cacheable instead: retained runs carry per-job records the
 //     cache does not store.
+//   - A pinned Mechanism makes it non-cacheable too: a pinned run exists
+//     to exercise its mechanism, and a cached answer would compare the
+//     mechanism against whichever one filled the entry. Auto configs do
+//     not hash the field, so on-disk entries keyed without it stay valid.
 //   - With SpotMaxLen == 0 no job ever routes to spot, so the eviction
 //     rate, checkpoint knobs and seed are zeroed before hashing; with
 //     EvictionRate == 0 the eviction model never fires, so the seed
@@ -49,14 +53,7 @@ func (c Config) Fingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
 	if canon.Policy == nil || canon.Carbon == nil || jobs == nil {
 		return fp, false
 	}
-	if canon.RetainJobs {
-		return fp, false
-	}
-	if forceHeapEngine.Load() || forceEventEngine.Load() || forceElasticDegenerate.Load() {
-		// Forced differential runs (heap queue, event engine instead of
-		// the direct path, or the degenerate-elastic wrap) must actually
-		// simulate: answering from the cache would silently compare a
-		// mechanism against itself.
+	if canon.RetainJobs || canon.Mechanism != MechanismAuto {
 		return fp, false
 	}
 	ptag, pparam, ok := policyIdentity(canon.Policy)
@@ -192,8 +189,8 @@ const fingerprintLayout = 1
 // DecisionPlan cached under the hash replays bit-identically
 // (plan.go). ok=false means the configuration has no decision projection —
 // it is not direct-eligible (work-conserving, spot routing, a plan-capable
-// or unrecognized policy, an opaque CIS), or a Force* differential seam is
-// active — and callers must run the full path.
+// or unrecognized policy, an opaque CIS, a pinned Mechanism) — and callers
+// must run the full path.
 //
 // The hash is a strict projection of Fingerprint onto the inputs the
 // decide phase reads: policy identity, the CIS trace (the forecasts
@@ -214,11 +211,6 @@ func (c Config) DecisionFingerprint(jobs *workload.Trace) (fp [32]byte, ok bool)
 		return fp, false
 	}
 	if canon.validate() != nil {
-		return fp, false
-	}
-	if forceHeapEngine.Load() || forceEventEngine.Load() || forceElasticDegenerate.Load() {
-		// Forced differential runs must exercise the forced mechanism end
-		// to end; replaying a cached plan would skip the phase under test.
 		return fp, false
 	}
 	if !canon.directEligible() {

@@ -144,13 +144,17 @@ func TestFingerprintDistinguishes(t *testing.T) {
 }
 
 // TestFingerprintNotCacheable pins the bypass conditions: opaque CIS
-// implementations, unknown policies, per-job retention and nil inputs.
+// implementations, unknown policies, per-job retention, a pinned
+// mechanism and nil inputs. A pinned run answered from the cache would
+// compare its mechanism against whichever one filled the entry.
 func TestFingerprintNotCacheable(t *testing.T) {
 	tr, jobs := fpFixture(t)
 	cases := map[string]Config{
 		"noisy CIS": {Policy: policy.CarbonTime{}, Carbon: tr,
 			CIS: carbon.NewNoisyService(tr, 0.05, 1)},
 		"retain jobs": {Policy: policy.CarbonTime{}, Carbon: tr, RetainJobs: true},
+		"engine":      {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismEngine},
+		"heap engine": {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismHeapEngine},
 		"no policy":   {Carbon: tr},
 		"no carbon":   {Policy: policy.CarbonTime{}},
 	}
@@ -161,24 +165,6 @@ func TestFingerprintNotCacheable(t *testing.T) {
 	}
 	if _, ok := (Config{Policy: policy.CarbonTime{}, Carbon: tr}).Fingerprint(nil); ok {
 		t.Error("nil jobs: expected not fingerprintable")
-	}
-
-	// The global retention override must also force a bypass, or the
-	// retained-vs-streaming differential suites would compare a cache
-	// hit against itself.
-	ForceRetainJobs(true)
-	defer ForceRetainJobs(false)
-	if _, ok := (Config{Policy: policy.CarbonTime{}, Carbon: tr}).Fingerprint(jobs); ok {
-		t.Error("ForceRetainJobs: expected not fingerprintable")
-	}
-	ForceRetainJobs(false)
-
-	// Same for the heap-engine override: a heap-forced differential run
-	// answered from the cache would compare the wheel against itself.
-	ForceHeapEngine(true)
-	defer ForceHeapEngine(false)
-	if _, ok := (Config{Policy: policy.CarbonTime{}, Carbon: tr}).Fingerprint(jobs); ok {
-		t.Error("ForceHeapEngine: expected not fingerprintable")
 	}
 }
 
@@ -267,11 +253,15 @@ func TestDecisionFingerprintDistinguishes(t *testing.T) {
 }
 
 // TestDecisionFingerprintBypass pins when a configuration has no decision
-// projection: every non-direct-eligible shape, nil inputs, and active
-// differential seams. Retention, by contrast, must NOT spoil it.
+// projection: every non-direct-eligible shape (a pinned mechanism among
+// them — it exists to exercise its mechanism end to end, and replaying a
+// cached plan would skip the phase under test) and nil inputs. Retention,
+// by contrast, must NOT spoil it.
 func TestDecisionFingerprintBypass(t *testing.T) {
 	tr, jobs := fpFixture(t)
 	cases := map[string]Config{
+		"engine":          {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismEngine},
+		"heap engine":     {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismHeapEngine},
 		"work-conserving": {Policy: policy.CarbonTime{}, Carbon: tr, WorkConserving: true},
 		"spot":            {Policy: policy.CarbonTime{}, Carbon: tr, SpotMaxLen: 2 * simtime.Hour},
 		"plan policy":     {Policy: policy.WaitAwhile{}, Carbon: tr},
@@ -297,19 +287,6 @@ func TestDecisionFingerprintBypass(t *testing.T) {
 	if _, ok := retained.DecisionFingerprint(jobs); !ok {
 		t.Error("retained config should keep its decision fingerprint")
 	}
-
-	// Forced differential runs must not replay cached plans: the seams
-	// exist to exercise a specific mechanism end to end.
-	ForceEventEngine(true)
-	if _, ok := eligible.DecisionFingerprint(jobs); ok {
-		t.Error("ForceEventEngine: expected no decision fingerprint")
-	}
-	ForceEventEngine(false)
-	ForceHeapEngine(true)
-	defer ForceHeapEngine(false)
-	if _, ok := eligible.DecisionFingerprint(jobs); ok {
-		t.Error("ForceHeapEngine: expected no decision fingerprint")
-	}
 }
 
 // TestDecisionFingerprintGolden pins the canonical hash of a fixed
@@ -323,5 +300,30 @@ func TestDecisionFingerprintGolden(t *testing.T) {
 	const want = "1d1b16cd19304eb7eddc7995118b1a6f15ba1de3930704c1341280c5318c4035"
 	if got := hex.EncodeToString(fp[:]); got != want {
 		t.Errorf("decision fingerprint drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFingerprintGolden pins the full simulation fingerprint of a fixed
+// configuration over the deterministic fixture, with every hashed knob
+// set off its default. A change here means the result-cache key changed:
+// on-disk cache entries silently orphan, and fingerprintLayout must be
+// bumped alongside.
+func TestFingerprintGolden(t *testing.T) {
+	tr, jobs := fpFixture(t)
+	cfg := Config{
+		Policy:             policy.CarbonTime{},
+		Carbon:             tr,
+		Reserved:           42,
+		WorkConserving:     true,
+		SpotMaxLen:         4 * simtime.Hour,
+		EvictionRate:       0.1,
+		CheckpointInterval: simtime.Hour,
+		AvgLengthOverride:  map[workload.Queue]simtime.Duration{workload.QueueLong: 7 * simtime.Hour},
+		Seed:               7,
+	}
+	fp := mustFingerprint(t, cfg, jobs)
+	const want = "5af5d8833c037937447657e8e8d0e4855b50278730ae0f0ba8722fb52f13fc36"
+	if got := hex.EncodeToString(fp[:]); got != want {
+		t.Errorf("fingerprint drifted:\n got %s\nwant %s", got, want)
 	}
 }

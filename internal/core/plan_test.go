@@ -268,6 +268,9 @@ func FuzzPlanReplayVsDirect(f *testing.F) {
 // stays flat — a handful of accumulator columns and fixed-size result
 // framing — no matter how many times it runs.
 func TestReplayAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random, so pooled counts are not stable")
+	}
 	tr, jobs := randomInstance(57)
 	cfg := baseConfig(tr, policy.CarbonTime{})
 	cfg.RetainJobs = false
@@ -280,14 +283,14 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Pooled replay measures 18 allocs/run, 18-21 under -race (whose
-	// sync.Pool drops a quarter of Puts). A replay without the pool
-	// measures 22 (the scratch, its allocation column, the usage deltas
-	// and their storage); one that loses the plan's memoized endpoint
-	// orders measures 23 (two order and three rank columns).
-	const ceiling = 24
+	// Pooled replay measures 18 allocs/run at any GOMAXPROCS. A replay
+	// without the pool measures 22 (the scratch, its allocation column,
+	// the usage deltas and their storage); one that loses the plan's
+	// memoized endpoint orders measures 23 or more (two order and three
+	// rank columns). The ceiling sits between, so both regressions fail.
+	const ceiling = 20
 	if allocs > ceiling {
-		t.Errorf("replay allocates %.0f objects/run, want <= %d (scratch pooling regressed?)", allocs, ceiling)
+		t.Errorf("replay allocates %.0f objects/run, want <= %d (scratch pooling or endpoint-order memo regressed?)", allocs, ceiling)
 	}
 }
 

@@ -62,16 +62,6 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 
 	trace := normalizedTrace(jobs)
 
-	// The degenerate-elastic seam wraps rigid runs in an all-degenerate
-	// ElasticTrace, exercising the elastic-aware configuration (engine
-	// path, no caching) with zero managed jobs — bit-identity with the
-	// unwrapped run is what the elastic differential tests pin.
-	if cfg.Elastic == nil && forceElasticDegenerate.Load() {
-		cfg.Elastic = workload.Degenerate(trace)
-		if cfg.Allocator == nil {
-			cfg.Allocator = policy.StaticAlloc{}
-		}
-	}
 	// The elastic specs are keyed by normalized job ID, so the spec trace
 	// must wrap this run's jobs — anything else would silently misapply
 	// curves and edges across renumbered IDs.
@@ -81,10 +71,10 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 
 	// Decision-pure configurations skip the event engine entirely: the
 	// direct path decides every job in parallel and replays accounting
-	// over sorted endpoints, bit-identical to the engine (direct.go). The
-	// Force* seams pin a run to a specific mechanism for differential
-	// tests; a dynamic fallback (errDirectFallback) re-runs on the engine.
-	if cfg.directEligible() && !forceEventEngine.Load() && !forceHeapEngine.Load() {
+	// over sorted endpoints, bit-identical to the engine (direct.go). A
+	// pinned Mechanism is never eligible; a dynamic fallback
+	// (errDirectFallback) re-runs on the engine.
+	if cfg.directEligible() {
 		res, err := runDirect(ctx, cfg, trace)
 		if !errors.Is(err, errDirectFallback) {
 			return res, err
@@ -136,9 +126,7 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 	// action records, and the engine's arena recycles fired events. Queue
 	// classification happens on the per-event copy of the job, never on
 	// the (shared, immutable) trace.
-	if forceHeapEngine.Load() {
-		// Differential escape hatch (ForceHeapEngine): run the reference
-		// heap queue instead of the timing wheel.
+	if cfg.Mechanism == MechanismHeapEngine {
 		s.engine.SetQueue(sim.QueueHeap)
 	}
 	s.engine.SetSource(len(trace.Jobs),

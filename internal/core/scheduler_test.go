@@ -448,6 +448,7 @@ func TestConfigValidation(t *testing.T) {
 		{Policy: policy.NoWait{}, Carbon: tr, EvictionRate: 1.0},
 		{Policy: policy.NoWait{}, Carbon: tr, SpotMaxLen: -1},
 		{Policy: policy.NoWait{}, Carbon: tr, Pricing: cloud.Pricing{OnDemandHourly: -1, ReservedFraction: 0.4, SpotFraction: 0.2}},
+		{Policy: policy.NoWait{}, Carbon: tr, Mechanism: 3},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg, jobs); err == nil {

@@ -132,35 +132,6 @@ func TestStreamingMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestForceRetainJobs covers the global override the figure differential
-// tests use: it must flip a streaming config into retention and back.
-func TestForceRetainJobs(t *testing.T) {
-	tr := flatTrace(48, 100)
-	cfg := baseConfig(tr, policy.NoWait{})
-	cfg.RetainJobs = false
-	jobs := workload.MustTrace("pair", []workload.Job{
-		{Arrival: 0, Length: simtime.Hour, CPUs: 1},
-		{Arrival: 30, Length: 2 * simtime.Hour, CPUs: 1},
-	})
-
-	ForceRetainJobs(true)
-	forced, err := Run(cfg, jobs)
-	ForceRetainJobs(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forced.Jobs) != 2 {
-		t.Fatalf("forced run kept %d records, want 2", len(forced.Jobs))
-	}
-	plain, err := Run(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Jobs) != 0 {
-		t.Fatalf("override leaked: plain run kept %d records", len(plain.Jobs))
-	}
-}
-
 // TestStreamingEmptyWorkload pins the degenerate streaming run: zero jobs
 // must answer zero everywhere without dividing by zero.
 func TestStreamingEmptyWorkload(t *testing.T) {

@@ -109,12 +109,15 @@ func runFig02(Scale) (fmt.Stringer, error) {
 
 	t := NewTable("Figure 2 — Wait Awhile vs NoWait, Section-3 workload, R=5",
 		"region", "metric", "NoWait", "WaitAwhile", "ratio")
-	for _, rc := range []struct {
+	regions := []struct {
 		name  string
 		trace *carbon.Trace
-	}{{"CA-US(Feb)", caFeb}, {"SE(Feb)", seFeb}} {
-		mk := func(p policy.Policy) core.Config {
-			return core.Config{
+	}{{"CA-US(Feb)", caFeb}, {"SE(Feb)", seFeb}}
+	// Each region contributes a (NoWait, WaitAwhile) cell pair.
+	var cells []cell
+	for _, rc := range regions {
+		for _, p := range []policy.Policy{policy.NoWait{}, policy.WaitAwhile{}} {
+			cells = append(cells, cell{core.Config{
 				Policy:   p,
 				Carbon:   rc.trace,
 				Reserved: 5,
@@ -124,16 +127,15 @@ func runFig02(Scale) (fmt.Stringer, error) {
 				// Reserved capacity is paid over the experiment span
 				// (3 days of arrivals plus the scheduling tail).
 				Horizon: 5 * simtime.Day,
-			}
+			}, jobs})
 		}
-		base, err := core.Run(mk(policy.NoWait{}), jobs)
-		if err != nil {
-			return nil, err
-		}
-		wa, err := core.Run(mk(policy.WaitAwhile{}), jobs)
-		if err != nil {
-			return nil, err
-		}
+	}
+	results, err := runCells("fig02", cells)
+	if err != nil {
+		return nil, err
+	}
+	for i, rc := range regions {
+		base, wa := results[2*i], results[2*i+1]
 		rel := wa.CompareTo(base)
 		t.AddRowf(rc.name, "carbon (kg)", base.TotalCarbonKg(), wa.TotalCarbonKg(), rel.Carbon)
 		t.AddRowf(rc.name, "cost ($)", base.TotalCost(), wa.TotalCost(), rel.Cost)

@@ -166,6 +166,13 @@ type cell struct {
 	jobs *workload.Trace
 }
 
+// cellOverride, when set, rewrites every cell before it runs. It is the
+// test hook that re-renders whole figures under another mechanism (a
+// pinned Config.Mechanism, per-job retention, a degenerate elastic wrap):
+// runCells is the only place a figure simulates, so the hook reaches every
+// simulation of every figure.
+var cellOverride func(*cell)
+
 // runCells executes every cell of the figure with the given experiment ID
 // on the sweep worker pool and returns the results in input order —
 // exactly what running the cells sequentially through core.Run would
@@ -174,7 +181,11 @@ type cell struct {
 // outcomes are recorded against id for the cache-stats report.
 func runCells(id string, cells []cell) ([]*metrics.Result, error) {
 	cache := ActiveCache()
+	override := cellOverride
 	return par.Map(Parallelism(), cells, func(_ int, c cell) (*metrics.Result, error) {
+		if override != nil {
+			override(&c)
+		}
 		if cache == nil {
 			return core.Run(c.cfg, c.jobs)
 		}

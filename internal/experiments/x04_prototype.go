@@ -45,17 +45,22 @@ func runX04Prototype(Scale) (fmt.Stringer, error) {
 
 	t := NewTable("Extension x04 — simulator vs prototype (week trace, SA-AU, R="+fmt.Sprint(rHalf)+")",
 		"policy", "runtime", "carbon(kg)", "cost($)", "wait(h)", "nodes")
-	var simBase, protoBase float64
+	cells := make([]cell, len(policies))
 	for i, pp := range policies {
-		simRes, err := core.Run(core.Config{
+		cells[i] = cell{core.Config{
 			Policy:   pp.p,
 			Carbon:   tr,
 			Reserved: rHalf,
 			Horizon:  10 * simtime.Day,
-		}, jobs)
-		if err != nil {
-			return nil, err
-		}
+		}, jobs}
+	}
+	simResults, err := runCells("x04-prototype", cells)
+	if err != nil {
+		return nil, err
+	}
+	var simBase, protoBase float64
+	for i, pp := range policies {
+		simRes := simResults[i]
 		protoRes, err := batch.Run(batch.Config{
 			Policy:        pp.p,
 			Carbon:        tr,

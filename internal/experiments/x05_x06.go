@@ -6,8 +6,10 @@ import (
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/geo"
+	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func init() {
@@ -106,11 +108,19 @@ func runX06Spatial(scale Scale) (fmt.Stringer, error) {
 			worst = res.TotalCarbonKg()
 		}
 	}
+	// Each region's share of the spatial run is one more cell.
+	runRegion := func(cfg core.Config, jobs *workload.Trace) (*metrics.Result, error) {
+		res, err := runCells("x06-spatial", []cell{{cfg, jobs}})
+		if err != nil {
+			return nil, err
+		}
+		return res[0], nil
+	}
 	multi, err := geo.Run(geo.Config{
 		Policy:  policy.CarbonTime{},
 		Regions: regions,
 		Horizon: horizon(scale),
-	}, jobs)
+	}, jobs, runRegion)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,8 @@ type Config struct {
 	// core.Config (zero = paper defaults).
 	ShortMax            simtime.Duration
 	WaitShort, WaitLong simtime.Duration
-	// Horizon is the accounting horizon (0 = shortest region horizon).
+	// Horizon is every region's accounting horizon (0 = each region's own
+	// carbon-trace horizon, as in core.Config).
 	Horizon simtime.Duration
 }
 
@@ -96,8 +97,10 @@ func (r *Result) JobShare() []float64 {
 	return shares
 }
 
-// Run places every job spatially and simulates each region's cluster.
-func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
+// Run places every job spatially and simulates each region's cluster
+// through run: core.Run simulates directly, and callers that route their
+// simulations through a cache or worker pool pass that route instead.
+func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace) (*metrics.Result, error)) (*Result, error) {
 	if cfg.Policy == nil {
 		return nil, errors.New("geo: config needs a policy")
 	}
@@ -156,7 +159,7 @@ func Run(cfg Config, jobs *workload.Trace) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Run(core.Config{
+		res, err := run(core.Config{
 			Policy:    cfg.Policy,
 			Carbon:    tr,
 			ShortMax:  cfg.ShortMax,

@@ -21,10 +21,10 @@ func flat(region string, hours int, ci float64) *carbon.Trace {
 
 func TestValidation(t *testing.T) {
 	jobs := workload.MustTrace("j", nil)
-	if _, err := Run(Config{Regions: []*carbon.Trace{flat("a", 10, 1)}}, jobs); err == nil {
+	if _, err := Run(Config{Regions: []*carbon.Trace{flat("a", 10, 1)}}, jobs, core.Run); err == nil {
 		t.Error("missing policy should error")
 	}
-	if _, err := Run(Config{Policy: policy.NoWait{}}, jobs); err == nil {
+	if _, err := Run(Config{Policy: policy.NoWait{}}, jobs, core.Run); err == nil {
 		t.Error("missing regions should error")
 	}
 }
@@ -39,7 +39,7 @@ func TestAllJobsGoToCleanRegion(t *testing.T) {
 	res, err := Run(Config{
 		Policy:  policy.CarbonTime{},
 		Regions: []*carbon.Trace{dirty, clean},
-	}, jobs)
+	}, jobs, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSpatialNeverWorseThanSingleRegion(t *testing.T) {
 		carbon.RegionKYUS.Generate(24*12, 3),
 	}
 	jobs := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(4)), 150, simtime.Week)
-	multi, err := Run(Config{Policy: policy.CarbonTime{}, Regions: regions}, jobs)
+	multi, err := Run(Config{Policy: policy.CarbonTime{}, Regions: regions}, jobs, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPlanPoliciesSupported(t *testing.T) {
 		{Arrival: 0, Length: 2 * simtime.Hour, CPUs: 1},
 		{Arrival: 50, Length: 5 * simtime.Hour, CPUs: 1},
 	})
-	res, err := Run(Config{Policy: policy.WaitAwhile{}, Regions: regions}, jobs)
+	res, err := Run(Config{Policy: policy.WaitAwhile{}, Regions: regions}, jobs, core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestEmptyWorkload(t *testing.T) {
 	res, err := Run(Config{
 		Policy:  policy.NoWait{},
 		Regions: []*carbon.Trace{flat("a", 10, 100)},
-	}, workload.MustTrace("empty", nil))
+	}, workload.MustTrace("empty", nil), core.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

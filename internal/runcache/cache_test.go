@@ -109,8 +109,10 @@ func TestCacheBypass(t *testing.T) {
 	noisy := cfg
 	noisy.CIS = carbon.NewNoisyService(cfg.Carbon, 0.05, 1)
 	for name, bad := range map[string]core.Config{
-		"noisy CIS": noisy,
-		"retained":  {Policy: cfg.Policy, Carbon: cfg.Carbon, RetainJobs: true},
+		"noisy CIS":   noisy,
+		"retained":    {Policy: cfg.Policy, Carbon: cfg.Carbon, RetainJobs: true},
+		"engine":      {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.MechanismEngine},
+		"heap engine": {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.MechanismHeapEngine},
 	} {
 		for i := 0; i < 2; i++ {
 			res, outcome, err := c.Run(bad, jobs)

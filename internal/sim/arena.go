@@ -12,11 +12,6 @@ type Handle struct {
 	gen uint32
 }
 
-// Valid reports whether h was produced by a Schedule call. It does not
-// say whether the event is still pending — a fired event's handle stays
-// Valid but no longer cancels.
-func (h Handle) Valid() bool { return h.gen != 0 }
-
 // event is one arena slot: a scheduled callback plus the intrusive link
 // that threads it through a wheel slot list or the free list. Events are
 // addressed by arena index, never by long-lived pointer, so the arena can

@@ -76,16 +76,10 @@ type Engine struct {
 	wheel wheelState
 	heap  []int32
 
-	// stream holds pre-sorted events (ScheduleSorted) consumed in order
-	// and merged with the queue at pop time. Feeding the known-sorted bulk
-	// — a workload's arrivals — through the stream keeps the queue down to
-	// the in-flight events.
-	stream    []int32
-	streamPos int
-
-	// source is the zero-materialization variant of the stream: events are
-	// described by index-addressed callbacks and never exist as event
-	// records at all (see SetSource).
+	// source feeds the known-sorted bulk — a workload's arrivals — from
+	// index-addressed callbacks merged with the queue at each step, so
+	// those events never exist as event records and the queue holds only
+	// the in-flight events (see SetSource).
 	source srcState
 
 	// Interrupt probe (SetInterrupt): Run polls check every `every`
@@ -119,9 +113,6 @@ func (e *Engine) SetQueue(k QueueKind) {
 	e.kind = k
 }
 
-// Queue returns the engine's pending-event mechanism.
-func (e *Engine) Queue() QueueKind { return e.kind }
-
 // Now returns the current simulated time.
 func (e *Engine) Now() simtime.Time { return e.now }
 
@@ -133,17 +124,17 @@ func (e *Engine) Executed() int64 { return e.executed }
 // yet lazily reaped are included, so this is an upper bound on the events
 // that will still fire.
 func (e *Engine) Pending() int {
-	return e.queued + len(e.stream) - e.streamPos + e.source.n - e.source.pos
+	return e.queued + e.source.n - e.source.pos
 }
 
 // SetSource installs a pull-based pre-sorted event source: n events whose
 // times are timeAt(0..n-1) in non-decreasing order, all at the given
 // priority, fired via fire(i). The engine merges the source with the queue
-// (and stream) at each step without ever materializing event records, so
-// a million-arrival trace costs zero event storage. Source events win
-// ties against queued events at the same (time, priority) — exactly the
-// order ScheduleSorted produces, since its events are enqueued (and thus
-// sequence-numbered) before any dynamic event. Source events cannot be
+// at each step without ever materializing event records, so a
+// million-arrival trace costs zero event storage. Source events win ties
+// against queued events at the same (time, priority) — exactly the order
+// scheduling them all up front would produce, since they would be
+// sequence-numbered before any dynamic event. Source events cannot be
 // canceled. Calling SetSource replaces any previous source.
 func (e *Engine) SetSource(n int, timeAt func(i int) simtime.Time, p Priority, fire func(i int)) {
 	if n > 0 && (timeAt == nil || fire == nil) {
@@ -187,31 +178,6 @@ func (e *Engine) schedule(t simtime.Time, p Priority) Handle {
 	gen := ev.gen
 	e.seq++
 	e.qPush(idx)
-	return Handle{idx: idx, gen: gen}
-}
-
-// ScheduleSorted enqueues fn like Schedule, but onto the engine's
-// pre-sorted stream instead of the queue. Successive calls must be in
-// non-decreasing (time, priority) order — the natural order of a workload
-// trace's arrivals — and the engine merges stream and queue at each step,
-// so execution order is exactly what Schedule would produce. It panics on
-// an out-of-order call.
-func (e *Engine) ScheduleSorted(t simtime.Time, p Priority, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	idx := e.alloc()
-	ev := &e.arena[idx]
-	ev.time, ev.priority, ev.seq, ev.fn = t, p, e.seq, fn
-	gen := ev.gen
-	e.seq++
-	if n := len(e.stream); n > 0 && e.before(idx, e.stream[n-1]) {
-		panic(fmt.Sprintf("sim: ScheduleSorted out of order at %v", t))
-	}
-	e.stream = append(e.stream, idx)
 	return Handle{idx: idx, gen: gen}
 }
 
@@ -352,16 +318,9 @@ func (e *Engine) RunUntil(deadline simtime.Time) {
 // Canceled heads are reaped in passing so the reported time is one step()
 // will actually fire at — RunUntil relies on that to honor its deadline.
 func (e *Engine) nextTime() (simtime.Time, bool) {
-	for e.streamPos < len(e.stream) && e.arena[e.stream[e.streamPos]].canceled {
-		e.reap(e.stream[e.streamPos])
-		e.advanceStream()
-	}
 	var t simtime.Time
 	ok := false
-	if e.streamPos < len(e.stream) {
-		t, ok = e.arena[e.stream[e.streamPos]].time, true
-	}
-	if q := e.qPeek(); q >= 0 && (!ok || e.arena[q].time < t) {
+	if q := e.qPeek(); q >= 0 {
 		t, ok = e.arena[q].time, true
 	}
 	if s := &e.source; s.pos < s.n {
@@ -372,34 +331,11 @@ func (e *Engine) nextTime() (simtime.Time, bool) {
 	return t, ok
 }
 
-// advanceStream consumes the stream head, resetting the backing slice
-// once fully drained so a reused engine does not hold dead capacity.
-func (e *Engine) advanceStream() {
-	e.streamPos++
-	if e.streamPos == len(e.stream) {
-		e.stream, e.streamPos = e.stream[:0], 0
-	}
-}
-
 func (e *Engine) step() {
-	// Reap canceled stream heads without advancing the clock, so the
-	// stream's live head is what competes against the queue's.
-	for e.streamPos < len(e.stream) && e.arena[e.stream[e.streamPos]].canceled {
-		e.reap(e.stream[e.streamPos])
-		e.advanceStream()
-	}
-	// Candidate from the materialized queues: stream merged with the
-	// wheel or heap by the strict (time, priority, seq) order.
+	// The queue's live head competes against the source's; the source wins
+	// ties: its events are, by construction, enqueued before any dynamic
+	// event, so they carry the smaller (conceptual) sequence numbers.
 	cand := e.qPeek()
-	fromStream := false
-	if e.streamPos < len(e.stream) &&
-		(cand < 0 || e.before(e.stream[e.streamPos], cand)) {
-		cand = e.stream[e.streamPos]
-		fromStream = true
-	}
-	// The source wins ties against the materialized queues: its events
-	// are, by construction, enqueued before any dynamic event, so they
-	// carry the smaller (conceptual) sequence numbers.
 	if s := &e.source; s.pos < s.n {
 		t := s.timeAt(s.pos)
 		if cand < 0 || t < e.arena[cand].time ||
@@ -418,11 +354,7 @@ func (e *Engine) step() {
 	if cand < 0 {
 		return // only canceled events were pending; reaping was the step
 	}
-	if fromStream {
-		e.advanceStream()
-	} else {
-		e.qPop()
-	}
+	e.qPop()
 	ev := &e.arena[cand]
 	e.now = ev.time
 	e.executed++

@@ -9,8 +9,9 @@ import (
 )
 
 // TestSourceMergesIdenticallyWithStream feeds the same arrival set through
-// three engines — pull-based source, pre-sorted stream, and plain heap —
-// and requires identical execution orders. Callbacks re-schedule follow-up
+// three engines — the pull-based sorted stream (SetSource), and plain
+// Schedule calls on the wheel and on the heap — and requires identical
+// execution orders. Callbacks re-schedule follow-up
 // events at colliding instants to exercise tie-breaking while the source
 // is still non-empty.
 func TestSourceMergesIdenticallyWithStream(t *testing.T) {
@@ -25,7 +26,6 @@ func TestSourceMergesIdenticallyWithStream(t *testing.T) {
 	type mode int
 	const (
 		useSource mode = iota
-		useStream
 		useWheel
 		useHeap
 	)
@@ -52,11 +52,6 @@ func TestSourceMergesIdenticallyWithStream(t *testing.T) {
 		case useSource:
 			e.SetSource(len(times), func(i int) simtime.Time { return times[i] },
 				PriorityArrival, record)
-		case useStream:
-			for i, at := range times {
-				i := i
-				e.ScheduleSorted(at, PriorityArrival, func() { record(i) })
-			}
 		case useWheel, useHeap:
 			for i, at := range times {
 				i := i
@@ -73,9 +68,6 @@ func TestSourceMergesIdenticallyWithStream(t *testing.T) {
 	}
 	if got := run(useSource); !reflect.DeepEqual(got, want) {
 		t.Fatalf("source order diverges from heap order:\n source = %v\n heap   = %v", got, want)
-	}
-	if got := run(useStream); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream order diverges from heap order:\n stream = %v\n heap   = %v", got, want)
 	}
 }
 

@@ -34,7 +34,7 @@ func wheelSpan(l int) simtime.Time {
 type wheelState struct {
 	// base[l] is the (span-aligned) start of level l's window. Bases only
 	// rebase to the window holding the earliest pending wheel event, never
-	// eagerly past it, so a stream or source event firing earlier can still
+	// eagerly past it, so a source event firing earlier can still
 	// schedule into the gap (those pushes land in cur, below).
 	base  [wheelLevels]simtime.Time
 	heads [wheelLevels][wheelSlots]int32 // intrusive lists, index+1, 0 = empty
@@ -80,7 +80,7 @@ func (e *Engine) wheelPush(idx int32) {
 	}
 	if t < w.base[0] {
 		// Before the inner window: the bases have advanced past t (a
-		// stream/source event fired earlier and scheduled into the gap).
+		// source event fired earlier and scheduled into the gap).
 		// cur doubles as the holding run for these.
 		e.curInsert(idx)
 		w.count++
