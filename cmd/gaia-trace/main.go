@@ -93,7 +93,7 @@ func run(args []string) error {
 		default:
 			return fmt.Errorf("unknown family %q", *family)
 		}
-		tr.AssignQueues(2 * simtime.Hour)
+		tr.AssignQueues(workload.DefaultShortMax)
 		return tr.WriteCSV(w)
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)

@@ -325,6 +325,3 @@ func (s *System) removePending(req *request) {
 		}
 	}
 }
-
-// PendingCount returns the queue depth (for tests and monitoring).
-func (s *System) PendingCount() int { return len(s.pending) }

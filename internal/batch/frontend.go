@@ -35,8 +35,9 @@ type Config struct {
 	BootDelay, IdleTimeout simtime.Duration
 	Pricing                cloud.Pricing
 	Power                  cloud.Power
-	// Queue configuration, as in the simulator.
-	ShortMax            simtime.Duration
+	// WaitShort / WaitLong are the queues' waiting-time guarantees
+	// (defaults workload.DefaultWaitShort / DefaultWaitLong); jobs up to
+	// workload.DefaultShortMax long go to the short queue.
 	WaitShort, WaitLong simtime.Duration
 	// Horizon is the accounting horizon (0 = carbon trace horizon).
 	Horizon simtime.Duration
@@ -97,14 +98,11 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 	if cfg.Power == (cloud.Power{}) {
 		cfg.Power = cloud.DefaultPower()
 	}
-	if cfg.ShortMax == 0 {
-		cfg.ShortMax = 2 * simtime.Hour
-	}
 	if cfg.WaitShort == 0 {
-		cfg.WaitShort = 6 * simtime.Hour
+		cfg.WaitShort = workload.DefaultWaitShort
 	}
 	if cfg.WaitLong == 0 {
-		cfg.WaitLong = 24 * simtime.Hour
+		cfg.WaitLong = workload.DefaultWaitLong
 	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = cfg.Carbon.Horizon()
@@ -116,7 +114,7 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 	}()
 
 	trace := workload.MustTrace(jobs.Name, jobs.Jobs)
-	trace.AssignQueues(cfg.ShortMax)
+	trace.AssignQueues(workload.DefaultShortMax)
 
 	engine := sim.NewEngine()
 	mgr, err := cluster.NewManager(cluster.Config{

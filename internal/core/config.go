@@ -78,12 +78,14 @@ type Config struct {
 	// Power is the energy model; zero value uses cloud.DefaultPower.
 	Power cloud.Power
 
-	// ShortMax is the short queue's maximum job length (default 2 h).
+	// ShortMax is the short queue's maximum job length (default
+	// workload.DefaultShortMax, 2 h).
 	ShortMax simtime.Duration
 
 	// WaitShort / WaitLong are the queues' maximum waiting times
-	// (defaults 6 h / 24 h, the paper's configuration). A negative value
-	// means an explicit zero wait (0 selects the default).
+	// (defaults workload.DefaultWaitShort / DefaultWaitLong, the paper's
+	// 6 h / 24 h). A negative value means an explicit zero wait (0
+	// selects the default).
 	WaitShort, WaitLong simtime.Duration
 
 	// Queues optionally replaces the two-queue configuration above with
@@ -244,17 +246,17 @@ func (c Config) withDefaults() Config {
 		c.Power = cloud.DefaultPower()
 	}
 	if c.ShortMax == 0 {
-		c.ShortMax = 2 * simtime.Hour
+		c.ShortMax = workload.DefaultShortMax
 	}
 	switch {
 	case c.WaitShort == 0:
-		c.WaitShort = 6 * simtime.Hour
+		c.WaitShort = workload.DefaultWaitShort
 	case c.WaitShort < 0:
 		c.WaitShort = 0
 	}
 	switch {
 	case c.WaitLong == 0:
-		c.WaitLong = 24 * simtime.Hour
+		c.WaitLong = workload.DefaultWaitLong
 	case c.WaitLong < 0:
 		c.WaitLong = 0
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/hex"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -86,51 +88,128 @@ func TestFingerprintOverrideOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestFingerprintDistinguishes asserts that every knob that can change a
-// simulation result changes the fingerprint.
+// TestFingerprintDistinguishes keeps the cache keys in step with Config:
+// every field has an entry saying how Fingerprint and DecisionFingerprint
+// treat it, and the test fails for a field with none. A field that can
+// change a result but is left out of Fingerprint would let the cache
+// replay one configuration's result for another.
 func TestFingerprintDistinguishes(t *testing.T) {
 	tr, jobs := fpFixture(t)
 	tr2 := carbon.RegionCAUS.Generate(24*10, 1)
 	jobs2 := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(4)), 200, simtime.Week)
-	base := Config{Policy: policy.CarbonTime{}, Carbon: tr,
-		SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}
-	want := mustFingerprint(t, base, jobs)
+	// Spot, eviction and checkpointing are on in the full base so their
+	// knobs reach the hash; the decision base is direct-eligible, so it
+	// has a decision fingerprint to split.
+	fullBase := Config{Policy: policy.CarbonTime{}, Carbon: tr,
+		SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05, CheckpointInterval: simtime.Hour}
+	decisionBase := Config{Policy: policy.CarbonTime{}, Carbon: tr}
+	elastic := func(c *Config) { c.Elastic = workload.Degenerate(jobs) }
 
-	variants := map[string]struct {
-		cfg  Config
-		jobs *workload.Trace
+	type effect int
+	const (
+		splits effect = iota // the variant gets a different key
+		same                 // the key ignores the field
+		bypass               // the variant has no key: it is never cached
+	)
+	// Keyed by Config field name; "Field/detail" adds a variant of one
+	// field, and "workload" varies the jobs instead of the config. prep
+	// applies to the base and the variant alike.
+	cases := map[string]struct {
+		prep, set      func(*Config)
+		jobs           *workload.Trace
+		full, decision effect
 	}{
-		"policy": {Config{Policy: policy.LowestWindow{}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"carbon trace": {Config{Policy: policy.CarbonTime{}, Carbon: tr2,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"workload": {base, jobs2},
-		"reserved": {Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 10,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"work-conserving": {Config{Policy: policy.CarbonTime{}, Carbon: tr, WorkConserving: true,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"eviction seed": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05, Seed: 99}, jobs},
-		"eviction rate": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.10}, jobs},
-		"spot bound": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			SpotMaxLen: 4 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"checkpointing": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05,
-			CheckpointInterval: simtime.Hour}, jobs},
-		"horizon": {Config{Policy: policy.CarbonTime{}, Carbon: tr, Horizon: 5 * simtime.Day,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
-		"avg-length override": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05,
-			AvgLengthOverride: map[workload.Queue]simtime.Duration{
-				workload.QueueLong: 7 * simtime.Hour,
-			}}, jobs},
-		"ecovisor percentile": {Config{Policy: policy.Ecovisor{ThresholdPercentile: 50}, Carbon: tr,
-			SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05}, jobs},
+		"Label":  {set: func(c *Config) { c.Label = "renamed" }, full: same, decision: same},
+		"Policy": {set: func(c *Config) { c.Policy = policy.LowestWindow{} }, full: splits, decision: splits},
+		"Policy/ecovisor percentile": {prep: func(c *Config) { c.Policy = policy.Ecovisor{} },
+			set: func(c *Config) { c.Policy = policy.Ecovisor{ThresholdPercentile: 50} }, full: splits, decision: bypass},
+		"Carbon": {set: func(c *Config) { c.Carbon = tr2 }, full: splits, decision: splits},
+		"CIS": {set: func(c *Config) { c.CIS = carbon.NewNoisyService(tr, 0.05, 1) },
+			full: bypass, decision: bypass},
+		"CIS/perfect over another trace": {set: func(c *Config) { c.CIS = carbon.NewPerfectService(tr2) },
+			full: splits, decision: splits},
+		"Reserved":       {set: func(c *Config) { c.Reserved = 10 }, full: splits, decision: same},
+		"WorkConserving": {set: func(c *Config) { c.WorkConserving = true }, full: splits, decision: bypass},
+		"SpotMaxLen":     {set: func(c *Config) { c.SpotMaxLen = 4 * simtime.Hour }, full: splits, decision: bypass},
+		"EvictionRate":   {set: func(c *Config) { c.EvictionRate = 0.10 }, full: splits, decision: same},
+		"CheckpointInterval": {set: func(c *Config) { c.CheckpointInterval = 2 * simtime.Hour },
+			full: splits, decision: same},
+		"CheckpointOverhead": {set: func(c *Config) { c.CheckpointOverhead = 5 * simtime.Minute },
+			full: splits, decision: same},
+		"Pricing": {set: func(c *Config) {
+			c.Pricing = cloud.Pricing{OnDemandHourly: 9.9, ReservedFraction: 0.5, SpotFraction: 0.1}
+		}, full: splits, decision: same},
+		"Power":     {set: func(c *Config) { c.Power = cloud.Power{KWPerCPU: 0.5} }, full: splits, decision: same},
+		"ShortMax":  {set: func(c *Config) { c.ShortMax = 4 * simtime.Hour }, full: splits, decision: splits},
+		"WaitShort": {set: func(c *Config) { c.WaitShort = 12 * simtime.Hour }, full: splits, decision: splits},
+		"WaitLong":  {set: func(c *Config) { c.WaitLong = 12 * simtime.Hour }, full: splits, decision: splits},
+		"Queues": {set: func(c *Config) {
+			c.Queues = []QueueSpec{
+				{MaxLength: simtime.Hour, MaxWait: 3 * simtime.Hour},
+				{MaxLength: 4 * simtime.Hour, MaxWait: 6 * simtime.Hour},
+				{MaxLength: 0, MaxWait: 24 * simtime.Hour},
+			}
+		}, full: splits, decision: splits},
+		"Horizon": {set: func(c *Config) { c.Horizon = 5 * simtime.Day }, full: splits, decision: same},
+		"AvgLengthOverride": {set: func(c *Config) {
+			c.AvgLengthOverride = map[workload.Queue]simtime.Duration{workload.QueueLong: 7 * simtime.Hour}
+		}, full: splits, decision: splits},
+		"Elastic": {set: elastic, full: splits, decision: bypass},
+		"Allocator": {prep: elastic, set: func(c *Config) { c.Allocator = policy.GreedyMarginal{} },
+			full: splits, decision: bypass},
+		"ElasticCapacity": {prep: elastic, set: func(c *Config) { c.ElasticCapacity = 8 },
+			full: splits, decision: bypass},
+		"RetainJobs": {set: func(c *Config) { c.RetainJobs = true }, full: bypass, decision: same},
+		"Mechanism":  {set: func(c *Config) { c.Mechanism = MechanismEngine }, full: bypass, decision: bypass},
+		"Seed":       {set: func(c *Config) { c.Seed = 99 }, full: splits, decision: same},
+		"workload":   {jobs: jobs2, full: splits, decision: splits},
 	}
-	for name, v := range variants {
-		if got := mustFingerprint(t, v.cfg, v.jobs); got == want {
-			t.Errorf("%s: fingerprint collides with base", name)
+	keys := []struct {
+		name   string
+		base   Config
+		effect func(full, decision effect) effect
+		fp     func(Config, *workload.Trace) ([32]byte, bool)
+	}{
+		{"fingerprint", fullBase, func(full, _ effect) effect { return full }, Config.Fingerprint},
+		{"decision fingerprint", decisionBase, func(_, decision effect) effect { return decision }, Config.DecisionFingerprint},
+	}
+	covered := make(map[string]bool)
+	for name, tc := range cases {
+		covered[strings.SplitN(name, "/", 2)[0]] = true
+		for _, key := range keys {
+			base := key.base
+			if tc.prep != nil {
+				tc.prep(&base)
+			}
+			variant, variantJobs := base, jobs
+			if tc.set != nil {
+				tc.set(&variant)
+			}
+			if tc.jobs != nil {
+				variantJobs = tc.jobs
+			}
+			got, ok := key.fp(variant, variantJobs)
+			want, wantOK := key.fp(base, jobs)
+			switch key.effect(tc.full, tc.decision) {
+			case bypass:
+				if ok {
+					t.Errorf("%s: the variant has a %s, want none", name, key.name)
+				}
+			case splits:
+				if !ok || !wantOK || got == want {
+					t.Errorf("%s: %s does not split (variant ok=%v, base ok=%v)", name, key.name, ok, wantOK)
+				}
+			case same:
+				if !ok || !wantOK || got != want {
+					t.Errorf("%s: %s changed (variant ok=%v, base ok=%v)", name, key.name, ok, wantOK)
+				}
+			}
+		}
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i).Name; !covered[f] {
+			t.Errorf("Config.%s has no entry: decide how Fingerprint and DecisionFingerprint treat it, then add one", f)
 		}
 	}
 

@@ -24,17 +24,14 @@ import (
 )
 
 // Config describes a multi-region deployment. Per-region cluster knobs
-// (pricing, queues, horizon) follow core.Config defaults.
+// (pricing, horizon) follow core.Config defaults, and the queues are the
+// paper's (workload.DefaultShortMax, DefaultWaitShort, DefaultWaitLong).
 type Config struct {
 	// Policy is the temporal policy applied inside every region.
 	Policy policy.Policy
 	// Regions are the candidate carbon traces (their Region() labels the
 	// clusters).
 	Regions []*carbon.Trace
-	// ShortMax / WaitShort / WaitLong configure the queues, as in
-	// core.Config (zero = paper defaults).
-	ShortMax            simtime.Duration
-	WaitShort, WaitLong simtime.Duration
 	// Horizon is every region's accounting horizon (0 = each region's own
 	// carbon-trace horizon, as in core.Config).
 	Horizon simtime.Duration
@@ -107,18 +104,9 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 	if len(cfg.Regions) == 0 {
 		return nil, errors.New("geo: config needs at least one region")
 	}
-	if cfg.ShortMax == 0 {
-		cfg.ShortMax = 2 * simtime.Hour
-	}
-	if cfg.WaitShort == 0 {
-		cfg.WaitShort = 6 * simtime.Hour
-	}
-	if cfg.WaitLong == 0 {
-		cfg.WaitLong = 24 * simtime.Hour
-	}
 
 	trace := workload.MustTrace(jobs.Name, jobs.Jobs)
-	trace.AssignQueues(cfg.ShortMax)
+	trace.AssignQueues(workload.DefaultShortMax)
 
 	// Per-region policy contexts (queue averages come from the full
 	// trace: the per-queue length statistics are region-independent).
@@ -127,8 +115,8 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 		contexts[i] = &policy.Context{
 			CIS: carbon.NewPerfectService(tr),
 			Queues: map[workload.Queue]policy.QueueInfo{
-				workload.QueueShort: {MaxWait: cfg.WaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
-				workload.QueueLong:  {MaxWait: cfg.WaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
+				workload.QueueShort: {MaxWait: workload.DefaultWaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
+				workload.QueueLong:  {MaxWait: workload.DefaultWaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
 			},
 		}
 		// The placement loop probes every region's context per job;
@@ -162,9 +150,9 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 		res, err := run(core.Config{
 			Policy:    cfg.Policy,
 			Carbon:    tr,
-			ShortMax:  cfg.ShortMax,
-			WaitShort: cfg.WaitShort,
-			WaitLong:  cfg.WaitLong,
+			ShortMax:  workload.DefaultShortMax,
+			WaitShort: workload.DefaultWaitShort,
+			WaitLong:  workload.DefaultWaitLong,
 			Horizon:   cfg.Horizon,
 		}, sub)
 		if err != nil {

@@ -89,21 +89,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// Avoided reports whether the outcome skipped a simulation this process
-// would otherwise have paid for. Plan outcomes are deliberately excluded:
-// they avoided only the decide phase, and the replay still ran — they are
-// a partial computation, tallied separately.
-func (o Outcome) Avoided() bool {
-	return o == Hit || o == Dedup || o == DiskHit || o == RemoteHit
-}
-
-// AvoidedDecide reports whether the outcome skipped at least the decide
-// phase of a simulation (plan outcomes skip only that; full cache hits
-// skip everything).
-func (o Outcome) AvoidedDecide() bool {
-	return o.Avoided() || o == PlanHit || o == PlanDiskHit
-}
-
 // entry is one cell's single-flight slot. The leader (whoever inserted
 // it) closes done after setting acc or err; the channel close publishes
 // both to waiters.
@@ -206,18 +191,21 @@ func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.
 
 	// Tier order for the single-flight leader: disk (local, trusted) →
 	// remote fleet tier (another replica computed it) → compute. A remote
-	// hit also warms the local disk tier; a computed cell is offered to
-	// both, so the cell's ring owner ends up holding it for the fleet.
+	// hit also warms the local disk tier with the blob exactly as fetched
+	// (it already passed the codec's checksum); a computed cell is encoded
+	// once and offered to both, so the cell's ring owner ends up holding
+	// it for the fleet.
 	// Computation itself consults one more tier: the decision-plan cache
 	// (plan.go), which lets a cell whose decide phase matches an earlier
 	// cell replay accounting over the shared plan (PlanHit/PlanDiskHit).
 	outcome := Computed
 	acc := c.loadDisk(dir, fp)
+	var blob []byte
 	if acc != nil {
 		outcome = DiskHit
-	} else if acc = c.loadRemote(ctx, remote, fp); acc != nil {
+	} else if acc, blob = c.loadRemote(ctx, remote, fp); acc != nil {
 		outcome = RemoteHit
-		c.storeDisk(dir, fp, acc)
+		c.storeDisk(dir, fp, blob)
 	} else {
 		res, served, err := c.computePlanned(ctx, canon, jobs)
 		if err != nil {
@@ -230,9 +218,10 @@ func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.
 		}
 		outcome = served
 		acc = res.Accumulator()
-		c.storeDisk(dir, fp, acc)
-		if remote != nil {
-			c.storeRemote(ctx, remote, fp, metrics.EncodeAccumulator(acc))
+		if dir != "" || remote != nil {
+			blob = metrics.EncodeAccumulator(acc)
+			c.storeDisk(dir, fp, blob)
+			c.storeRemote(ctx, remote, fp, blob)
 		}
 	}
 	e.acc = acc
@@ -289,12 +278,12 @@ func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
 	return acc
 }
 
-// storeDisk persists an accumulator, atomically: the entry is written to
-// a temp file in the same directory and renamed into place, so concurrent
-// readers (a cold and a warm suite sharing one cache dir) only ever see
-// complete entries. Failures are logged and otherwise ignored — the store
-// is an accelerator, not a system of record.
-func (c *Cache) storeDisk(dir string, fp [32]byte, acc *metrics.Accumulator) {
+// storeDisk persists an encoded accumulator, atomically: the entry is
+// written to a temp file in the same directory and renamed into place, so
+// concurrent readers (a cold and a warm suite sharing one cache dir) only
+// ever see complete entries. Failures are logged and otherwise ignored —
+// the store is an accelerator, not a system of record.
+func (c *Cache) storeDisk(dir string, fp [32]byte, data []byte) {
 	if dir == "" {
 		return
 	}
@@ -304,7 +293,6 @@ func (c *Cache) storeDisk(dir string, fp [32]byte, acc *metrics.Accumulator) {
 		c.Logf("runcache: creating temp entry in %s: %v", dir, err)
 		return
 	}
-	data := metrics.EncodeAccumulator(acc)
 	if _, err := tmp.Write(data); err == nil {
 		err = tmp.Close()
 		if err == nil {

@@ -39,34 +39,34 @@ func (c *Cache) SetRemote(r RemoteStore) {
 	c.mu.Unlock()
 }
 
-// loadRemote fetches and decodes a remote entry, returning nil on any
-// miss or problem — errors are logged, never propagated, so the tier can
-// only ever degrade to a recompute.
-func (c *Cache) loadRemote(ctx context.Context, remote RemoteStore, fp [32]byte) *metrics.Accumulator {
+// loadRemote fetches and decodes a remote entry, returning the
+// accumulator with the blob it decoded, or nil on any miss or problem —
+// errors are logged, never propagated, so the tier can only ever degrade
+// to a recompute.
+func (c *Cache) loadRemote(ctx context.Context, remote RemoteStore, fp [32]byte) (*metrics.Accumulator, []byte) {
 	if remote == nil {
-		return nil
+		return nil, nil
 	}
 	rctx, cancel := context.WithTimeout(ctx, remoteOpTimeout)
 	defer cancel()
 	blob, err := remote.Get(rctx, fp)
 	if err != nil {
 		c.Logf("runcache: remote get %x: %v (recomputing)", fp[:8], err)
-		return nil
+		return nil, nil
 	}
 	if blob == nil {
-		return nil
+		return nil, nil
 	}
 	acc, err := metrics.DecodeAccumulator(blob)
 	if err != nil {
 		c.Logf("runcache: remote entry %x: %v (recomputing)", fp[:8], err)
-		return nil
+		return nil, nil
 	}
-	return acc
+	return acc, blob
 }
 
-// storeRemote offers a freshly computed entry to the tier, best-effort.
-// It reuses the blob encoding when the caller already has one (the disk
-// tier produced it), else encodes once.
+// storeRemote offers a freshly computed entry's encoding, the same bytes
+// the disk tier writes, to the tier, best-effort.
 func (c *Cache) storeRemote(ctx context.Context, remote RemoteStore, fp [32]byte, blob []byte) {
 	if remote == nil {
 		return

@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -28,18 +25,15 @@ const (
 // Default waiting-time guarantees as request values, shared by reference
 // so normalization never allocates them. Read-only by contract.
 var (
-	defaultWaitShortMinutes = int64(defaultWaitShort.Minutes())
-	defaultWaitLongMinutes  = int64(defaultWaitLong.Minutes())
+	defaultWaitShortMinutes = int64(workload.DefaultWaitShort.Minutes())
+	defaultWaitLongMinutes  = int64(workload.DefaultWaitLong.Minutes())
 )
 
-// AdviseRequest is one online scheduling query: "a job like this just
-// arrived — when should it start?". Times are integer simulation minutes
-// (the trace starts at minute 0), matching the simulator's clock.
-type AdviseRequest struct {
-	// Policy is the scheduling policy tag (policy.Names()).
-	Policy string `json:"policy"`
-	// Region is the carbon-trace region code (GET /v1/traces).
-	Region string `json:"region"`
+// AdviseJob is one job to advise on: the per-job fields of a /v1/advise
+// body, and one entry of a /v1/advise/batch body's jobs. Times are
+// integer simulation minutes (the trace starts at minute 0), matching the
+// simulator's clock.
+type AdviseJob struct {
 	// LengthMinutes is the job's (estimated) execution time. Required.
 	LengthMinutes int64 `json:"length_minutes"`
 	// CPUs is the job's parallel width; default 1.
@@ -60,6 +54,17 @@ type AdviseRequest struct {
 	// SpotMaxMinutes marks jobs up to this length spot-eligible for the
 	// instance-class recommendation; 0 disables spot.
 	SpotMaxMinutes int64 `json:"spot_max_minutes,omitempty"`
+}
+
+// AdviseRequest is one online scheduling query: "a job like this just
+// arrived — when should it start?". The job's fields sit beside the
+// policy and region in the JSON object.
+type AdviseRequest struct {
+	// Policy is the scheduling policy tag (policy.Names()).
+	Policy string `json:"policy"`
+	// Region is the carbon-trace region code (GET /v1/traces).
+	Region string `json:"region"`
+	AdviseJob
 }
 
 // AdviseWindow is one suspend-resume execution window, in trace minutes.
@@ -97,52 +102,43 @@ type AdviseResponse struct {
 	FastPath bool `json:"fast_path"`
 }
 
-// decodeAdvise strictly parses one advise body: unknown fields and
-// trailing garbage are errors, so client typos fail loudly instead of
-// silently meaning something else.
-func decodeAdvise(r io.Reader) (AdviseRequest, error) {
-	var req AdviseRequest
-	if err := decodeAdviseInto(r, &req); err != nil {
-		return AdviseRequest{}, err
-	}
-	return req, nil
-}
-
-// decodeAdviseInto is decodeAdvise writing into a caller-owned (possibly
-// pooled) request, which it fully resets first. On error the request
-// contents are unspecified.
-func decodeAdviseInto(r io.Reader, req *AdviseRequest) error {
-	*req = AdviseRequest{}
-	dec := json.NewDecoder(io.LimitReader(r, maxAdviseBodyLen))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return fmt.Errorf("invalid JSON: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return errors.New("invalid JSON: trailing data after request object")
-	}
-	return nil
+// adviseTarget is what normalization resolves once per request, for every
+// job in it: the policy and the region's carbon trace.
+type adviseTarget struct {
+	policy string // the tag as the client sent it, echoed in each verdict
+	pol    policy.Policy
+	region string // canonical region code
+	tr     *carbon.Trace
 }
 
 // normalizeAdvise validates a decoded request against the server's trace
-// registry and fills defaults in place. All failures map to HTTP 400.
-func (s *Server) normalizeAdvise(req *AdviseRequest) error {
-	if _, err := policy.ByName(req.Policy); err != nil {
-		return err
+// registry and fills every job's defaults in place. Both advise endpoints
+// call it (/v1/advise with a batch of one), so the policy tag is checked
+// and the region resolved once per request, never per job. When a job
+// fails, its index is returned with the error, else -1. All failures map
+// to HTTP 400.
+func (s *Server) normalizeAdvise(req *AdviseBatchRequest) (adviseTarget, int, error) {
+	pol, err := policy.ByName(req.Policy)
+	if err != nil {
+		return adviseTarget{}, -1, err
 	}
-	req.Region = strings.ToUpper(strings.TrimSpace(req.Region))
-	tr, ok := s.regions[req.Region]
+	region := strings.ToUpper(strings.TrimSpace(req.Region))
+	tr, ok := s.regions[region]
 	if !ok {
-		return fmt.Errorf("unknown region %q (GET /v1/traces lists the available ones)", req.Region)
+		return adviseTarget{}, -1, fmt.Errorf("unknown region %q (GET /v1/traces lists the available ones)", region)
 	}
-	return normalizeAdviseJob(req, tr)
+	t := adviseTarget{policy: req.Policy, pol: pol, region: region, tr: tr}
+	for i := range req.Jobs {
+		if err := t.normalizeJob(&req.Jobs[i]); err != nil {
+			return adviseTarget{}, i, err
+		}
+	}
+	return t, -1, nil
 }
 
-// normalizeAdviseJob is the per-job half of normalization — everything
-// except the policy and region checks, which the batch endpoint resolves
-// once for thousands of jobs. req.Region must already be normalized to a
-// key of the region map that produced tr.
-func normalizeAdviseJob(req *AdviseRequest, tr *carbon.Trace) error {
+// normalizeJob validates one job against the target's trace and fills its
+// defaults in place.
+func (t *adviseTarget) normalizeJob(req *AdviseJob) error {
 	length := simtime.Duration(req.LengthMinutes)
 	if length <= 0 || length > maxAdviseLength {
 		return fmt.Errorf("length_minutes must be in [1, %d]", maxAdviseLength.Minutes())
@@ -153,12 +149,12 @@ func normalizeAdviseJob(req *AdviseRequest, tr *carbon.Trace) error {
 	if req.CPUs < 1 || req.CPUs > maxAdviseCPUs {
 		return fmt.Errorf("cpus must be in [1, %d]", maxAdviseCPUs)
 	}
-	if req.ArrivalMinute < 0 || simtime.Time(req.ArrivalMinute) >= simtime.Time(tr.Horizon()) {
-		return fmt.Errorf("arrival_minute must be in [0, %d) for region %s", tr.Horizon().Minutes(), req.Region)
+	if req.ArrivalMinute < 0 || simtime.Time(req.ArrivalMinute) >= simtime.Time(t.tr.Horizon()) {
+		return fmt.Errorf("arrival_minute must be in [0, %d) for region %s", t.tr.Horizon().Minutes(), t.region)
 	}
 	switch strings.ToLower(strings.TrimSpace(req.Queue)) {
 	case "":
-		if length <= defaultShortMax {
+		if length <= workload.DefaultShortMax {
 			req.Queue = workload.QueueShort.String()
 		} else {
 			req.Queue = workload.QueueLong.String()
@@ -174,7 +170,7 @@ func normalizeAdviseJob(req *AdviseRequest, tr *carbon.Trace) error {
 	if req.MaxWaitMinutes == nil {
 		// Point at the shared defaults rather than allocating: nothing
 		// downstream writes through the pointer, and the batch path
-		// normalizes thousands of requests per call.
+		// normalizes thousands of jobs per call.
 		if req.Queue == workload.QueueLong.String() {
 			req.MaxWaitMinutes = &defaultWaitLongMinutes
 		} else {
@@ -219,46 +215,31 @@ type ctxKey struct {
 type adviseScratch struct {
 	key     ctxKey
 	pctx    *policy.Context
-	req     AdviseRequest
 	resp    AdviseResponse
 	buf     []byte
 	windows []simtime.Interval
 
-	// Batch-path state: body buffer, decoder scratch, decoded batch,
-	// normalized requests, and the duplicate-query memo with its line
-	// arena. All reused across batches via the pool.
+	// Request state: body buffer, decoder scratch, the decoded request
+	// (a batch of one on /v1/advise), and the batch endpoint's
+	// duplicate-query memo with its line arena. All reused via the pool.
 	body  []byte
 	dec   batchDecoder
 	batch AdviseBatchRequest
-	reqs  []AdviseRequest
-	memo  map[batchMemoKey]lineSpan
+	memo  map[memoKey]lineSpan
 	arena []byte
 }
 
 var adviseScratchPool = sync.Pool{New: func() any { return new(adviseScratch) }}
 
-// advise answers one normalized request through a fresh, unpooled scratch.
-// It is the reference entry point: the pooled handler path and the batch
-// endpoint must stay byte-identical to it (advise_diff_test.go and the
-// batch differential test pin this).
-func (s *Server) advise(req AdviseRequest) (*AdviseResponse, error) {
-	sc := new(adviseScratch)
-	return s.adviseInto(&req, sc)
-}
-
-// adviseInto answers one normalized request. It follows the offline
+// adviseInto answers one normalized job for t. It follows the offline
 // scheduler's decision path exactly: a policy.Context (rebuilt only when
-// the request's region/queue parameters change) layered over the region
+// the region or the job's queue parameters change) layered over the region
 // trace's shared, immutable oracle tables, then the same Policy.Decide
 // call core.Run makes — so the advisory start times are byte-identical to
 // what a simulation of that moment would choose. The returned response
 // aliases sc.resp and is valid until sc is reused or released.
-func (s *Server) adviseInto(req *AdviseRequest, sc *adviseScratch) (*AdviseResponse, error) {
-	tr := s.regions[req.Region]
-	pol, err := policy.ByName(req.Policy)
-	if err != nil {
-		return nil, err
-	}
+func adviseInto(t *adviseTarget, req *AdviseJob, sc *adviseScratch) (*AdviseResponse, error) {
+	tr := t.tr
 	queue := workload.QueueShort
 	if req.Queue == workload.QueueLong.String() {
 		queue = workload.QueueLong
@@ -291,7 +272,7 @@ func (s *Server) adviseInto(req *AdviseRequest, sc *adviseScratch) (*AdviseRespo
 	// A reused context accumulates fast-path hits, so "did this decision
 	// take the fast path" is the delta, not the total.
 	fastBefore := pctx.FastPathHits()
-	dec := pol.Decide(job, now, pctx)
+	dec := t.pol.Decide(job, now, pctx)
 	if err := dec.Validate(job, now); err != nil {
 		return nil, fmt.Errorf("policy returned an invalid decision: %w", err)
 	}
@@ -323,8 +304,8 @@ func (s *Server) adviseInto(req *AdviseRequest, sc *adviseScratch) (*AdviseRespo
 	plan := sc.resp.Plan[:0]
 	resp := &sc.resp
 	*resp = AdviseResponse{
-		Policy:              req.Policy,
-		Region:              req.Region,
+		Policy:              t.policy,
+		Region:              t.region,
 		Queue:               req.Queue,
 		StartMinute:         int64(windows[0].Start),
 		FinishMinute:        int64(windows[len(windows)-1].End),

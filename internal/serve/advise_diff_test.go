@@ -157,12 +157,16 @@ func TestAdviseDifferential(t *testing.T) {
 						// Reconstruct the normalized request the handler saw.
 						req := AdviseRequest{
 							Policy: pol, Region: region,
-							LengthMinutes: sh.lengthMin, CPUs: sh.cpus,
-							ArrivalMinute: arrival, SpotMaxMinutes: sh.spotMax,
+							AdviseJob: AdviseJob{
+								LengthMinutes: sh.lengthMin, CPUs: sh.cpus,
+								ArrivalMinute: arrival, SpotMaxMinutes: sh.spotMax,
+							},
 						}
-						if err := s.normalizeAdvise(&req); err != nil {
+						one := AdviseBatchRequest{Policy: req.Policy, Region: req.Region, Jobs: []AdviseJob{req.AdviseJob}}
+						if _, _, err := s.normalizeAdvise(&one); err != nil {
 							t.Fatalf("normalize: %v", err)
 						}
+						req.AdviseJob = one.Jobs[0]
 						tr := s.regions[req.Region]
 						dec := offlineDecide(tr, req)
 						want, err := json.Marshal(offlineResponse(tr, req, dec))

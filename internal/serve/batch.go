@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-
-	"github.com/carbonsched/gaia/internal/policy"
 )
 
 // This file is the fleet-scale advisory path: POST /v1/advise/batch
@@ -17,7 +14,8 @@ import (
 // HTTP, decode, and policy-context costs across the whole batch. The
 // response is NDJSON — one line per job, in input order, each line
 // byte-identical to the /v1/advise response body for the equivalent
-// single request (the batch differential test pins this).
+// single request (the batch differential test pins this). /v1/advise is
+// a batch of one through the same decoder, normalization and job type.
 //
 // The per-job budget is what makes the endpoint worth having, so the hot
 // loop is allocation-lean end to end: a hand-rolled strict decoder
@@ -25,7 +23,7 @@ import (
 // output buffer across jobs, the hand-rolled response encoder
 // (jsonenc.go), and an intra-batch memo that answers duplicate queries by
 // replaying the first verdict's bytes — fleet batches are template-heavy,
-// and an advisory answer is a pure function of the normalized request.
+// and an advisory answer is a pure function of the normalized job.
 //
 // Error contract: everything is validated before the first response byte
 // — a bad item fails the whole request with 400 naming jobs[i], so a 200
@@ -50,77 +48,33 @@ const batchDeadlineStride = 512
 const batchMemoMax = 1 << 14
 
 // AdviseBatchRequest is one batch query: the policy and region are shared
-// by every job (one advisory context answers the whole batch), the
-// per-job fields match AdviseRequest.
+// by every job (one advisory context answers the whole batch). A
+// /v1/advise body decodes into a batch of one.
 type AdviseBatchRequest struct {
 	// Policy and Region apply to every job; see AdviseRequest.
 	Policy string `json:"policy"`
 	Region string `json:"region"`
 	// Jobs are the queries, answered in order, one NDJSON line each.
-	Jobs []AdviseBatchJob `json:"jobs"`
+	Jobs []AdviseJob `json:"jobs"`
 }
 
-// AdviseBatchJob carries the per-job fields of AdviseRequest; semantics
-// and defaults are identical to the single-request endpoint.
-type AdviseBatchJob struct {
-	LengthMinutes    int64  `json:"length_minutes"`
-	CPUs             int    `json:"cpus,omitempty"`
-	ArrivalMinute    int64  `json:"arrival_minute,omitempty"`
-	Queue            string `json:"queue,omitempty"`
-	MaxWaitMinutes   *int64 `json:"max_wait_minutes,omitempty"`
-	AvgLengthMinutes int64  `json:"avg_length_minutes,omitempty"`
-	SpotMaxMinutes   int64  `json:"spot_max_minutes,omitempty"`
+// memoKey is a normalized job: within one batch, whose policy and region
+// are fixed, equal keys get byte-identical verdicts. Deriving it from
+// AdviseJob keeps every job field in the key; the wait is held by value
+// because its pointer compares by identity.
+type memoKey struct {
+	job     AdviseJob // MaxWaitMinutes nil
+	maxWait int64
 }
 
-// single converts one batch job to the equivalent single-endpoint request.
-func (b *AdviseBatchRequest) single(i int) AdviseRequest {
-	j := &b.Jobs[i]
-	return AdviseRequest{
-		Policy:           b.Policy,
-		Region:           b.Region,
-		LengthMinutes:    j.LengthMinutes,
-		CPUs:             j.CPUs,
-		ArrivalMinute:    j.ArrivalMinute,
-		Queue:            j.Queue,
-		MaxWaitMinutes:   j.MaxWaitMinutes,
-		AvgLengthMinutes: j.AvgLengthMinutes,
-		SpotMaxMinutes:   j.SpotMaxMinutes,
-	}
-}
-
-// batchMemoKey is a normalized request minus the batch-constant policy
-// and region: equal keys get byte-identical verdicts.
-type batchMemoKey struct {
-	lengthMin int64
-	cpus      int
-	arrival   int64
-	queueLong bool
-	maxWait   int64
-	avgLen    int64
-	spotMax   int64
+func newMemoKey(j *AdviseJob) memoKey {
+	k := memoKey{job: *j, maxWait: *j.MaxWaitMinutes}
+	k.job.MaxWaitMinutes = nil
+	return k
 }
 
 // lineSpan locates one memoized verdict line in the batch arena.
 type lineSpan struct{ off, end int }
-
-// decodeAdviseBatch strictly parses one batch body (see batchdec.go for
-// the accepted grammar). Kept as a reader-based entry point for tests;
-// the handler decodes from its pooled body buffer directly.
-func decodeAdviseBatch(r io.Reader) (AdviseBatchRequest, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxBatchBodyLen+1))
-	if err != nil {
-		return AdviseBatchRequest{}, fmt.Errorf("reading body: %w", err)
-	}
-	if len(data) > maxBatchBodyLen {
-		return AdviseBatchRequest{}, fmt.Errorf("body exceeds %d bytes", maxBatchBodyLen)
-	}
-	var req AdviseBatchRequest
-	var d batchDecoder
-	if err := decodeAdviseBatchBytes(&d, data, &req); err != nil {
-		return AdviseBatchRequest{}, err
-	}
-	return req, nil
-}
 
 func (s *Server) handleAdviseBatch(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
@@ -147,37 +101,20 @@ func (s *Server) handleAdviseBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "jobs must contain at least one entry")
 		return
 	}
-
-	// Resolve the batch-constant policy and region once, then validate
-	// every job before the first response byte. The normalized requests
-	// are kept (in pooled storage) so the streaming pass repeats no
+	// Validate every job before the first response byte. Normalization
+	// fills the jobs in place, so the streaming pass repeats no
 	// validation work.
-	if _, err := policy.ByName(batch.Policy); err != nil {
+	t, bad, err := s.normalizeAdvise(batch)
+	if err != nil {
+		if bad >= 0 {
+			err = fmt.Errorf("jobs[%d]: %w", bad, err)
+		}
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	region := strings.ToUpper(strings.TrimSpace(batch.Region))
-	tr, ok := s.regions[region]
-	if !ok {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("unknown region %q (GET /v1/traces lists the available ones)", batch.Region))
-		return
-	}
-	reqs := sc.reqs[:0]
-	for i := range batch.Jobs {
-		req := batch.single(i)
-		req.Region = region
-		if err := normalizeAdviseJob(&req, tr); err != nil {
-			sc.reqs = reqs[:0]
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("jobs[%d]: %v", i, err))
-			return
-		}
-		reqs = append(reqs, req)
-	}
-	sc.reqs = reqs
 
 	if sc.memo == nil {
-		sc.memo = make(map[batchMemoKey]lineSpan)
+		sc.memo = make(map[memoKey]lineSpan)
 	}
 	clear(sc.memo)
 	arena := sc.arena[:0]
@@ -185,27 +122,19 @@ func (s *Server) handleAdviseBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	for i := range reqs {
+	for i := range batch.Jobs {
 		if i%batchDeadlineStride == 0 && ctx.Err() != nil {
 			break // deadline or client gone: truncate the stream
 		}
-		req := &reqs[i]
-		key := batchMemoKey{
-			lengthMin: req.LengthMinutes,
-			cpus:      req.CPUs,
-			arrival:   req.ArrivalMinute,
-			queueLong: req.Queue == "long",
-			maxWait:   *req.MaxWaitMinutes,
-			avgLen:    req.AvgLengthMinutes,
-			spotMax:   req.SpotMaxMinutes,
-		}
+		job := &batch.Jobs[i]
+		key := newMemoKey(job)
 		if span, ok := sc.memo[key]; ok {
 			if _, err := bw.Write(arena[span.off:span.end]); err != nil {
 				break
 			}
 			continue
 		}
-		resp, err := s.adviseInto(req, sc)
+		resp, err := adviseInto(&t, job, sc)
 		if err != nil {
 			// Unreachable for validated input (Decide is deterministic and
 			// its decisions validate); if a policy bug ever trips it, the

@@ -18,10 +18,10 @@ import (
 // and classified-by-length), varied arrivals, custom waits and averages,
 // spot eligibility — enough variety to force mid-batch policy-context
 // rebuilds and plan-shaped responses.
-func batchFixtureJobs() []AdviseBatchJob {
+func batchFixtureJobs() []AdviseJob {
 	wait := int64(90)
 	avg := int64(30)
-	return []AdviseBatchJob{
+	return []AdviseJob{
 		{LengthMinutes: 90},
 		{LengthMinutes: 300, CPUs: 4, ArrivalMinute: 61 * 24, SpotMaxMinutes: 120},
 		{LengthMinutes: 45, Queue: "long", ArrivalMinute: 37},
@@ -63,7 +63,7 @@ func TestAdviseBatchDifferential(t *testing.T) {
 					t.Fatalf("got %d lines, want %d", len(lines), len(jobs))
 				}
 				for i := range jobs {
-					single, err := json.Marshal(batch.single(i))
+					single, err := json.Marshal(AdviseRequest{Policy: pol, Region: region, AdviseJob: jobs[i]})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -137,21 +137,41 @@ func TestAdviseBatchValidation(t *testing.T) {
 	})
 }
 
-// decodeAdviseBatchRef is the reference batch decoder: encoding/json with
-// the same strictness switches the single endpoint uses. The hand-rolled
-// decoder's accept set is a strict subset of this one's; the fuzz below
-// pins that whatever it accepts, this reference decodes identically.
-func decodeAdviseBatchRef(body []byte) (AdviseBatchRequest, error) {
-	var req AdviseBatchRequest
+// decodeRef is the reference decoder for both advise bodies:
+// encoding/json with unknown fields and trailing data rejected. The strict
+// decoder's accept set is a subset of this one's; the fuzz targets pin
+// that whatever it accepts, this reference decodes identically.
+func decodeRef[T any](body []byte) (T, error) {
+	var req T
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return AdviseBatchRequest{}, err
+		return req, err
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return AdviseBatchRequest{}, fmt.Errorf("trailing data")
+		return req, fmt.Errorf("trailing data")
 	}
 	return req, nil
+}
+
+// escapeSeeds reach the strict decoder's string slow path: wrap places
+// key as a job member name and value as the policy tag. They cover \u
+// escapes (one decoding to a valid body), a surrogate pair, a lone and a
+// mismatched surrogate, an invalid UTF-8 byte, a raw control byte,
+// non-ASCII text, every short escape, and malformed escapes.
+func escapeSeeds(wrap func(key, value string) string) []string {
+	return []string{
+		wrap(`"length\u005fminutes"`, `"carbon\u002dtime"`),
+		wrap(`"length_minutes"`, `"carbon-time\ud83d\ude00"`),
+		wrap(`"length_minutes"`, `"carbon-time\ud83d"`),
+		wrap(`"length_minutes"`, `"carbon-time\ud83d\u0041"`),
+		wrap(`"length_minutes"`, "\"carbon-time\xff\""),
+		wrap(`"length_minutes"`, "\"carbon\x01time\""),
+		wrap(`"length_minutes"`, `"carbon-tïme"`),
+		wrap(`"length_minutes"`, `"\"\\\/\b\f\n\r\t"`),
+		wrap(`"length_minutes"`, `"carbon\u00zz"`),
+		wrap(`"length_minutes"`, `"carbon\q"`),
+	}
 }
 
 // FuzzAdviseBatchDecode feeds arbitrary bodies through the batch
@@ -175,6 +195,9 @@ func FuzzAdviseBatchDecode(f *testing.F) {
 		`{"policy":"nowait","region":"CA-US","jobs":[{"length_minutes":-5},{"length_minutes":99999999999}]}`,
 		`{"policy":"nowait","region":"CA-US","queue":"short","jobs":[{"length_minutes":5}]}`,
 	}
+	seeds = append(seeds, escapeSeeds(func(key, value string) string {
+		return `{"policy":` + value + `,"region":"CA-US","jobs":[{` + key + `:120,"queue":"lo\u006eg"}]}`
+	})...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -184,11 +207,12 @@ func FuzzAdviseBatchDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		batch, err := decodeAdviseBatch(bytes.NewReader(body))
-		if err != nil {
+		var d batchDecoder
+		var batch AdviseBatchRequest
+		if err := decodeAdviseBatchBytes(&d, body, &batch); err != nil {
 			return // → 400, by contract
 		}
-		ref, referr := decodeAdviseBatchRef(body)
+		ref, referr := decodeRef[AdviseBatchRequest](body)
 		if referr != nil {
 			t.Fatalf("hand decoder accepted what encoding/json rejects (%v): %q", referr, body)
 		}
@@ -201,15 +225,15 @@ func FuzzAdviseBatchDecode(f *testing.F) {
 		if len(batch.Jobs) == 0 || len(batch.Jobs) > maxBatchJobs {
 			return // → 400, by contract
 		}
+		target, _, err := srv.normalizeAdvise(&batch)
+		if err != nil {
+			return // → 400, by contract
+		}
 		sc := new(adviseScratch)
 		for i := range batch.Jobs {
-			req := batch.single(i)
-			if err := srv.normalizeAdvise(&req); err != nil {
-				return // → 400, by contract
-			}
-			resp, err := srv.adviseInto(&req, sc)
+			resp, err := adviseInto(&target, &batch.Jobs[i], sc)
 			if err != nil {
-				t.Fatalf("validated job %d failed to advise: %v (request %+v)", i, err, req)
+				t.Fatalf("validated job %d failed to advise: %v (job %+v)", i, err, batch.Jobs[i])
 			}
 			line := appendAdviseResponse(nil, resp)
 			want, merr := json.Marshal(resp)

@@ -6,12 +6,15 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the batch endpoint's hand-rolled request decoder. The
-// stdlib decoder costs more per job than answering the job does, so the
-// batch path parses its one known shape directly. The accepted grammar is
-// a strict subset of what encoding/json accepts — canonical JSON, meaning
-// everything json.Marshal(AdviseBatchRequest) can emit, plus arbitrary
-// inter-token whitespace:
+// This file is the advise endpoints' hand-rolled request decoder. The
+// stdlib decoder costs more per job than answering the job does, so both
+// endpoints parse their known shapes directly, with one object walk and
+// one job-field parser: /v1/advise as a batch of one whose job fields sit
+// beside policy and region, /v1/advise/batch with a jobs array. The
+// accepted grammar is a strict subset of what encoding/json accepts —
+// canonical JSON, meaning everything json.Marshal(AdviseRequest) or
+// json.Marshal(AdviseBatchRequest) can emit, plus arbitrary inter-token
+// whitespace:
 //
 //   - field names are case-SENSITIVE and unknown ones are errors;
 //   - duplicate fields are errors (stdlib silently keeps the last);
@@ -22,17 +25,18 @@ import (
 //     U+FFFD).
 //
 // Everything this decoder accepts, encoding/json accepts with the
-// identical decoded value — FuzzAdviseBatchDecode pins that property
-// differentially, so the batch endpoint cannot drift from the documented
-// AdviseBatchRequest semantics.
+// identical decoded value — FuzzAdviseDecode and FuzzAdviseBatchDecode pin
+// that property differentially, so neither endpoint can drift from the
+// documented AdviseRequest and AdviseBatchRequest semantics.
 
-// batchDecoder carries one parse over a fully-read body. The scratch
-// buffer is reused across string unescapes (and across requests, via
-// adviseScratch).
+// batchDecoder carries one parse over a fully-read body into req. The
+// scratch buffer is reused across string unescapes (and across requests,
+// via adviseScratch).
 type batchDecoder struct {
 	data    []byte
 	pos     int
 	scratch []byte
+	req     *AdviseBatchRequest
 }
 
 func (d *batchDecoder) errAt(format string, args ...any) error {
@@ -248,67 +252,74 @@ func internQueue(b []byte) string {
 	}
 }
 
-// decodeAdviseBatchBytes parses one batch body into req, reusing req.Jobs
-// and d's scratch. req is fully reset first; on error its contents are
-// unspecified.
-func decodeAdviseBatchBytes(d *batchDecoder, data []byte, req *AdviseBatchRequest) error {
-	d.data, d.pos = data, 0
-	req.Policy, req.Region, req.Jobs = "", "", req.Jobs[:0]
-	if err := d.expect('{'); err != nil {
-		return err
+// Member bits, one per field name the advise grammar knows. Each object
+// walk passes the set legal at its level; any other name is unknown.
+const (
+	memberLength uint16 = 1 << iota
+	memberCPUs
+	memberArrival
+	memberQueue
+	memberMaxWait
+	memberAvgLength
+	memberSpotMax
+	memberPolicy
+	memberRegion
+	memberJobs
+
+	jobMembers    = memberPolicy - 1 // the AdviseJob fields
+	adviseMembers = memberPolicy | memberRegion | jobMembers
+	batchMembers  = memberPolicy | memberRegion | memberJobs
+)
+
+// memberBit maps a member name to its bit, or to 0 for a name the
+// grammar does not know.
+func memberBit(key []byte) uint16 {
+	switch string(key) {
+	case "length_minutes":
+		return memberLength
+	case "cpus":
+		return memberCPUs
+	case "arrival_minute":
+		return memberArrival
+	case "queue":
+		return memberQueue
+	case "max_wait_minutes":
+		return memberMaxWait
+	case "avg_length_minutes":
+		return memberAvgLength
+	case "spot_max_minutes":
+		return memberSpotMax
+	case "policy":
+		return memberPolicy
+	case "region":
+		return memberRegion
+	case "jobs":
+		return memberJobs
 	}
-	var seen uint8 // 1 policy, 2 region, 4 jobs
-	for first := true; ; first = false {
-		if d.peek() == '}' && first {
-			d.pos++
-			break
-		}
-		key, err := d.parseStringBytes()
-		if err != nil {
-			return err
-		}
-		var bit uint8
-		switch string(key) {
-		case "policy":
-			bit = 1
-		case "region":
-			bit = 2
-		case "jobs":
-			bit = 4
-		default:
-			return d.errAt("unknown field %q", key)
-		}
-		if seen&bit != 0 {
-			return d.errAt("duplicate field %q", key)
-		}
-		seen |= bit
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		switch bit {
-		case 1, 2:
-			v, err := d.parseStringBytes()
-			if err != nil {
-				return err
-			}
-			if bit == 1 {
-				req.Policy = string(v)
-			} else {
-				req.Region = string(v)
-			}
-		case 4:
-			if err := d.parseJobs(req); err != nil {
-				return err
-			}
-		}
-		if c := d.peek(); c == ',' {
-			d.pos++
-			continue
-		} else if c == '}' {
-			d.pos++
-			break
-		}
-		return d.errAt("expected ',' or '}'")
+	return 0
+}
+
+// decodeAdviseBytes parses one /v1/advise body into req as a batch of
+// one: the job's fields sit beside policy and region, and "jobs" is an
+// unknown field. req is fully reset first, reusing req.Jobs and d's
+// scratch; on error its contents are unspecified.
+func decodeAdviseBytes(d *batchDecoder, data []byte, req *AdviseBatchRequest) error {
+	req.Jobs = append(req.Jobs[:0], AdviseJob{})
+	return d.decode(data, req, adviseMembers, &req.Jobs[0])
+}
+
+// decodeAdviseBatchBytes parses one /v1/advise/batch body into req, with
+// the same reuse and reset contract as decodeAdviseBytes.
+func decodeAdviseBatchBytes(d *batchDecoder, data []byte, req *AdviseBatchRequest) error {
+	req.Jobs = req.Jobs[:0]
+	return d.decode(data, req, batchMembers, nil)
+}
+
+func (d *batchDecoder) decode(data []byte, req *AdviseBatchRequest, members uint16, job *AdviseJob) error {
+	d.data, d.pos, d.req = data, 0, req
+	req.Policy, req.Region = "", ""
+	if err := d.object(members, job); err != nil {
+		return err
 	}
 	d.skipWS()
 	if d.pos != len(d.data) {
@@ -317,36 +328,9 @@ func decodeAdviseBatchBytes(d *batchDecoder, data []byte, req *AdviseBatchReques
 	return nil
 }
 
-// parseJobs parses the jobs array, enforcing maxBatchJobs during the
-// parse so an oversized batch aborts early.
-func (d *batchDecoder) parseJobs(req *AdviseBatchRequest) error {
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	if d.peek() == ']' {
-		d.pos++
-		return nil
-	}
-	for {
-		if len(req.Jobs) >= maxBatchJobs {
-			return fmt.Errorf("jobs must contain at most %d entries", maxBatchJobs)
-		}
-		req.Jobs = append(req.Jobs, AdviseBatchJob{})
-		if err := d.parseJob(&req.Jobs[len(req.Jobs)-1]); err != nil {
-			return err
-		}
-		if c := d.peek(); c == ',' {
-			d.pos++
-		} else if c == ']' {
-			d.pos++
-			return nil
-		} else {
-			return d.errAt("expected ',' or ']'")
-		}
-	}
-}
-
-func (d *batchDecoder) parseJob(j *AdviseBatchJob) error {
+// object parses one JSON object whose member names must be in members:
+// policy, region and jobs land in d.req, the job fields in job.
+func (d *batchDecoder) object(members uint16, job *AdviseJob) error {
 	if err := d.expect('{'); err != nil {
 		return err
 	}
@@ -354,29 +338,14 @@ func (d *batchDecoder) parseJob(j *AdviseBatchJob) error {
 		d.pos++
 		return nil
 	}
-	var seen uint8
+	var seen uint16
 	for {
 		key, err := d.parseStringBytes()
 		if err != nil {
 			return err
 		}
-		var bit uint8
-		switch string(key) {
-		case "length_minutes":
-			bit = 1
-		case "cpus":
-			bit = 2
-		case "arrival_minute":
-			bit = 4
-		case "queue":
-			bit = 8
-		case "max_wait_minutes":
-			bit = 16
-		case "avg_length_minutes":
-			bit = 32
-		case "spot_max_minutes":
-			bit = 64
-		default:
+		bit := memberBit(key) & members
+		if bit == 0 {
 			return d.errAt("unknown field %q", key)
 		}
 		if seen&bit != 0 {
@@ -386,40 +355,89 @@ func (d *batchDecoder) parseJob(j *AdviseBatchJob) error {
 		if err := d.expect(':'); err != nil {
 			return err
 		}
-		if bit == 8 {
-			q, err := d.parseStringBytes()
-			if err != nil {
-				return err
-			}
-			j.Queue = internQueue(q)
-		} else {
-			v, err := d.parseInt64()
-			if err != nil {
-				return err
-			}
-			switch bit {
-			case 1:
-				j.LengthMinutes = v
-			case 2:
-				j.CPUs = int(v)
-			case 4:
-				j.ArrivalMinute = v
-			case 16:
-				w := v
-				j.MaxWaitMinutes = &w
-			case 32:
-				j.AvgLengthMinutes = v
-			case 64:
-				j.SpotMaxMinutes = v
-			}
+		if err := d.member(bit, job); err != nil {
+			return err
 		}
-		if c := d.peek(); c == ',' {
+		switch d.peek() {
+		case ',':
 			d.pos++
-		} else if c == '}' {
+		case '}':
 			d.pos++
 			return nil
-		} else {
+		default:
 			return d.errAt("expected ',' or '}'")
+		}
+	}
+}
+
+// member parses the value of the member named by bit.
+func (d *batchDecoder) member(bit uint16, job *AdviseJob) error {
+	switch bit {
+	case memberJobs:
+		return d.parseJobs()
+	case memberPolicy, memberRegion, memberQueue:
+		v, err := d.parseStringBytes()
+		if err != nil {
+			return err
+		}
+		switch bit {
+		case memberPolicy:
+			d.req.Policy = string(v)
+		case memberRegion:
+			d.req.Region = string(v)
+		default:
+			job.Queue = internQueue(v)
+		}
+		return nil
+	}
+	v, err := d.parseInt64()
+	if err != nil {
+		return err
+	}
+	switch bit {
+	case memberLength:
+		job.LengthMinutes = v
+	case memberCPUs:
+		job.CPUs = int(v)
+	case memberArrival:
+		job.ArrivalMinute = v
+	case memberMaxWait:
+		w := v // only this member escapes to the heap
+		job.MaxWaitMinutes = &w
+	case memberAvgLength:
+		job.AvgLengthMinutes = v
+	case memberSpotMax:
+		job.SpotMaxMinutes = v
+	}
+	return nil
+}
+
+// parseJobs parses the jobs array into d.req.Jobs, enforcing maxBatchJobs
+// during the parse so an oversized batch aborts early.
+func (d *batchDecoder) parseJobs() error {
+	if err := d.expect('['); err != nil {
+		return err
+	}
+	if d.peek() == ']' {
+		d.pos++
+		return nil
+	}
+	for {
+		if len(d.req.Jobs) >= maxBatchJobs {
+			return fmt.Errorf("jobs must contain at most %d entries", maxBatchJobs)
+		}
+		d.req.Jobs = append(d.req.Jobs, AdviseJob{})
+		if err := d.object(jobMembers, &d.req.Jobs[len(d.req.Jobs)-1]); err != nil {
+			return err
+		}
+		switch d.peek() {
+		case ',':
+			d.pos++
+		case ']':
+			d.pos++
+			return nil
+		default:
+			return d.errAt("expected ',' or ']'")
 		}
 	}
 }

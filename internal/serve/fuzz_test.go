@@ -1,15 +1,16 @@
 package serve
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 )
 
-// FuzzAdviseDecode feeds arbitrary bodies through the advise request
-// pipeline: decode, normalize, and — when both accept — the decision
-// itself. The invariant is the endpoint's 400 contract: malformed input
-// is reported as an error, never a panic, and anything that passes
-// validation must produce a decision.
+// FuzzAdviseDecode feeds arbitrary bodies through the /v1/advise pipeline:
+// strict decode as a batch of one, normalization, and — when both accept —
+// the decision itself. Malformed input is reported as an error (the
+// endpoint's 400), never a panic; whatever the strict decoder accepts,
+// encoding/json decodes into an equal AdviseRequest; and anything that
+// passes validation must produce a decision.
 func FuzzAdviseDecode(f *testing.F) {
 	seeds := []string{
 		``,
@@ -33,7 +34,14 @@ func FuzzAdviseDecode(f *testing.F) {
 		`{"policy":"nowait","region":"CA-US","length_minutes":10,"unknown_field":true}`,
 		`{"policy":"nowait","region":"CA-US","length_minutes":10} trailing`,
 		`{"policy":"nowait","region":"ca-us","length_minutes":1,"avg_length_minutes":1,"spot_max_minutes":1}`,
+		`{"policy":"nowait","region":"CA-US","length_minutes":10,"jobs":[]}`,
+		`{"policy":"nowait","region":"CA-US","Length_Minutes":10}`,
+		`{"policy":"nowait","region":"CA-US","length_minutes":10,"length_minutes":11}`,
+		`{"policy":"nowait","region":"CA-US","length_minutes":10,"cpus":null}`,
 	}
+	seeds = append(seeds, escapeSeeds(func(key, value string) string {
+		return `{"policy":` + value + `,"region":"CA-US",` + key + `:120,"queue":"long"}`
+	})...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -43,21 +51,32 @@ func FuzzAdviseDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeAdvise(bytes.NewReader(body))
+		var d batchDecoder
+		var batch AdviseBatchRequest
+		if err := decodeAdviseBytes(&d, body, &batch); err != nil {
+			return // → 400, by contract
+		}
+		got := AdviseRequest{Policy: batch.Policy, Region: batch.Region, AdviseJob: batch.Jobs[0]}
+		ref, referr := decodeRef[AdviseRequest](body)
+		if referr != nil {
+			t.Fatalf("strict decoder accepted what encoding/json rejects (%v): %q", referr, body)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("strict decoder diverges from encoding/json\n got %+v\nwant %+v\nbody %q", got, ref, body)
+		}
+		target, _, err := srv.normalizeAdvise(&batch)
 		if err != nil {
 			return // → 400, by contract
 		}
-		if err := srv.normalizeAdvise(&req); err != nil {
-			return // → 400, by contract
-		}
-		resp, err := srv.advise(req)
+		job := &batch.Jobs[0]
+		resp, err := adviseInto(&target, job, new(adviseScratch))
 		if err != nil {
-			t.Fatalf("validated request failed to advise: %v (request %+v)", err, req)
+			t.Fatalf("validated request failed to advise: %v (job %+v)", err, job)
 		}
-		if resp.StartMinute < req.ArrivalMinute {
+		if resp.StartMinute < job.ArrivalMinute {
 			t.Fatalf("advice starts before arrival: %+v", resp)
 		}
-		if resp.FinishMinute < resp.StartMinute+req.LengthMinutes {
+		if resp.FinishMinute < resp.StartMinute+job.LengthMinutes {
 			t.Fatalf("finish precedes start+length: %+v", resp)
 		}
 	})

@@ -43,14 +43,6 @@ import (
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
-// Default queue configuration mirrored from core.Config.withDefaults, so
-// an advisory answer matches what a simulation of the same moment does.
-const (
-	defaultShortMax  = 2 * simtime.Hour
-	defaultWaitShort = 6 * simtime.Hour
-	defaultWaitLong  = 24 * simtime.Hour
-)
-
 // Config tunes one Server. The zero value serves with the documented
 // defaults.
 type Config struct {
@@ -203,8 +195,8 @@ func New(cfg Config) (*Server, error) {
 	// (W, L) pairs are built lazily by the shared oracle on first use.
 	err := par.ForEach(0, s.regionList, func(_ int, info TraceInfo) error {
 		o := s.regions[info.Code].Oracle()
-		o.Queue(defaultWaitShort, simtime.Hour)
-		o.Queue(defaultWaitLong, simtime.Hour)
+		o.Queue(workload.DefaultWaitShort, simtime.Hour)
+		o.Queue(workload.DefaultWaitLong, simtime.Hour)
 		return nil
 	})
 	if err != nil {
@@ -343,21 +335,25 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.AdviseTimeout)
 	defer cancel()
 
-	// The hot path runs allocation-lean: request, response, policy context
-	// and output buffer all come from a pooled scratch, and the body is
+	// One job is a batch of one: the same pooled scratch, strict decoder
+	// (batchdec.go) and normalization as /v1/advise/batch, and the body is
 	// rendered by the hand encoder (jsonenc.go), which the differential and
 	// fuzz tests pin byte-identical to writeJSON's json.Marshal.
 	sc := adviseScratchPool.Get().(*adviseScratch)
 	defer adviseScratchPool.Put(sc)
-	err := decodeAdviseInto(r.Body, &sc.req)
+	var t adviseTarget
+	body, err := readBody(&sc.body, r.Body, maxAdviseBodyLen)
 	if err == nil {
-		err = s.normalizeAdvise(&sc.req)
+		err = decodeAdviseBytes(&sc.dec, body, &sc.batch)
+	}
+	if err == nil {
+		t, _, err = s.normalizeAdvise(&sc.batch)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	resp, err := s.adviseInto(&sc.req, sc)
+	resp, err := adviseInto(&t, &sc.batch.Jobs[0], sc)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

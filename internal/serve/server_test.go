@@ -231,6 +231,9 @@ func TestAdviseBadRequests(t *testing.T) {
 		{"negative wait", `{"policy":"nowait","region":"SE","length_minutes":5,"max_wait_minutes":-1}`},
 		{"arrival beyond trace", `{"policy":"nowait","region":"SE","length_minutes":5,"arrival_minute":99999999}`},
 		{"negative cpus", `{"policy":"nowait","region":"SE","length_minutes":5,"cpus":-2}`},
+		{"key in another case", `{"policy":"nowait","region":"SE","Length_Minutes":5}`},
+		{"repeated key", `{"policy":"nowait","region":"SE","length_minutes":5,"length_minutes":6}`},
+		{"null value", `{"policy":"nowait","region":"SE","length_minutes":5,"cpus":null}`},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/advise", tc.body)

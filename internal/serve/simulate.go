@@ -80,8 +80,9 @@ type SimulateResponse struct {
 	Coalesced    bool   `json:"coalesced"`
 }
 
-// decodeSimulate strictly parses one simulate body (same contract as
-// decodeAdvise).
+// decodeSimulate strictly parses one simulate body: unknown fields and
+// trailing garbage are errors, so client typos fail loudly instead of
+// silently meaning something else.
 func decodeSimulate(r io.Reader) (SimulateRequest, error) {
 	var req SimulateRequest
 	dec := json.NewDecoder(io.LimitReader(r, maxAdviseBodyLen))

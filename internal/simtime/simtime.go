@@ -96,14 +96,6 @@ func (t Time) Month() int {
 	return 11
 }
 
-// MonthName returns the English name of t's month.
-func (t Time) MonthName() string { return monthNames[t.Month()] }
-
-var monthNames = [12]string{
-	"January", "February", "March", "April", "May", "June",
-	"July", "August", "September", "October", "November", "December",
-}
-
 // MonthInterval returns the [start, end) interval of the zero-based month m
 // in the first simulated year. It panics if m is outside [0, 12).
 func MonthInterval(m int) Interval {

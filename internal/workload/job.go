@@ -24,6 +24,15 @@ const (
 	QueueLong
 )
 
+// The paper's queue defaults: jobs up to DefaultShortMax long go to the
+// short queue, and the short and long queues guarantee waits of at most
+// DefaultWaitShort and DefaultWaitLong.
+const (
+	DefaultShortMax  = 2 * simtime.Hour
+	DefaultWaitShort = 6 * simtime.Hour
+	DefaultWaitLong  = 24 * simtime.Hour
+)
+
 // String returns "short"/"long" for the paper's two queues and "qN"
 // otherwise.
 func (q Queue) String() string {
