@@ -441,7 +441,11 @@ func BenchmarkPolicyDecide(b *testing.B) {
 	b.Run("CarbonTime-reference", bench(policy.CarbonTime{}, false))
 }
 
-// BenchmarkWaitAwhilePlan measures building one suspend-resume plan.
+// BenchmarkWaitAwhilePlan measures one WaitAwhile decision on the
+// reference path: the Context never calls EnableFastPaths, so every plan
+// comes from the per-job sort over the window's hourly slots, not from
+// the oracle's slot ranking. BenchmarkPolicyDecide/WaitAwhile times the
+// fast path the simulator takes.
 func BenchmarkWaitAwhilePlan(b *testing.B) {
 	tr := carbon.RegionSAAU.GenerateYear(1)
 	ctx := &policy.Context{

@@ -1,6 +1,7 @@
 package carbon
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/carbonsched/gaia/internal/simtime"
@@ -9,9 +10,10 @@ import (
 // Oracle holds derived decision tables for one trace. Policies answer
 // "where is the lowest-CI slot/window inside [now, now+W]?" in O(1) from
 // these tables instead of re-scanning W forecast queries per job. Tables
-// are built lazily, once per (W, L) pair, and cached for the lifetime of
-// the trace, so a 30-cell sweep over one trace shares a single table set
-// the same way it shares the immutable trace itself.
+// are built lazily, once per (W, L) pair, as is the one slot ranking
+// WaitAwhile orders its windows by, and cached for the lifetime of the
+// trace, so a 30-cell sweep over one trace shares a single table set the
+// same way it shares the immutable trace itself.
 //
 // All table entries are computed through the very same Trace.Value and
 // Trace.Integral calls the reference policy implementations make, so
@@ -21,6 +23,9 @@ type Oracle struct {
 	trace  *Trace
 	mu     sync.Mutex
 	queues map[oracleKey]*QueueTables
+
+	rankOnce sync.Once
+	ranking  *SlotRanking
 }
 
 type oracleKey struct {
@@ -57,6 +62,92 @@ func (o *Oracle) Queue(w, l simtime.Duration) *QueueTables {
 	t := newQueueTables(o.trace, w, l)
 	o.queues[key] = t
 	return t
+}
+
+// Ranking returns the trace's slot ranking, building it on first request.
+// Safe for concurrent callers; all of them observe the same ranking.
+func (o *Oracle) Ranking() *SlotRanking {
+	o.rankOnce.Do(func() { o.ranking = newSlotRanking(o.trace.values) })
+	return o.ranking
+}
+
+// SlotRanking orders every hourly slot j >= 0 — the trace's own and the
+// clamped ones past its horizon — by the strict total order (CI, slot
+// index): the order in which a stable sort by CI lists any window's
+// slots. It turns that float comparison into integer keys, so a caller
+// ranks a window's slots by sorting their keys.
+//
+// A slot past the horizon has the last slot's CI and a larger index than
+// every slot of the trace, so it follows exactly the trace's slots with
+// CI ≤ that value, and precedes the rest. The keys place those first
+// atOrBelowLast ranks below every past-horizon key and the remaining
+// ranks above all of them.
+type SlotRanking struct {
+	rank []int32 // rank[i]: position of trace slot i in the order
+	slot []int32 // slot[r]: the trace slot at position r (rank's inverse)
+	// atOrBelowLast counts the trace's slots with CI ≤ its last slot's CI.
+	atOrBelowLast int
+}
+
+// pastHorizonKeys is the offset that lifts the ranks above the last
+// slot's CI past every past-horizon key. Hour indices of int64 minutes
+// stay below 2^58, so no key reaches it from below or overflows above.
+const pastHorizonKeys = 1 << 62
+
+func newSlotRanking(values []float64) *SlotRanking {
+	n := len(values)
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = int32(i)
+	}
+	slices.SortFunc(slot, func(a, b int32) int {
+		if va, vb := values[a], values[b]; va != vb {
+			if va < vb {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b)
+	})
+	rank := make([]int32, n)
+	for r, i := range slot {
+		rank[i] = int32(r)
+	}
+	last := values[n-1]
+	c := 0
+	for _, v := range values {
+		if v <= last {
+			c++
+		}
+	}
+	return &SlotRanking{rank: rank, slot: slot, atOrBelowLast: c}
+}
+
+// Key returns slot j's key (j >= 0): Key(a) < Key(b) exactly when slot a
+// precedes slot b in the (CI, index) order.
+func (r *SlotRanking) Key(j int) uint64 {
+	n := len(r.rank)
+	if j >= n {
+		return uint64(r.atOrBelowLast + (j - n))
+	}
+	k := uint64(r.rank[j])
+	if k >= uint64(r.atOrBelowLast) {
+		k += pastHorizonKeys
+	}
+	return k
+}
+
+// Slot inverts Key.
+func (r *SlotRanking) Slot(key uint64) int {
+	c := uint64(r.atOrBelowLast)
+	switch {
+	case key < c:
+		return int(r.slot[key])
+	case key >= pastHorizonKeys:
+		return int(r.slot[key-pastHorizonKeys])
+	default:
+		return len(r.rank) + int(key-c)
+	}
 }
 
 // QueueTables are the precomputed per-(W, L) decision tables.

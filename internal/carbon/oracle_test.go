@@ -2,6 +2,8 @@ package carbon
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -128,24 +130,97 @@ func TestOracleIsCachedPerTraceAndKey(t *testing.T) {
 	}
 }
 
-// TestOracleConcurrentAccess exercises the lazy init and the (W, L) cache
-// from many goroutines; `go test -race` verifies the synchronization.
+// TestOracleConcurrentAccess exercises the lazy init, the (W, L) cache
+// and the slot ranking from many goroutines; `go test -race` verifies the
+// synchronization.
 func TestOracleConcurrentAccess(t *testing.T) {
-	tr := MustTrace("test", []float64{100, 200, 300, 400})
+	tr := MustTrace("test", []float64{300, 200, 300, 100, 200})
 	var wg sync.WaitGroup
 	tables := make([]*QueueTables, 8)
+	rankings := make([]*SlotRanking, 8)
+	orders := make([][]int, 8)
 	for g := 0; g < 8; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			tables[g] = tr.Oracle().Queue(6*simtime.Hour, simtime.Hour)
+			rankings[g] = tr.Oracle().Ranking()
+			orders[g] = rankWindow(rankings[g], 0, 7)
 		}()
 	}
 	wg.Wait()
-	for g := 1; g < 8; g++ {
-		if tables[g] != tables[0] {
-			t.Fatal("concurrent callers observed distinct tables")
+	want := []int{3, 1, 4, 5, 6, 7, 0, 2}
+	for g := 0; g < 8; g++ {
+		if tables[g] != tables[0] || rankings[g] != rankings[0] {
+			t.Fatal("concurrent callers observed distinct tables or rankings")
+		}
+		if !slices.Equal(orders[g], want) {
+			t.Fatalf("goroutine %d ranked slots %v, want %v", g, orders[g], want)
+		}
+	}
+}
+
+// rankWindow lists slots [i0, iD] in key order, decoding through Slot.
+func rankWindow(r *SlotRanking, i0, iD int) []int {
+	keys := make([]uint64, 0, iD-i0+1)
+	for j := i0; j <= iD; j++ {
+		keys = append(keys, r.Key(j))
+	}
+	slices.Sort(keys)
+	out := make([]int, len(keys))
+	for i, k := range keys {
+		out[i] = r.Slot(k)
+	}
+	return out
+}
+
+// TestSlotRankingMatchesStableSort pins the ranking against the order it
+// replaces: for windows inside the trace, straddling its horizon and
+// wholly past it, sorting the window's keys must list its slots exactly
+// as a stable sort by clamped CI does, on random, tie-heavy and constant
+// traces and on traces whose last value is their minimum or maximum.
+func TestSlotRankingMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	series := func(n int, draw func() float64) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	lastMin := series(30, func() float64 { return 100 + float64(rng.Intn(5))*50 })
+	lastMin[29] = 50
+	lastMax := series(30, func() float64 { return 100 + float64(rng.Intn(5))*50 })
+	lastMax[29] = 400
+	traces := [][]float64{
+		series(50, func() float64 { return 30 + 700*rng.Float64() }),
+		series(64, func() float64 { return float64(1+rng.Intn(3)) * 100 }),
+		series(20, func() float64 { return 250 }),
+		{123},
+		lastMin,
+		lastMax,
+	}
+	for ti, values := range traces {
+		tr := MustTrace("rank", values)
+		r := tr.Oracle().Ranking()
+		n := tr.Len()
+		for trial := 0; trial < 300; trial++ {
+			i0 := rng.Intn(n + 5)
+			iD := i0 + rng.Intn(2*n+3)
+			want := make([]int, 0, iD-i0+1)
+			for j := i0; j <= iD; j++ {
+				want = append(want, j)
+			}
+			sort.SliceStable(want, func(a, b int) bool { return tr.Value(want[a]) < tr.Value(want[b]) })
+			if got := rankWindow(r, i0, iD); !slices.Equal(got, want) {
+				t.Fatalf("trace %d, window [%d, %d]: ranked %v, want %v", ti, i0, iD, got, want)
+			}
+		}
+		for j := 0; j < 3*n; j++ {
+			if got := r.Slot(r.Key(j)); got != j {
+				t.Fatalf("trace %d: Slot(Key(%d)) = %d", ti, j, got)
+			}
 		}
 	}
 }

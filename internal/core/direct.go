@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -455,10 +456,11 @@ func timeOrder(keys []simtime.Time) []int32 {
 // timeOrderInto fills ord (len(ord) == len(keys)) with 0..len(keys)-1
 // stably sorted ascending by key: a counting sort when the key range is
 // comparable to n (simulation endpoints cluster into at most a horizon's
-// worth of minutes), a stdlib stable sort otherwise. Both are stable, so
-// ties keep input order — exactly the (time, index) lexicographic order
-// the sweep needs. cnt is the reusable counting-bucket buffer (resliced
-// and cleared here, grown when a wider key span needs it).
+// worth of minutes), a generic (reflection-free) stable sort otherwise.
+// Both are stable, so ties keep input order — exactly the (time, index)
+// lexicographic order the sweep needs. cnt is the reusable
+// counting-bucket buffer (resliced and cleared here, grown when a wider
+// key span needs it).
 func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
 	n := len(keys)
 	ord = ord[:n]
@@ -499,8 +501,6 @@ func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
 		}
 		return ord
 	}
-	sort.SliceStable(ord, func(a, b int) bool {
-		return keys[ord[a]] < keys[ord[b]]
-	})
+	slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	return ord
 }

@@ -1,0 +1,310 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/metrics"
+	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
+)
+
+// goldenInstance is a small year: a full carbon year and 3000 jobs spread
+// over it, long enough for multi-day suspend-resume windows and for jobs
+// whose windows run past the trace horizon.
+func goldenInstance() (*carbon.Trace, *workload.Trace) {
+	tr := carbon.RegionSAAU.GenerateYear(5)
+	jobs := workload.AlibabaPAI().GenerateByCount(newRand(11), 3000, simtime.Year)
+	return tr, jobs
+}
+
+// goldenCase is one engine configuration pinned by TestEnginePathsGolden,
+// with the SHA-256 of its encoded accumulator and of its retained job
+// records.
+type goldenCase struct {
+	name      string
+	cfg       func(tr *carbon.Trace) Config
+	acc, jobs string
+	// check asserts that the configuration reaches the path it is meant
+	// to pin, so a fixture change cannot silently stop covering it.
+	check func(res *metrics.Result) error
+}
+
+func goldenCases() []goldenCase {
+	base := func(tr *carbon.Trace, p policy.Policy) Config {
+		cfg := baseConfig(tr, p)
+		cfg.Mechanism = MechanismEngine
+		return cfg
+	}
+	spot := func(p policy.Policy, maxLen simtime.Duration, rate float64) func(*carbon.Trace) Config {
+		return func(tr *carbon.Trace) Config {
+			cfg := base(tr, p)
+			cfg.SpotMaxLen = maxLen
+			cfg.EvictionRate = rate
+			cfg.Seed = 17
+			return cfg
+		}
+	}
+	return []goldenCase{
+		{
+			name:  "WaitAwhile",
+			acc:   "d5474213cc62ee85989147a97b0b0e9ca17478e291aa4b801c8d07ee920cc12e",
+			jobs:  "051c4feca0fc7fc8d90ac59a382ac337d0230a130bc3060d104a961fdab035d3",
+			cfg:   func(tr *carbon.Trace) Config { return base(tr, policy.WaitAwhile{}) },
+			check: minSegments(2),
+		},
+		{
+			name: "WaitAwhile-Est",
+			acc:  "6894862d19ac3a4a11e46870386a48a069da41d8efb8948ac05b5ab696327d95",
+			jobs: "1adc5348c8543e6a89758164f55af3edcdf0268d995e1e3d25338eff287b106e",
+			cfg: func(tr *carbon.Trace) Config {
+				cfg := base(tr, policy.WaitAwhileEst{})
+				cfg.Reserved = 40
+				return cfg
+			},
+			check: minSegments(2),
+		},
+		{
+			name: "Ecovisor",
+			acc:  "ddcb8798e450a42e84c846981b1eb813aef479356d895e9397684ab44ae35bf0",
+			jobs: "a1efd7109388f12ea01d8c1661b5b38e64c7ddd0347057459acbad6eabb04741",
+			cfg: func(tr *carbon.Trace) Config {
+				cfg := base(tr, policy.Ecovisor{})
+				cfg.Reserved = 40
+				return cfg
+			},
+			check: minSegments(2),
+		},
+		{
+			name:  "WaitAwhile-spot-evicted-mid-plan",
+			acc:   "57741251a475340b12bcfd304613c8784e14d356fb770a998c24cad9ee9d0d63",
+			jobs:  "41f485aa9edf9ae986d21fac0d9c77f2768ec61d84893bcec88ce69c0c3864d2",
+			cfg:   spot(policy.WaitAwhile{}, 24*simtime.Hour, 0.2),
+			check: evictedAfterSegments(2),
+		},
+		{
+			name:  "Spot-First",
+			acc:   "59699124a22e279667e6b23aeac80c10228635e06896ff44293a11f114f2cbea",
+			jobs:  "d738a0884eb1deaf7bb6e3c6e28ff6d82a73f03e8a81b7b46fd1b1be8fda93d1",
+			cfg:   spot(policy.CarbonTime{}, 2*simtime.Hour, 0.1),
+			check: evictedAfterSegments(1),
+		},
+		{
+			name: "Spot-RES",
+			acc:  "452617f80ace5e4e804efe5fc58f5fdca1ee0195617536f754a473f868ab19f5",
+			jobs: "54d9075b6976af05022b7a2df42cd4e8058ba105e76306ff75858f53a13c0cfe",
+			cfg: func(tr *carbon.Trace) Config {
+				cfg := spot(policy.CarbonTime{}, 2*simtime.Hour, 0.1)(tr)
+				cfg.Reserved = 40
+				cfg.WorkConserving = true
+				return cfg
+			},
+			check: evictedAfterSegments(1),
+		},
+		{
+			name: "checkpointed-spot",
+			acc:  "a0640a738d518002d22830bc3512360ffebf07e16da660c96c72eac75cb0ed2a",
+			jobs: "37ff1536861a3cac58e8c9f41d41cc4db4b7e041e4e1ee236e1e0992921c9d5d",
+			cfg: func(tr *carbon.Trace) Config {
+				cfg := spot(policy.CarbonTime{}, 12*simtime.Hour, 0.2)(tr)
+				cfg.Reserved = 20
+				// A 78-minute cycle: evictions at the first run-hour save
+				// nothing (an empty useful segment), later ones save work.
+				cfg.CheckpointInterval = 75 * simtime.Minute
+				cfg.CheckpointOverhead = 3 * simtime.Minute
+				return cfg
+			},
+			check: func(res *metrics.Result) error {
+				saved, lost := false, false
+				for _, j := range res.Jobs {
+					if j.Evictions == 0 {
+						continue
+					}
+					if j.Segments[0].Interval.IsEmpty() {
+						lost = true
+					} else {
+						saved = true
+					}
+				}
+				if !saved || !lost {
+					return fmt.Errorf("evictions saving work %v, saving none %v; want both", saved, lost)
+				}
+				return nil
+			},
+		},
+	}
+}
+
+// minSegments requires some job to run in at least n execution segments.
+func minSegments(n int) func(*metrics.Result) error {
+	return func(res *metrics.Result) error {
+		for _, j := range res.Jobs {
+			if len(j.Segments) >= n {
+				return nil
+			}
+		}
+		return fmt.Errorf("no job ran in %d or more segments", n)
+	}
+}
+
+// evictedAfterSegments requires some job to be evicted after at least n
+// wasted segments, i.e. mid-plan when n > 1.
+func evictedAfterSegments(n int) func(*metrics.Result) error {
+	return func(res *metrics.Result) error {
+		for _, j := range res.Jobs {
+			wasted := 0
+			for _, s := range j.Segments {
+				if s.Wasted {
+					wasted++
+				}
+			}
+			if j.Evictions > 0 && wasted >= n {
+				return nil
+			}
+		}
+		return fmt.Errorf("no job evicted after %d wasted segments", n)
+	}
+}
+
+// jobRecordsDigest hashes every retained job record bit for bit: the
+// scalar fields, the float bit patterns and each execution segment.
+func jobRecordsDigest(jobs []metrics.JobResult) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(v float64) { put(math.Float64bits(v)) }
+	for _, j := range jobs {
+		put(uint64(j.JobID))
+		put(uint64(j.Queue))
+		put(uint64(len(j.User)))
+		h.Write([]byte(j.User))
+		put(uint64(j.CPUs))
+		put(uint64(j.Length))
+		put(uint64(j.Arrival))
+		put(uint64(j.Start))
+		put(uint64(j.Finish))
+		put(uint64(j.Waiting))
+		f(j.Carbon)
+		f(j.BaselineCarbon)
+		f(j.UsageCost)
+		for _, c := range j.CPUHours {
+			f(c)
+		}
+		put(uint64(j.Evictions))
+		f(j.WastedCPUHours)
+		f(j.WastedCarbon)
+		f(j.WastedCost)
+		put(uint64(len(j.Segments)))
+		for _, s := range j.Segments {
+			put(uint64(s.Interval.Start))
+			put(uint64(s.Interval.End))
+			put(uint64(s.Reserved))
+			put(uint64(s.OnDemand))
+			put(uint64(s.Spot))
+			if s.Wasted {
+				put(1)
+			} else {
+				put(0)
+			}
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func accDigest(res *metrics.Result) string {
+	return fmt.Sprintf("%x", sha256.Sum256(metrics.EncodeAccumulator(res.Accumulator())))
+}
+
+// TestEnginePathsGolden pins the engine's suspend-resume and spot paths
+// to their own recorded output: the encoded accumulator and the retained
+// job records of each configuration must hash to the digests below, and
+// a streaming run must encode the same accumulator as the retained one.
+// The wheel/heap and streaming/retained differentials run the same
+// scheduler code on both sides, so only a recorded answer catches a
+// rewrite of that code that changes what it computes.
+func TestEnginePathsGolden(t *testing.T) {
+	tr, jobs := goldenInstance()
+	for _, c := range goldenCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg(tr)
+			res, err := Run(cfg, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.check(res); err != nil {
+				t.Fatalf("fixture no longer covers its path: %v", err)
+			}
+			acc, recs := accDigest(res), jobRecordsDigest(res.Jobs)
+			cfg.RetainJobs = false
+			streamed, err := Run(cfg, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := accDigest(streamed); s != acc {
+				t.Errorf("streaming accumulator %s, retained %s", s, acc)
+			}
+			if acc != c.acc || recs != c.jobs {
+				t.Errorf("digests changed:\n acc  %s (want %s)\n jobs %s (want %s)", acc, c.acc, recs, c.jobs)
+			}
+		})
+	}
+}
+
+// TestEnginePathAllocs pins the per-job allocations of the engine's
+// suspend-resume and spot paths on a 20k-job year, built like
+// TestReplayAllocs. Every per-job event rides the job's pooled jobState,
+// so what is left is the policy's plan, its normalized copy and
+// WaitAwhile's per-hour rank buckets. Allocations per job on this
+// instance, with one closure per event → with pooled actions: WaitAwhile
+// 7.40 → 2.55, WaitAwhile-Est 6.79 → 2.49, Ecovisor 4.58 → 2.01,
+// WaitAwhile on spot 6.79 → 2.55, Spot-RES 1.29 → 0.005, checkpointed
+// spot 1.96 → 0.005. Each ceiling sits between the two, below what one
+// closure per plan window or per spot job adds back (0.6 or more per
+// job on this instance).
+func TestEnginePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tr := carbon.RegionSAAU.GenerateYear(5)
+	jobs := workload.AlibabaPAI().GenerateByCount(newRand(12), 20000, simtime.Year)
+	spot := Config{Policy: policy.CarbonTime{}, Carbon: tr, SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05, Seed: 7}
+	spotRES := spot
+	spotRES.Reserved = 100
+	waSpot := spot
+	waSpot.Policy, waSpot.SpotMaxLen = policy.WaitAwhile{}, 24*simtime.Hour
+	ckSpot := spot
+	ckSpot.Reserved, ckSpot.SpotMaxLen, ckSpot.EvictionRate = 20, 12*simtime.Hour, 0.1
+	ckSpot.CheckpointInterval, ckSpot.CheckpointOverhead = 75*simtime.Minute, 3*simtime.Minute
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		ceiling float64
+	}{
+		{"WaitAwhile", Config{Policy: policy.WaitAwhile{}, Carbon: tr}, 3.2},
+		{"WaitAwhile-Est", Config{Policy: policy.WaitAwhileEst{}, Carbon: tr}, 3.2},
+		{"Ecovisor", Config{Policy: policy.Ecovisor{}, Carbon: tr}, 2.5},
+		{"WaitAwhile-spot", waSpot, 3.2},
+		{"Spot-RES", spotRES, 0.25},
+		{"checkpointed-spot", ckSpot, 0.25},
+	} {
+		if _, err := Run(c.cfg, jobs); err != nil {
+			t.Fatal(err)
+		}
+		perJob := testing.AllocsPerRun(2, func() {
+			if _, err := Run(c.cfg, jobs); err != nil {
+				t.Fatal(err)
+			}
+		}) / float64(jobs.Len())
+		if perJob > c.ceiling {
+			t.Errorf("%s: %.3f allocs per job, ceiling %.2f (a per-event closure back on the engine path?)", c.name, perJob, c.ceiling)
+		}
+	}
+}

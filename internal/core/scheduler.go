@@ -205,26 +205,58 @@ type scheduler struct {
 	free []*jobState
 }
 
-// jobState phases dispatched by Fire.
+// jobState phases dispatched by Fire. A job's events fire in strictly
+// increasing (time, priority) order — plan windows are disjoint and
+// ascending, and an eviction lands at least one run-hour after its
+// window's start — so the phase (and, for multi-window runs, the cursor
+// next) always names the event that fires next, even when several of the
+// job's events are pending at once.
 const (
+	// phaseStart starts a rigid job at its decided time.
 	phaseStart uint8 = iota
+	// phasePlannedStart is a work-conservation waiter's planned start.
 	phasePlannedStart
+	// phaseFinish releases the job's reserved units (none for a spot
+	// run) and finishes it at end.
 	phaseFinish
+	// phaseWindowStart runs plan window next on reserved-first capacity.
+	phaseWindowStart
+	// phaseWindowEnd releases window next's reserved units; the last
+	// window finishes the job.
+	phaseWindowEnd
+	// phaseSpotWindow runs window next of a clean spot run.
+	phaseSpotWindow
+	// phaseSpotWaste runs window next of an evicted spot run up to the
+	// eviction at end; all of it is wasted.
+	phaseSpotWaste
+	// phaseCheckpointRun books a clean checkpointed spot run in one go.
+	phaseCheckpointRun
+	// phaseCheckpointEvicted books an evicted checkpointed spot run: the
+	// checkpointed work as useful, the rest up to the eviction as waste.
+	phaseCheckpointEvicted
+	// phaseRestart restarts the remaining length on reserved-first
+	// capacity at the eviction instant.
+	phaseRestart
 )
 
 // jobState carries one in-flight job through its scheduled events. It is
-// the engine Action for the hot start/finish path (no closures, and the
-// record recycles through scheduler.free when the job completes), the
-// work-conservation waiter entry, and — in streaming mode — the scratch
-// storage for the job's accounting record.
+// the engine Action for every per-job event — rigid, suspend-resume and
+// spot alike (no closures, and the record recycles through
+// scheduler.free when the job completes) — the work-conservation waiter
+// entry, and, in streaming mode, the scratch storage for the job's
+// accounting record.
 type jobState struct {
 	s     *scheduler
 	job   workload.Job
 	rec   *metrics.JobResult
 	phase uint8
-	// reserved/end parameterize the phaseFinish action.
+	// next is the plan window the next window event belongs to.
+	next int32
+	// reserved is the reserved units held by the running execution.
 	reserved int
-	end      simtime.Time
+	// end is when the current run ends: the finish instant, or the
+	// eviction instant of an evicted spot run until it restarts.
+	end simtime.Time
 	// scratch is the streaming-mode accounting record (rec points here);
 	// with RetainJobs rec points into scheduler.results instead.
 	scratch metrics.JobResult
@@ -233,18 +265,41 @@ type jobState struct {
 	plannedStart simtime.Time
 	startEvent   sim.Handle
 	index        int
+	// plan is the execution windows of a suspend-resume or spot run;
+	// one backs it for a single-window spot run, so a start decision
+	// routed to spot allocates nothing.
+	plan []simtime.Interval
+	one  [1]simtime.Interval
+	// remaining is the length an evicted spot run restarts with.
+	remaining simtime.Duration
 }
 
 // Fire dispatches the jobState's scheduled phase.
 func (js *jobState) Fire() {
+	s := js.s
 	switch js.phase {
 	case phaseStart:
-		js.s.startJob(js)
+		s.startJob(js)
 	case phasePlannedStart:
-		js.s.startPlanned(js)
+		s.startPlanned(js)
 	case phaseFinish:
-		js.s.pool.Release(js.reserved)
-		js.s.finish(js, js.end)
+		s.pool.Release(js.reserved)
+		s.finish(js, js.end)
+	case phaseWindowStart:
+		s.startWindow(js)
+	case phaseWindowEnd:
+		s.endWindow(js)
+	case phaseSpotWindow:
+		s.runSpotWindow(js)
+	case phaseSpotWaste:
+		s.wasteSpotWindow(js)
+	case phaseCheckpointRun:
+		s.account(js.rec, simtime.Interval{Start: s.engine.Now(), End: js.end}, 0, 0, js.job.CPUs, false)
+		js.phase = phaseFinish
+	case phaseCheckpointEvicted:
+		s.wasteCheckpointed(js)
+	case phaseRestart:
+		s.restart(js)
 	}
 }
 
@@ -356,27 +411,37 @@ func (s *scheduler) startJob(js *jobState) {
 	s.engine.ScheduleAction(iv.End, sim.PriorityFinish, js)
 }
 
-// schedulePlan executes a suspend-resume plan: each interval independently
+// schedulePlan executes a suspend-resume plan: each window independently
 // claims reserved-first capacity at its start and releases it at its end.
+// Every window's start is scheduled now, on the job's own record.
 func (s *scheduler) schedulePlan(js *jobState, plan []simtime.Interval) {
 	plan = policy.NormalizePlan(plan, js.job.Length)
-	rec := js.rec
-	rec.Start = plan[0].Start
-	last := plan[len(plan)-1].End
+	js.rec.Start = plan[0].Start
+	js.plan, js.next, js.phase = plan, 0, phaseWindowStart
 	for _, iv := range plan {
-		iv := iv
-		s.engine.Schedule(iv.Start, sim.PriorityStart, func() {
-			reserved := s.pool.Acquire(js.job.CPUs)
-			onDemand := js.job.CPUs - reserved
-			s.account(rec, iv, reserved, onDemand, 0, false)
-			s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-				s.pool.Release(reserved)
-				if iv.End == last {
-					s.finish(js, last)
-				}
-			})
-		})
+		s.engine.ScheduleAction(iv.Start, sim.PriorityStart, js)
 	}
+}
+
+// startWindow begins plan window next and schedules its end.
+func (s *scheduler) startWindow(js *jobState) {
+	iv := js.plan[js.next]
+	reserved := s.pool.Acquire(js.job.CPUs)
+	s.account(js.rec, iv, reserved, js.job.CPUs-reserved, 0, false)
+	js.phase, js.reserved = phaseWindowEnd, reserved
+	s.engine.ScheduleAction(iv.End, sim.PriorityFinish, js)
+}
+
+// endWindow releases plan window next's reserved units and finishes the
+// job after its last window.
+func (s *scheduler) endWindow(js *jobState) {
+	s.pool.Release(js.reserved)
+	if int(js.next) == len(js.plan)-1 {
+		s.finish(js, js.plan[js.next].End)
+		return
+	}
+	js.next++
+	js.phase = phaseWindowStart
 }
 
 // scheduleSpot runs a spot-eligible job: the policy's carbon-aware
@@ -387,14 +452,14 @@ func (s *scheduler) schedulePlan(js *jobState, plan []simtime.Interval) {
 func (s *scheduler) scheduleSpot(js *jobState) {
 	now := s.engine.Now()
 	job := js.job
-	rec := js.rec
 	d := s.cfg.Policy.Decide(job, now, s.ctx)
 	if err := d.Validate(job, now); err != nil {
 		panic(fmt.Sprintf("policy %s: %v", s.cfg.Policy.Name(), err))
 	}
 	plan := d.Plan
 	if !d.IsPlan() {
-		plan = []simtime.Interval{{Start: d.Start, End: d.Start.Add(job.Length)}}
+		js.one[0] = simtime.Interval{Start: d.Start, End: d.Start.Add(job.Length)}
+		plan = js.one[:]
 	} else {
 		plan = policy.NormalizePlan(plan, job.Length)
 	}
@@ -414,46 +479,67 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 		}
 	}
 
-	rec.Start = plan[0].Start
+	js.rec.Start = plan[0].Start
+	js.plan, js.next = plan, 0
 	if evictAt < 0 {
 		// Clean spot execution.
-		last := plan[len(plan)-1].End
+		js.phase = phaseSpotWindow
 		for _, iv := range plan {
-			iv := iv
-			s.engine.Schedule(iv.Start, sim.PriorityStart, func() {
-				s.account(rec, iv, 0, 0, job.CPUs, false)
-				if iv.End == last {
-					s.engine.Schedule(last, sim.PriorityFinish, func() { s.finish(js, last) })
-				}
-			})
+			s.engine.ScheduleAction(iv.Start, sim.PriorityStart, js)
 		}
 		return
 	}
 
 	// Evicted: all execution up to evictAt is waste; restart on demand.
-	rec.Evictions = 1
+	// The window holding evictAt starts before it, so at least one
+	// wasted window fires before the restart.
+	js.rec.Evictions = 1
+	js.phase, js.end, js.remaining = phaseSpotWaste, evictAt, job.Length
 	for _, iv := range plan {
 		if iv.Start >= evictAt {
 			break
 		}
-		wasted := iv
-		if wasted.End > evictAt {
-			wasted.End = evictAt
-		}
-		s.engine.Schedule(wasted.Start, sim.PriorityStart, func() {
-			s.account(rec, wasted, 0, 0, job.CPUs, true)
-		})
+		s.engine.ScheduleAction(iv.Start, sim.PriorityStart, js)
 	}
-	s.engine.Schedule(evictAt, sim.PriorityEvict, func() {
-		reserved := s.pool.Acquire(job.CPUs)
-		onDemand := job.CPUs - reserved
-		iv := simtime.Interval{Start: evictAt, End: evictAt.Add(job.Length)}
-		s.account(rec, iv, reserved, onDemand, 0, false)
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-			s.pool.Release(reserved)
-			s.finish(js, iv.End)
-		})
-	})
+	s.engine.ScheduleAction(evictAt, sim.PriorityEvict, js)
+}
+
+// runSpotWindow books clean spot window next; the last window schedules
+// the job's finish.
+func (s *scheduler) runSpotWindow(js *jobState) {
+	iv := js.plan[js.next]
+	s.account(js.rec, iv, 0, 0, js.job.CPUs, false)
+	if int(js.next) < len(js.plan)-1 {
+		js.next++
+		return
+	}
+	js.phase, js.end = phaseFinish, iv.End
+	s.engine.ScheduleAction(iv.End, sim.PriorityFinish, js)
+}
+
+// wasteSpotWindow books window next of an evicted spot run, cut at the
+// eviction, as waste; after the last window before the eviction the
+// restart fires next.
+func (s *scheduler) wasteSpotWindow(js *jobState) {
+	wasted := js.plan[js.next]
+	if wasted.End > js.end {
+		wasted.End = js.end
+	}
+	s.account(js.rec, wasted, 0, 0, js.job.CPUs, true)
+	js.next++
+	if int(js.next) == len(js.plan) || js.plan[js.next].Start >= js.end {
+		js.phase = phaseRestart
+	}
+}
+
+// restart runs an evicted job's remaining length from the eviction
+// instant, reserved units first, and schedules its finish.
+func (s *scheduler) restart(js *jobState) {
+	reserved := s.pool.Acquire(js.job.CPUs)
+	iv := simtime.Interval{Start: js.end, End: js.end.Add(js.remaining)}
+	s.account(js.rec, iv, reserved, js.job.CPUs-reserved, 0, false)
+	js.phase, js.reserved, js.end = phaseFinish, reserved, iv.End
+	s.engine.ScheduleAction(iv.End, sim.PriorityFinish, js)
 }
 
 // scheduleCheckpointedSpot runs a spot job that checkpoints after every
@@ -463,7 +549,6 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 // on-demand capacity (reserved-first), checkpoint-free.
 func (s *scheduler) scheduleCheckpointedSpot(js *jobState, start simtime.Time) {
 	job := js.job
-	rec := js.rec
 	ckInt := s.cfg.CheckpointInterval
 	ckOver := s.cfg.CheckpointOverhead
 	// Checkpoints strictly inside the job (none at completion).
@@ -471,45 +556,38 @@ func (s *scheduler) scheduleCheckpointedSpot(js *jobState, start simtime.Time) {
 	padded := job.Length + simtime.Duration(numCk)*ckOver
 	cycle := ckInt + ckOver
 
-	rec.Start = start
+	js.rec.Start = start
 	evictAt, evicted := s.evict.SampleEviction(start, padded)
 	if !evicted {
 		// Clean run: whole padded execution on spot.
-		iv := simtime.Interval{Start: start, End: start.Add(padded)}
-		s.engine.Schedule(start, sim.PriorityStart, func() {
-			s.account(rec, iv, 0, 0, job.CPUs, false)
-		})
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() { s.finish(js, iv.End) })
+		js.phase, js.end = phaseCheckpointRun, start.Add(padded)
+		s.engine.ScheduleAction(start, sim.PriorityStart, js)
+		s.engine.ScheduleAction(js.end, sim.PriorityFinish, js)
 		return
 	}
 
-	rec.Evictions = 1
+	js.rec.Evictions = 1
 	ran := evictAt.Sub(start)
 	savedCycles := int(ran / cycle)
 	if savedCycles > numCk {
 		savedCycles = numCk
 	}
 	savedWork := simtime.Duration(savedCycles) * ckInt
-	remaining := job.Length - savedWork
-	// Everything run on spot is billed/emitted; only savedWork of it is
-	// useful, the rest is eviction waste.
-	spotIv := simtime.Interval{Start: start, End: evictAt}
-	s.engine.Schedule(start, sim.PriorityStart, func() {
-		useful := simtime.Interval{Start: start, End: start.Add(savedWork)}
-		s.account(rec, useful, 0, 0, job.CPUs, false)
-		wasted := simtime.Interval{Start: useful.End, End: spotIv.End}
-		s.account(rec, wasted, 0, 0, job.CPUs, true)
-	})
-	s.engine.Schedule(evictAt, sim.PriorityEvict, func() {
-		reserved := s.pool.Acquire(job.CPUs)
-		onDemand := job.CPUs - reserved
-		iv := simtime.Interval{Start: evictAt, End: evictAt.Add(remaining)}
-		s.account(rec, iv, reserved, onDemand, 0, false)
-		s.engine.Schedule(iv.End, sim.PriorityFinish, func() {
-			s.pool.Release(reserved)
-			s.finish(js, iv.End)
-		})
-	})
+	js.phase, js.end, js.remaining = phaseCheckpointEvicted, evictAt, job.Length-savedWork
+	s.engine.ScheduleAction(start, sim.PriorityStart, js)
+	s.engine.ScheduleAction(evictAt, sim.PriorityEvict, js)
+}
+
+// wasteCheckpointed books an evicted checkpointed run at its start:
+// everything run on spot is billed and emitted, but only the checkpointed
+// work is useful; the rest, up to the eviction, is waste.
+func (s *scheduler) wasteCheckpointed(js *jobState) {
+	start := s.engine.Now()
+	useful := simtime.Interval{Start: start, End: start.Add(js.job.Length - js.remaining)}
+	s.account(js.rec, useful, 0, 0, js.job.CPUs, false)
+	wasted := simtime.Interval{Start: useful.End, End: js.end}
+	s.account(js.rec, wasted, 0, 0, js.job.CPUs, true)
+	js.phase = phaseRestart
 }
 
 // finish closes a job's record, folds it into the streaming accumulator,

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -93,7 +94,9 @@ func sortedQueues(queues map[workload.Queue]QueueInfo) []workload.Queue {
 // with fast paths enabled must return decisions reflect.DeepEqual to a
 // plain Context that can only take the reference path. Arrival minutes are
 // mostly non-hour-aligned, and some arrivals land past the trace horizon
-// to exercise the coverage guards.
+// to exercise the coverage guards. Random arrivals rarely share an hour,
+// so bursts of same-hour arrivals (sameHourArrivals) drive WaitAwhile's
+// bucket extension.
 func TestFastPathsMatchReferenceDecisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for ti, tr := range diffTraces() {
@@ -130,6 +133,102 @@ func TestFastPathsMatchReferenceDecisions(t *testing.T) {
 			if ctxRef.FastPathHits() != 0 {
 				t.Errorf("trace %d, config %d: plain context took the fast path", ti, qi)
 			}
+			sameHourArrivals(t, rng, tr, queues, fmt.Sprintf("trace %d, config %d", ti, qi))
+		}
+	}
+}
+
+// sameHourArrivals is the bucket-extension half of the differential:
+// bursts of arrivals inside one hour, so WaitAwhile's per-hour rank bucket
+// is built once and then extended, or only filtered, by each later
+// deadline. Deadlines rise (every arrival extends the bucket), fall (one
+// build, then filtering) or are random, in the first hour, mid-trace, the
+// final hour and past the horizon, where every window runs past it. Each
+// burst starts from a fresh Context so its bucket starts empty.
+func sameHourArrivals(t *testing.T, rng *rand.Rand, tr *carbon.Trace, queues map[workload.Queue]QueueInfo, label string) {
+	t.Helper()
+	const burst = 12
+	qs := sortedQueues(queues)
+	n := tr.Len()
+	for _, hour := range []int{0, n / 2, n - 1, n + 2} {
+		for _, pattern := range []string{"rising", "falling", "random"} {
+			ctxFast := &Context{CIS: carbon.NewPerfectService(tr), Queues: queues}
+			ctxFast.EnableFastPaths()
+			ctxRef := &Context{CIS: carbon.NewPerfectService(tr), Queues: queues}
+			for k := 0; k < burst; k++ {
+				now := simtime.Time(hour)*simtime.Time(simtime.Hour) + simtime.Time(rng.Intn(60))
+				var length simtime.Duration
+				switch pattern {
+				case "rising":
+					length = simtime.Duration(k+1)*2*simtime.Hour + simtime.Duration(rng.Intn(60))
+				case "falling":
+					length = simtime.Duration(burst-k)*2*simtime.Hour + simtime.Duration(rng.Intn(60))
+				default:
+					length = simtime.Duration(1 + rng.Int63n(int64(30*simtime.Hour)))
+				}
+				job := workload.Job{ID: k, Length: length, CPUs: 1, Queue: qs[rng.Intn(len(qs))]}
+				for _, p := range []Policy{WaitAwhile{}, WaitAwhileEst{}} {
+					dFast := p.Decide(job, now, ctxFast)
+					dRef := p.Decide(job, now, ctxRef)
+					if !reflect.DeepEqual(dFast, dRef) {
+						t.Fatalf("%s, hour %d, %s burst, %s(queue=%d, len=%v, now=%v):\n fast = %+v\n ref  = %+v",
+							label, hour, pattern, p.Name(), job.Queue, length, now, dFast, dRef)
+					}
+				}
+			}
+			if want := int64(2 * burst); ctxFast.FastPathHits() != want {
+				t.Errorf("%s, hour %d, %s burst: %d fast-path hits, want %d", label, hour, pattern, ctxFast.FastPathHits(), want)
+			}
+		}
+	}
+}
+
+// opaqueCIS hides a service's concrete type, standing in for any
+// forecaster EnableFastPaths must not bind.
+type opaqueCIS struct{ carbon.Service }
+
+// TestEnableFastPathsRebinds pins re-binding: a Context enabled on trace A
+// and then re-enabled on another CIS must decide exactly as a plain
+// Context over that CIS — none of A's tables or WaitAwhile rank buckets
+// may survive, whether the new CIS is opaque (no fast paths) or a perfect
+// service over trace B. A's cheapest slot is [4h, 5h), B's [1h, 2h).
+func TestEnableFastPathsRebinds(t *testing.T) {
+	a := carbon.MustTrace("A", []float64{500, 500, 500, 500, 10, 500, 500, 500, 500})
+	b := carbon.MustTrace("B", []float64{500, 10, 500, 500, 500, 500, 500, 500, 500})
+	queues := map[workload.Queue]QueueInfo{
+		workload.QueueShort: {MaxWait: 6 * simtime.Hour, AvgLength: simtime.Hour},
+		workload.QueueLong:  {MaxWait: 24 * simtime.Hour, AvgLength: 4 * simtime.Hour},
+	}
+	job := workload.Job{ID: 1, Length: simtime.Hour, CPUs: 1, Queue: workload.QueueShort}
+	policies := []Policy{LowestSlot{}, CarbonTime{}, WaitAwhile{}}
+	for _, next := range []struct {
+		name string
+		cis  carbon.Service
+		hits int64
+	}{
+		{"opaque", opaqueCIS{carbon.NewPerfectService(b)}, 0},
+		{"perfect", carbon.NewPerfectService(b), int64(len(policies))},
+	} {
+		ctx := &Context{CIS: carbon.NewPerfectService(a), Queues: queues}
+		ctx.EnableFastPaths()
+		for _, p := range policies {
+			p.Decide(job, 0, ctx) // build A's tables and hour-0 bucket
+		}
+		ctx.CIS = next.cis
+		ctx.EnableFastPaths()
+		before := ctx.FastPathHits()
+		ref := &Context{CIS: next.cis, Queues: queues}
+		for _, p := range policies {
+			got, want := p.Decide(job, 0, ctx), p.Decide(job, 0, ref)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s CIS, %s: re-bound context decided %+v, plain context %+v", next.name, p.Name(), got, want)
+			}
+			if got.End(job.Length) != simtime.Time(2*simtime.Hour) {
+				t.Errorf("%s CIS, %s: decision %+v does not run in B's cheapest slot [1h, 2h)", next.name, p.Name(), got)
+			}
+		}
+		if hits := ctx.FastPathHits() - before; hits != next.hits {
+			t.Errorf("%s CIS: %d fast-path hits after re-binding, want %d", next.name, hits, next.hits)
 		}
 	}
 }

@@ -1,26 +1,29 @@
 package policy
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
-// EnableFastPaths switches the slot-granular policies (Lowest-Slot,
-// Lowest-Window, Carbon-Time) and WaitAwhile onto the precomputed oracle
-// tables of the underlying trace (see carbon.Oracle). It is effective
-// only when the CIS is a perfect-knowledge service — the one case where a
-// forecast is a pure function of (trace, interval), making precomputation
-// sound; for any other CIS (noisy, trained forecasters) the call is a
-// no-op and every Decide takes the reference path.
+// EnableFastPaths binds the slot-granular policies (Lowest-Slot,
+// Lowest-Window, Carbon-Time) and WaitAwhile to the precomputed oracle
+// tables of the Context's current CIS (see carbon.Oracle). It first drops
+// whatever an earlier call bound — tables, trace, slot ranking and
+// WaitAwhile's rank buckets — and then binds only a perfect-knowledge
+// service: the one case where a forecast is a pure function of (trace,
+// interval), making precomputation sound. For any other CIS (noisy,
+// trained forecasters) every Decide afterwards takes the reference path.
 //
 // Decisions are bit-identical with and without fast paths: tables are
 // populated through the same Value/Integral calls the reference scans
 // make, and the differential tests in this package pin that equivalence.
 // The Queues map must not be mutated afterwards.
 func (c *Context) EnableFastPaths() {
+	c.fast, c.ftrace, c.slots = nil, nil, nil
+	clear(c.ranks)
 	ps, ok := c.CIS.(*carbon.PerfectService)
 	if !ok {
 		return
@@ -222,27 +225,49 @@ func (c *Context) fastWaitAwhile(job workload.Job, now simtime.Time) (Decision, 
 	return Decision{Plan: mergedCopy(picked)}, true
 }
 
-// rankOrder returns slot indices [i0, >=iD] sorted by (CI, index),
-// extending the cached bucket when a later deadline needs more slots.
+// rankOrder returns slot indices [i0, >=iD] sorted by (CI, index). A
+// bucket is built, and extended when a later deadline needs more slots,
+// from the trace's slot ranking: only the new slots' integer keys are
+// sorted, then merged from the back into the cached order.
 func (c *Context) rankOrder(i0, iD int) []int32 {
 	r, ok := c.ranks[i0]
 	if ok && iD <= r.iDmax {
 		return r.order
 	}
-	idx := make([]int32, iD-i0+1)
-	for i := range idx {
-		idx[i] = int32(i0 + i)
+	if c.slots == nil {
+		c.slots = c.ftrace.Oracle().Ranking()
 	}
-	tr := c.ftrace
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := tr.Value(int(idx[a])), tr.Value(int(idx[b]))
-		if va != vb {
-			return va < vb
+	from := i0
+	if ok {
+		from = r.iDmax + 1
+	}
+	keys := c.rankKeys[:0]
+	for j := from; j <= iD; j++ {
+		keys = append(keys, c.slots.Key(j))
+	}
+	slices.Sort(keys)
+	c.rankKeys = keys
+
+	old := len(r.order)
+	order := slices.Grow(r.order, len(keys))[:old+len(keys)]
+	a, b := old-1, len(keys)-1
+	var ka uint64
+	if a >= 0 {
+		ka = c.slots.Key(int(order[a]))
+	}
+	for w := len(order) - 1; b >= 0; w-- {
+		if a >= 0 && ka > keys[b] {
+			order[w] = order[a]
+			if a--; a >= 0 {
+				ka = c.slots.Key(int(order[a]))
+			}
+		} else {
+			order[w] = int32(c.slots.Slot(keys[b]))
+			b--
 		}
-		return idx[a] < idx[b]
-	})
-	c.ranks[i0] = hourRank{iDmax: iD, order: idx}
-	return idx
+	}
+	c.ranks[i0] = hourRank{iDmax: iD, order: order}
+	return order
 }
 
 // sortIntervalsByStart orders a small plan by start time. Starts are

@@ -52,16 +52,20 @@ type Context struct {
 	SlackFn func(jobID int) (simtime.Duration, bool)
 
 	// Oracle fast-path state (EnableFastPaths). fast is indexed by queue;
-	// ftrace is the perfect-knowledge trace the tables were derived from.
+	// ftrace is the perfect-knowledge trace the tables were derived from,
+	// slots its slot ranking (bound on WaitAwhile's first bucket) and
+	// ranks WaitAwhile's per-arrival-hour buckets.
 	fast     []*carbon.QueueTables
 	ftrace   *carbon.Trace
+	slots    *carbon.SlotRanking
 	ranks    map[int]hourRank
 	fastHits int64
 
 	// Scratch buffers reused across Decide calls on this Context.
-	starts []simtime.Time
-	picked []simtime.Interval
-	next24 [24]float64
+	starts   []simtime.Time
+	picked   []simtime.Interval
+	rankKeys []uint64
+	next24   [24]float64
 }
 
 // Queue returns the queue info, or a zero QueueInfo for unknown queues.

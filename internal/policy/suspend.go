@@ -18,9 +18,10 @@ type WaitAwhile struct{}
 func (WaitAwhile) Name() string { return "WaitAwhile" }
 
 // Decide implements Policy. With oracle fast paths enabled the CI rank
-// of the deadline's slots comes from a per-hour cache (computed once per
-// arrival hour, not per job); otherwise it falls back to the reference
-// per-job sort.
+// of the deadline's slots comes from a per-arrival-hour bucket, built and
+// extended from the trace's slot ranking (see carbon.SlotRanking) rather
+// than sorted per job; otherwise it falls back to the reference per-job
+// sort.
 func (p WaitAwhile) Decide(job workload.Job, now simtime.Time, ctx *Context) Decision {
 	if ctx.ftrace != nil {
 		if d, ok := ctx.fastWaitAwhile(job, now); ok {

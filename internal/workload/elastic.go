@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -172,9 +174,7 @@ func NewElasticTrace(name string, jobs []Job, specs []ElasticSpec, edges []Edge)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return jobs[order[a]].Arrival < jobs[order[b]].Arrival
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival) })
 	newID := make([]int, n) // old position → new ID
 	js := make([]Job, n)
 	sp := make([]ElasticSpec, n)

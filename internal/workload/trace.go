@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,7 +73,7 @@ func (t *Trace) Fingerprint() [32]byte {
 // arrival order. It returns an error if any job is malformed.
 func NewTrace(name string, jobs []Job) (*Trace, error) {
 	js := append([]Job(nil), jobs...)
-	sort.SliceStable(js, func(i, j int) bool { return js[i].Arrival < js[j].Arrival })
+	slices.SortStableFunc(js, func(a, b Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for i := range js {
 		js[i].ID = i
 		if err := js[i].Validate(); err != nil {
