@@ -71,12 +71,13 @@ bench-check:
 # asserted in TestReservedSweepSharesPlans). The -race list also replays
 # the elastic degenerate differential (rigid jobs byte-identical under the
 # elastic machinery), the resize/cancel-storm wheel-vs-heap fuzz seeds, the
-# shard-private usage-delta fill, and the shard-boundary cases of the
-# replay's parallel validation scans. go test -run skips an entry that
+# shard-private usage-delta fill, the shard-boundary cases of the
+# replay's parallel validation scans, and concurrent replays of one plan
+# racing its memo's publication (shared schedule columns never written). go test -run skips an entry that
 # matches no test without complaint, so bench-quick first checks that
 # every entry matches a test `go test -list` reports in the listed
 # packages, and fails naming any entry that does not.
-BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate
 BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 bench-quick:
 	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \

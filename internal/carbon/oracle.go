@@ -166,15 +166,19 @@ func (r *SlotRanking) Slot(key uint64) int {
 //
 // Arrays extend k0+2 slots past the trace horizon — computed through the
 // same clamped Value/Integral calls as any direct query — so jobs
-// arriving in the final hours still answer from the tables.
+// arriving in the final hours still answer from the tables. The argmin
+// pairs are built on first use: only Lowest-Slot and Lowest-Window read
+// them, while Carbon-Time and WaitAwhile scan vals and winSums themselves.
 type QueueTables struct {
 	trace   *Trace
 	w, l    simtime.Duration
 	k0      int
 	vals    []float64
 	winSums []float64
-	slotMin [2][]int32
-	winMin  [2][]int32
+
+	slotOnce, winOnce sync.Once
+	slotMin           [2][]int32
+	winMin            [2][]int32
 }
 
 func newQueueTables(tr *Trace, w, l simtime.Duration) *QueueTables {
@@ -187,14 +191,7 @@ func newQueueTables(tr *Trace, w, l simtime.Duration) *QueueTables {
 		start := simtime.Time(simtime.Duration(i) * simtime.Hour)
 		winSums[i] = tr.Integral(simtime.Interval{Start: start, End: start.Add(l)})
 	}
-	t := &QueueTables{trace: tr, w: w, l: l, k0: k0, vals: vals, winSums: winSums}
-	t.slotMin[0] = slideMinIndex(vals, k0+1)
-	t.slotMin[1] = slideMinIndex(vals, k0+2)
-	if k0 >= 1 {
-		t.winMin[0] = slideMinIndex(winSums, k0)
-	}
-	t.winMin[1] = slideMinIndex(winSums, k0+1)
-	return t
+	return &QueueTables{trace: tr, w: w, l: l, k0: k0, vals: vals, winSums: winSums}
 }
 
 // MaxWait returns the W the tables were built for.
@@ -236,6 +233,10 @@ func (t *QueueTables) LowestSlot(i0, k int) (slot int, ok bool) {
 	if !t.Covers(i0, k) {
 		return 0, false
 	}
+	t.slotOnce.Do(func() {
+		t.slotMin[0] = slideMinIndex(t.vals, t.k0+1)
+		t.slotMin[1] = slideMinIndex(t.vals, t.k0+2)
+	})
 	return int(t.slotMin[k-t.k0][i0]), true
 }
 
@@ -245,6 +246,12 @@ func (t *QueueTables) LowestWindow(i0, k int) (slot int, ok bool) {
 	if k < 1 || !t.Covers(i0, k) {
 		return 0, false
 	}
+	t.winOnce.Do(func() {
+		if t.k0 >= 1 {
+			t.winMin[0] = slideMinIndex(t.winSums, t.k0)
+		}
+		t.winMin[1] = slideMinIndex(t.winSums, t.k0+1)
+	})
 	return int(t.winMin[k-t.k0][i0+1]), true
 }
 

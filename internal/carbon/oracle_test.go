@@ -130,27 +130,48 @@ func TestOracleIsCachedPerTraceAndKey(t *testing.T) {
 	}
 }
 
-// TestOracleConcurrentAccess exercises the lazy init, the (W, L) cache
-// and the slot ranking from many goroutines; `go test -race` verifies the
-// synchronization.
+// TestOracleConcurrentAccess exercises the lazy init, the (W, L) cache,
+// the slot ranking and the argmin tables from many goroutines, which all
+// touch LowestSlot and LowestWindow for the first time at once; `go test
+// -race` verifies the synchronization.
 func TestOracleConcurrentAccess(t *testing.T) {
 	tr := MustTrace("test", []float64{300, 200, 300, 100, 200})
+	const w = 6 * simtime.Hour
 	var wg sync.WaitGroup
 	tables := make([]*QueueTables, 8)
 	rankings := make([]*SlotRanking, 8)
 	orders := make([][]int, 8)
+	argmins := make([][]int, 8)
 	for g := 0; g < 8; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tables[g] = tr.Oracle().Queue(6*simtime.Hour, simtime.Hour)
+			tables[g] = tr.Oracle().Queue(w, simtime.Hour)
 			rankings[g] = tr.Oracle().Ranking()
 			orders[g] = rankWindow(rankings[g], 0, 7)
+			argmins[g] = lowestAll(tables[g])
 		}()
 	}
 	wg.Wait()
 	want := []int{3, 1, 4, 5, 6, 7, 0, 2}
+	// The reference is the strict-< scan the tables replace.
+	tab := tables[0]
+	var wantArgmins []int
+	for _, k := range []int{6, 7} {
+		for i0 := 0; tab.Covers(i0, k); i0++ {
+			slot, win := i0, i0+1
+			for j := i0; j <= i0+k; j++ {
+				if tab.SlotValue(j) < tab.SlotValue(slot) {
+					slot = j
+				}
+				if j > i0 && tab.WindowSum(j) < tab.WindowSum(win) {
+					win = j
+				}
+			}
+			wantArgmins = append(wantArgmins, slot, win)
+		}
+	}
 	for g := 0; g < 8; g++ {
 		if tables[g] != tables[0] || rankings[g] != rankings[0] {
 			t.Fatal("concurrent callers observed distinct tables or rankings")
@@ -158,7 +179,27 @@ func TestOracleConcurrentAccess(t *testing.T) {
 		if !slices.Equal(orders[g], want) {
 			t.Fatalf("goroutine %d ranked slots %v, want %v", g, orders[g], want)
 		}
+		if !slices.Equal(argmins[g], wantArgmins) {
+			t.Fatalf("goroutine %d read argmins %v, want %v", g, argmins[g], wantArgmins)
+		}
 	}
+}
+
+// lowestAll reads LowestSlot and LowestWindow at every window position
+// the tables cover, for both boundary counts of a 6-hour wait.
+func lowestAll(tab *QueueTables) []int {
+	var out []int
+	for _, k := range []int{6, 7} {
+		for i0 := 0; tab.Covers(i0, k); i0++ {
+			slot, ok1 := tab.LowestSlot(i0, k)
+			win, ok2 := tab.LowestWindow(i0, k)
+			if !ok1 || !ok2 {
+				return nil
+			}
+			out = append(out, slot, win)
+		}
+	}
+	return out
 }
 
 // rankWindow lists slots [i0, iD] in key order, decoding through Slot.

@@ -1,15 +1,16 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/par"
@@ -160,7 +161,7 @@ func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]sim
 
 // directScratch is the per-replay scratch the sweep and accounting phases
 // need: the two endpoint orderings, the rank-indexed start/finish/CPU
-// columns, the reserved-allocation column, the counting-sort buckets and
+// columns, the reserved-allocation column, the sort buckets and
 // one usage delta per accounting shard. Replayed cells recycle it through
 // directScratchPool so a warm sweep costs no per-cell endpoint or usage
 // allocations.
@@ -190,9 +191,9 @@ func (s *directScratch) release() {
 	directScratchPool.Put(s)
 }
 
-// grow resizes every column to n, reusing capacity from earlier replays.
-// Contents are overwritten before use (reservedBy explicitly below), so no
-// clearing is needed here.
+// grow resizes the order and rank columns to n, reusing capacity from
+// earlier replays. Contents are overwritten before use, so no clearing is
+// needed here.
 func (s *directScratch) grow(n int) {
 	grow32 := func(b []int32) []int32 {
 		if cap(b) < n {
@@ -209,11 +210,11 @@ func (s *directScratch) grow(n int) {
 	} else {
 		s.stR, s.enR = s.stR[:n], s.enR[:n]
 	}
-	s.growReserved(n)
 }
 
-// growReserved resizes only the reserved-allocation column — all a replay
-// needs when the endpoint orderings come memoized from a plan.
+// growReserved resizes the reserved-allocation column, which every replay
+// fills (the sweep writes each job's entry) — the only scratch column a
+// replay needs when the endpoint orders are the plan's.
 func (s *directScratch) growReserved(n int) {
 	if cap(s.reservedBy) < n {
 		s.reservedBy = make([]int32, n)
@@ -235,32 +236,59 @@ func (s *directScratch) usageDeltas(k int, acc *metrics.Accumulator) []metrics.U
 	return s.deltas
 }
 
-// replayOrders is the sweep phase's endpoint geometry: job IDs in start
-// fire order, start ranks in finish fire order, and the rank-indexed
-// start/finish/CPU columns. It is a pure function of (starts, trace), so
-// every cell of a sweep replaying one plan shares identical orders; plans
-// memoize the value (trace-identity keyed) and replays after the first
-// skip both counting sorts. A memoized value is shared across concurrent
-// replays and must never be mutated.
-type replayOrders struct {
+// replayMemo is what a plan memoizes across its replays, in two parts.
+//
+// The endpoint orders — job IDs in start fire order, start ranks in finish
+// fire order, and the rank-indexed start/finish/CPU columns — are a pure
+// function of (starts, trace), so every cell of a sweep replaying one plan
+// shares identical orders, and replays after the first skip both counting
+// sorts.
+//
+// The schedule columns (waiting, length, carbon, baseline, queue) are a
+// pure function of (starts, trace, key): a replay under the memo's key
+// accounts over them instead of recomputing both carbon integrals per job,
+// and computes only what its own capacity and prices change. They are the
+// columns of the replay that published them, which nothing writes again.
+//
+// A published memo is shared across concurrent replays and never mutated;
+// a replay under another key publishes a copy carrying the same orders.
+type replayMemo struct {
 	trace            *workload.Trace
 	startOrd, finOrd []int32
 	stR, enR         []simtime.Time
 	cpuR             []int32
+
+	// key is what cols were computed under.
+	key  columnsKey
+	cols metrics.ScheduleColumns
 }
 
-// fill computes the orderings for (starts, o.trace) into o's columns,
+// columnsKey is what the schedule columns read beyond (starts, trace): the
+// realized carbon trace, by identity, the power model and the queue
+// bounds. Reserved capacity, prices, the horizon and the label are absent
+// on purpose — they are what a sweep varies.
+type columnsKey struct {
+	carbon *carbon.Trace
+	power  cloud.Power
+	bounds []simtime.Duration
+}
+
+func (k columnsKey) equal(o columnsKey) bool {
+	return k.carbon == o.carbon && k.power == o.power && slices.Equal(k.bounds, o.bounds)
+}
+
+// fill computes the orderings for (starts, m.trace) into m's columns,
 // which must already have length len(starts). cnt is a reusable
-// counting-sort bucket buffer.
-func (o *replayOrders) fill(cnt *[]int32, starts []simtime.Time) {
-	o.startOrd = timeOrderInto(o.startOrd, cnt, starts)
-	for r, id := range o.startOrd {
-		j := &o.trace.Jobs[id]
-		o.stR[r] = starts[id]
-		o.enR[r] = starts[id].Add(j.Length)
-		o.cpuR[r] = int32(j.CPUs)
+// sort-bucket buffer.
+func (m *replayMemo) fill(cnt *[]int32, starts []simtime.Time) {
+	m.startOrd = timeOrderInto(m.startOrd, cnt, starts)
+	for r, id := range m.startOrd {
+		j := &m.trace.Jobs[id]
+		m.stR[r] = starts[id]
+		m.enR[r] = starts[id].Add(j.Length)
+		m.cpuR[r] = int32(j.CPUs)
 	}
-	o.finOrd = timeOrderInto(o.finOrd, cnt, o.enR)
+	m.finOrd = timeOrderInto(m.finOrd, cnt, m.enR)
 }
 
 // replayDirect is phases 2-3: given the decided start column (freshly
@@ -268,12 +296,13 @@ func (o *replayOrders) fill(cnt *[]int32, starts []simtime.Time) {
 // immutable either way), sweep the endpoints sequentially and fan the
 // order-free accounting back out. The result is bit-identical to a full
 // runDirect whose decide phase produced the same starts. A non-nil plan
-// supplies (and on first use receives) the memoized endpoint orderings;
-// runDirect passes nil and sorts into pooled scratch.
+// supplies (and on first use receives) the memoized endpoint orders and
+// schedule columns; runDirect passes nil, sorts into pooled scratch and
+// computes every column.
 func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts []simtime.Time, plan *DecisionPlan) (*metrics.Result, error) {
 	n := len(trace.Jobs)
 	bounds := cfg.queueBounds()
-	acc := metrics.NewAccumulator(n, cfg.Horizon)
+	key := columnsKey{carbon: cfg.Carbon, power: cfg.Power, bounds: bounds}
 	carbonOf := func(iv simtime.Interval, cpus int) float64 {
 		return cfg.Power.Carbon(cfg.Carbon.Integral(iv), cpus)
 	}
@@ -287,35 +316,43 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	// pool's acquire/release arithmetic and folding the CPU·hour totals.
 	sc := directScratchPool.Get().(*directScratch)
 	defer sc.release()
-	var ord *replayOrders
+	var memo *replayMemo
 	if plan != nil {
-		if m := plan.orders.Load(); m != nil && m.trace == trace {
-			ord = m // warm sweep cell: skip both endpoint sorts
+		if m := plan.memo.Load(); m != nil && m.trace == trace {
+			memo = m // warm sweep cell: skip both endpoint sorts
 		}
 	}
-	if ord == nil && plan != nil {
-		// First replay of this plan against this trace: compute into
-		// plan-owned columns and publish (racing replays may each compute;
-		// last store wins and all values are identical).
-		ord = &replayOrders{
-			trace:    trace,
-			startOrd: make([]int32, n), finOrd: make([]int32, n),
-			stR: make([]simtime.Time, n), enR: make([]simtime.Time, n),
-			cpuR: make([]int32, n),
-		}
-		ord.fill(&sc.cnt, starts)
-		plan.orders.Store(ord)
-	}
+	ord := memo
 	if ord == nil {
-		sc.grow(n)
-		ord = &replayOrders{
-			trace:    trace,
-			startOrd: sc.startOrd, finOrd: sc.finOrd,
-			stR: sc.stR, enR: sc.enR, cpuR: sc.cpuR,
+		if plan != nil {
+			// First replay of this plan against this trace: compute into
+			// plan-owned columns, published with the schedule columns
+			// below.
+			ord = &replayMemo{
+				trace:    trace,
+				startOrd: make([]int32, n), finOrd: make([]int32, n),
+				stR: make([]simtime.Time, n), enR: make([]simtime.Time, n),
+				cpuR: make([]int32, n),
+			}
+		} else {
+			sc.grow(n)
+			ord = &replayMemo{
+				trace:    trace,
+				startOrd: sc.startOrd, finOrd: sc.finOrd,
+				stR: sc.stR, enR: sc.enR, cpuR: sc.cpuR,
+			}
 		}
 		ord.fill(&sc.cnt, starts)
+	}
+	sc.growReserved(n)
+	// shared: this cell's schedule columns are the memo's, so phase 3
+	// computes only costs, usage and records.
+	shared := memo != nil && memo.key.equal(key)
+	var acc *metrics.Accumulator
+	if shared {
+		acc = metrics.NewAccumulatorOver(memo.cols, cfg.Horizon)
 	} else {
-		sc.growReserved(n)
+		acc = metrics.NewAccumulator(n, cfg.Horizon)
 	}
 	startOrd, finOrd := ord.startOrd, ord.finOrd
 	stR, enR, cpuR := ord.stR, ord.enR, ord.cpuR
@@ -355,10 +392,11 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	// the cost column and retained records are ID-indexed, and each shard
 	// bins usage into its own difference-encoded delta (O(1) per job),
 	// folded into the pre-grown bins after the fan-out; integer addition
-	// commutes, so the fold order is free. The per-job carbon and baseline
-	// integrals live here rather than in the decide phase because they are
-	// accounting (they read the realized carbon trace and power model), so
-	// a replayed cell computes them under its own knobs.
+	// commutes, so the fold order is free. The schedule columns (the
+	// carbon and baseline integrals among them) live here rather than in
+	// the decide phase because they read the realized carbon trace and
+	// power model, so a replayed cell computes them under its own knobs —
+	// unless the memo already holds them for exactly those knobs.
 	var results []metrics.JobResult
 	var segs []metrics.Segment
 	if cfg.RetainJobs {
@@ -381,13 +419,15 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 				}
 			}
 			job := &trace.Jobs[i]
-			q := workload.ClassifyLength(job.Length, bounds)
 			iv := simtime.Interval{Start: starts[i], End: starts[i].Add(job.Length)}
-			carbon := carbonOf(iv, job.CPUs)
-			baseline := carbonOf(simtime.Interval{Start: job.Arrival, End: job.Arrival.Add(job.Length)}, job.CPUs)
-			// Waiting is finish - arrival - length, which the integer time
-			// model reduces to start - arrival exactly.
-			acc.PutJob(i, iv.Start.Sub(job.Arrival), job.Length, carbon, baseline, q)
+			if !shared {
+				q := workload.ClassifyLength(job.Length, bounds)
+				carbon := carbonOf(iv, job.CPUs)
+				baseline := carbonOf(simtime.Interval{Start: job.Arrival, End: job.Arrival.Add(job.Length)}, job.CPUs)
+				// Waiting is finish - arrival - length, which the integer
+				// time model reduces to start - arrival exactly.
+				acc.PutJob(i, iv.Start.Sub(job.Arrival), job.Length, carbon, baseline, q)
+			}
 			res := int(reservedBy[i])
 			od := job.CPUs - res
 			hours := iv.Len().Hours()
@@ -395,6 +435,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 			acc.PutCost(i, cost)
 			usage.Add(iv, res, od, 0)
 			if results != nil {
+				carbon, baseline := acc.JobCarbon(i)
 				var h [3]float64
 				h[cloud.Reserved] = float64(res) * hours
 				h[cloud.OnDemand] = float64(od) * hours
@@ -402,7 +443,7 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 				segs[i] = metrics.Segment{Interval: iv, Reserved: res, OnDemand: od}
 				results[i] = metrics.JobResult{
 					JobID:          i,
-					Queue:          q,
+					Queue:          acc.Queue(i),
 					User:           job.User,
 					CPUs:           job.CPUs,
 					Length:         job.Length,
@@ -432,6 +473,14 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	for k := range deltas {
 		acc.AddUsageDelta(&deltas[k])
 	}
+	if plan != nil && !shared {
+		// Publish this cell's schedule columns under its key. Racing
+		// replays may each publish; the last store wins, and every stored
+		// memo is exact for its own key.
+		next := *ord
+		next.key, next.cols = key, acc.Schedule()
+		plan.memo.Store(&next)
+	}
 
 	directRuns.Add(1)
 	res := &metrics.Result{
@@ -454,13 +503,16 @@ func timeOrder(keys []simtime.Time) []int32 {
 }
 
 // timeOrderInto fills ord (len(ord) == len(keys)) with 0..len(keys)-1
-// stably sorted ascending by key: a counting sort when the key range is
-// comparable to n (simulation endpoints cluster into at most a horizon's
-// worth of minutes), a generic (reflection-free) stable sort otherwise.
-// Both are stable, so ties keep input order — exactly the (time, index)
-// lexicographic order the sweep needs. cnt is the reusable
-// counting-bucket buffer (resliced and cleared here, grown when a wider
-// key span needs it).
+// stably sorted ascending by key, so ties keep input order — exactly the
+// (time, index) lexicographic order the sweep needs. It is an LSD radix
+// sort over the offsets key − min: each pass is a stable counting sort on
+// one digit, so the passes compose into one stable sort. When one bucket
+// per offset is affordable — simulation endpoints cluster into at most a
+// horizon's worth of minutes — the whole offset is the digit and the sort
+// is one counting pass. Sparser keys (a few thousand jobs spread over
+// months) take digits of about log2(n) bits, so every pass is O(n). cnt
+// is the reusable bucket buffer (resliced and cleared here, grown when
+// needed); a multi-pass sort also keeps its second order column in it.
 func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
 	n := len(keys)
 	ord = ord[:n]
@@ -478,29 +530,59 @@ func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
 			hi = k
 		}
 	}
-	span := int64(hi-lo) + 1
-	if span <= int64(8*n) || span <= 1<<16 {
-		want := int(span) + 1
-		if cap(*cnt) < want {
-			*cnt = make([]int32, want)
-		} else {
-			*cnt = (*cnt)[:want]
-			clear(*cnt)
-		}
-		buckets := *cnt
+	// key − lo is exact in uint64 for any two int64 keys.
+	maxOff := uint64(hi) - uint64(lo)
+	if maxOff < uint64(8*n) || maxOff < 1<<16 {
+		buckets := growCleared(cnt, int(maxOff)+2)
 		for _, k := range keys {
-			buckets[int64(k-lo)+1]++
+			buckets[uint64(k)-uint64(lo)+1]++
 		}
 		for b := 1; b < len(buckets); b++ {
 			buckets[b] += buckets[b-1]
 		}
 		for i, k := range keys {
-			b := int64(k - lo)
+			b := uint64(k) - uint64(lo)
 			ord[buckets[b]] = int32(i)
 			buckets[b]++
 		}
 		return ord
 	}
-	slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	offBits := bits.Len64(maxOff)
+	passes := (offBits + bits.Len(uint(n)) - 1) / bits.Len(uint(n))
+	width := (offBits + passes - 1) / passes
+	nb := 1 << width
+	mask := uint64(nb - 1)
+	buf := growCleared(cnt, nb+1+n)
+	buckets, src, dst := buf[:nb+1], ord, buf[nb+1:]
+	for shift := 0; shift < offBits; shift += width {
+		clear(buckets)
+		for _, k := range keys {
+			buckets[(uint64(k)-uint64(lo))>>shift&mask+1]++
+		}
+		for b := 1; b < len(buckets); b++ {
+			buckets[b] += buckets[b-1]
+		}
+		for _, id := range src {
+			d := (uint64(keys[id]) - uint64(lo)) >> shift & mask
+			dst[buckets[d]] = id
+			buckets[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ord[0] {
+		copy(ord, src)
+	}
 	return ord
+}
+
+// growCleared reslices *buf to n zeroed entries, reallocating only when
+// its capacity is short.
+func growCleared(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"math/bits"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -261,9 +263,9 @@ func FuzzDirectVsEngine(f *testing.F) {
 	})
 }
 
-// TestTimeOrder pins the sort the sweep is built on: stable ascending
-// order on both the counting and comparison branches, which must agree
-// with each other exactly.
+// TestTimeOrder pins the sort the sweep is built on: a stable ascending
+// order, on the one-pass counting sort of dense keys and the multi-pass
+// radix sort of sparse ones alike, equal to a stable comparison sort.
 func TestTimeOrder(t *testing.T) {
 	keys := []simtime.Time{50, 10, 50, 10, 0, 99, 50, 10}
 	want := []int32{4, 1, 3, 7, 0, 2, 6, 5}
@@ -277,21 +279,38 @@ func TestTimeOrder(t *testing.T) {
 		t.Errorf("single-key order = %v", got)
 	}
 
-	// A sparse key set (span >> 8n) exercises the comparison fallback;
-	// the dense copy of the same relative order uses counting. Both must
-	// produce the identical permutation.
+	// Random keys over spans from 2^10 (one counting pass) through 2^17
+	// (just past it) to 2^62, half of the trials drawing from a few
+	// distinct values so ties are common, and some based below zero. One
+	// bucket buffer serves every trial, as the replay scratch does.
 	rnd := newRand(9)
-	sparse := make([]simtime.Time, 500)
-	for i := range sparse {
-		sparse[i] = simtime.Time(rnd.Int63n(1 << 40))
-	}
-	dense := make([]simtime.Time, len(sparse))
-	ranks := append([]simtime.Time(nil), sparse...)
-	sort.Slice(ranks, func(a, b int) bool { return ranks[a] < ranks[b] })
-	for i, k := range sparse {
-		dense[i] = simtime.Time(sort.Search(len(ranks), func(j int) bool { return ranks[j] >= k }))
-	}
-	if got, want := timeOrder(sparse), timeOrder(dense); !reflect.DeepEqual(got, want) {
-		t.Error("comparison and counting branches disagree")
+	var cnt []int32
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rnd.Intn(600)
+		span := int64(1) << (10 + rnd.Intn(53))
+		base := simtime.Time(0)
+		if trial%5 == 0 {
+			base = -simtime.Time(span / 2)
+		}
+		pool := make([]simtime.Time, n)
+		if trial%2 == 1 {
+			pool = pool[:1+rnd.Intn(8)]
+		}
+		for i := range pool {
+			pool[i] = base + simtime.Time(rnd.Int63n(span))
+		}
+		keys := make([]simtime.Time, n)
+		for i := range keys {
+			keys[i] = pool[rnd.Intn(len(pool))]
+		}
+		want := make([]int32, n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+		if got := timeOrderInto(make([]int32, n), &cnt, keys); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, span 2^%d): radix order differs from a stable sort",
+				trial, n, bits.Len64(uint64(span))-1)
+		}
 	}
 }

@@ -40,12 +40,14 @@ type DecisionPlan struct {
 	// the artifact so a future spot-capable decide phase extends the codec
 	// without a layout break.
 	classes []uint8
-	// orders memoizes the replay sweep's endpoint orderings, which are a
-	// pure function of (starts, trace): a sweep replaying this plan sorts
-	// its endpoints once, not once per cell. Built lazily on first replay,
-	// keyed by trace identity, and excluded from the encoded artifact
-	// (a decoded plan rebuilds it on first use).
-	orders atomic.Pointer[replayOrders]
+	// memo holds what replays of this plan share (replayMemo): the sweep's
+	// endpoint orders, keyed by trace identity, and the schedule columns,
+	// keyed by (realized carbon trace, power, queue bounds) as well. A
+	// sweep replaying this plan sorts its endpoints once and integrates
+	// carbon once per key, not once per cell. Built lazily on first
+	// replay and excluded from the encoded artifact (a decoded plan
+	// rebuilds it on first use).
+	memo atomic.Pointer[replayMemo]
 }
 
 // NumJobs returns how many jobs the plan covers.
@@ -188,16 +190,24 @@ func RunWithPlan(ctx context.Context, cfg Config, jobs *workload.Trace, plan *De
 			res, err = nil, fmt.Errorf("core: run failed: %v", r)
 		}
 	}()
-	trace := normalizedTrace(jobs)
-	if plan == nil || len(plan.starts) != len(trace.Jobs) {
-		got := 0
-		if plan != nil {
-			got = len(plan.starts)
+	// One scan checks both that the trace is normalized and that no job
+	// starts before it arrives. Only when it fails do the two checks run
+	// apart, so the rebuilt trace and the error are exactly those of
+	// normalizing first and checking the plan against the result.
+	trace := jobs
+	if plan == nil || len(plan.starts) != len(jobs.Jobs) ||
+		scanShards(len(plan.starts), planSpan{plan.starts, jobs.Jobs}, checkPlanTrace) != nil {
+		trace = normalizedTrace(jobs)
+		if plan == nil || len(plan.starts) != len(trace.Jobs) {
+			got := 0
+			if plan != nil {
+				got = len(plan.starts)
+			}
+			return nil, fmt.Errorf("core: plan covers %d jobs, trace has %d", got, len(trace.Jobs))
 		}
-		return nil, fmt.Errorf("core: plan covers %d jobs, trace has %d", got, len(trace.Jobs))
-	}
-	if err := scanShards(len(plan.starts), planSpan{plan.starts, trace.Jobs}, checkPlanStarts); err != nil {
-		return nil, err
+		if err := scanShards(len(plan.starts), planSpan{plan.starts, trace.Jobs}, checkPlanStarts); err != nil {
+			return nil, err
+		}
 	}
 	return replayDirect(ctx, cfg, trace, plan.starts, plan)
 }
@@ -206,6 +216,27 @@ func RunWithPlan(ctx context.Context, cfg Config, jobs *workload.Trace, plan *De
 type planSpan struct {
 	starts []simtime.Time
 	jobs   []workload.Job
+}
+
+// planScanBlock is how many jobs checkPlanTrace hands to each check in
+// turn: small enough (about 115 KB of jobs) that the second check reads
+// them from cache, so the fused scan reads the job array from memory
+// once.
+const planScanBlock = 2048
+
+// checkPlanTrace is RunWithPlan's fused scan over jobs [lo, hi):
+// checkNormalized and checkPlanStarts, block by block.
+func checkPlanTrace(p planSpan, lo, hi int) error {
+	for b := lo; b < hi; b += planScanBlock {
+		e := min(b+planScanBlock, hi)
+		if err := checkNormalized(p.jobs, b, e); err != nil {
+			return err
+		}
+		if err := checkPlanStarts(p, b, e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkPlanStarts is RunWithPlan's shape scan over jobs [lo, hi): no job

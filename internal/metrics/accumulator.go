@@ -24,13 +24,14 @@ import (
 // At ~41 bytes per job this is what lets one binary serve million-job
 // traces; full JobResult retention (~230 bytes per job plus segment
 // slices) stays available behind core's RetainJobs flag.
+//
+// The columns other than cost are a schedule's alone (ScheduleColumns),
+// so accumulators of runs that share a schedule may share them
+// (NewAccumulatorOver); the cost column, totals and usage bins are always
+// the accumulator's own.
 type Accumulator struct {
-	waitings  []simtime.Duration
-	lengths   []simtime.Duration
-	carbons   []float64
-	baselines []float64
-	costs     []float64
-	queues    []uint8
+	sched ScheduleColumns
+	costs []float64
 
 	cpuHours                              [3]float64
 	evictions                             int
@@ -42,17 +43,44 @@ type Accumulator struct {
 	usage [3][]int64
 }
 
-// NewAccumulator sizes the columns for a trace of n jobs (IDs 0..n-1) and
-// the usage bins for the given accounting horizon.
-func NewAccumulator(n int, horizon simtime.Duration) *Accumulator {
-	a := &Accumulator{
+// ScheduleColumns are the per-job columns a schedule alone determines:
+// waiting, length, carbon, baseline carbon and queue tag, indexed by job
+// ID. They read the start times, the workload, the realized carbon trace,
+// the power model and the queue bounds — never reserved capacity, prices
+// or the horizon — so every cell of a reserved-capacity or price sweep
+// over one schedule computes the same values. Columns handed out by
+// Schedule are shared: nothing writes them afterwards.
+type ScheduleColumns struct {
+	waitings  []simtime.Duration
+	lengths   []simtime.Duration
+	carbons   []float64
+	baselines []float64
+	queues    []uint8
+}
+
+func newScheduleColumns(n int) ScheduleColumns {
+	return ScheduleColumns{
 		waitings:  make([]simtime.Duration, n),
 		lengths:   make([]simtime.Duration, n),
 		carbons:   make([]float64, n),
 		baselines: make([]float64, n),
-		costs:     make([]float64, n),
 		queues:    make([]uint8, n),
 	}
+}
+
+// NewAccumulator sizes the columns for a trace of n jobs (IDs 0..n-1) and
+// the usage bins for the given accounting horizon.
+func NewAccumulator(n int, horizon simtime.Duration) *Accumulator {
+	return NewAccumulatorOver(newScheduleColumns(n), horizon)
+}
+
+// NewAccumulatorOver returns an accumulator over existing schedule
+// columns — another accumulator's Schedule — with a fresh cost column and
+// usage bins for the given horizon. The columns stay shared, so callers
+// fill only what the new accumulator owns (PutCost, AddCPUHours,
+// UsageDelta), never AddJob or PutJob.
+func NewAccumulatorOver(cols ScheduleColumns, horizon simtime.Duration) *Accumulator {
+	a := &Accumulator{sched: cols, costs: make([]float64, len(cols.waitings))}
 	slots := int(horizon / simtime.Hour)
 	if slots < 0 {
 		slots = 0
@@ -63,19 +91,24 @@ func NewAccumulator(n int, horizon simtime.Duration) *Accumulator {
 	return a
 }
 
+// Schedule returns a's schedule columns for other accumulators to share
+// (NewAccumulatorOver). From this call on, a's producer must not write
+// them again.
+func (a *Accumulator) Schedule() ScheduleColumns { return a.sched }
+
 // JobCount returns the number of jobs the columns cover.
-func (a *Accumulator) JobCount() int { return len(a.waitings) }
+func (a *Accumulator) JobCount() int { return len(a.sched.waitings) }
 
 // AddJob folds one finished job's record into the columns and totals. It
 // must be called exactly once per job, with rec.JobID in [0, n).
 func (a *Accumulator) AddJob(rec *JobResult) {
 	i := rec.JobID
-	a.waitings[i] = rec.Waiting
-	a.lengths[i] = rec.Length
-	a.carbons[i] = rec.Carbon
-	a.baselines[i] = rec.BaselineCarbon
+	a.sched.waitings[i] = rec.Waiting
+	a.sched.lengths[i] = rec.Length
+	a.sched.carbons[i] = rec.Carbon
+	a.sched.baselines[i] = rec.BaselineCarbon
 	a.costs[i] = rec.UsageCost
-	a.queues[i] = uint8(rec.Queue)
+	a.sched.queues[i] = uint8(rec.Queue)
 	for o := range a.cpuHours {
 		a.cpuHours[o] += rec.CPUHours[o]
 	}
@@ -102,11 +135,11 @@ func (a *Accumulator) AddJob(rec *JobResult) {
 // PutJob writes job i's order-free columns. Concurrent callers are safe
 // iff they cover disjoint job IDs; each ID must be written exactly once.
 func (a *Accumulator) PutJob(i int, waiting, length simtime.Duration, carbon, baseline float64, q workload.Queue) {
-	a.waitings[i] = waiting
-	a.lengths[i] = length
-	a.carbons[i] = carbon
-	a.baselines[i] = baseline
-	a.queues[i] = uint8(q)
+	a.sched.waitings[i] = waiting
+	a.sched.lengths[i] = length
+	a.sched.carbons[i] = carbon
+	a.sched.baselines[i] = baseline
+	a.sched.queues[i] = uint8(q)
 }
 
 // PutCost writes job i's usage-cost column under the same disjoint-ID
@@ -266,4 +299,9 @@ func (a *Accumulator) AddUsage(iv simtime.Interval, reserved, onDemand, spot int
 }
 
 // Queue returns job i's queue tag.
-func (a *Accumulator) Queue(i int) workload.Queue { return workload.Queue(a.queues[i]) }
+func (a *Accumulator) Queue(i int) workload.Queue { return workload.Queue(a.sched.queues[i]) }
+
+// JobCarbon returns job i's carbon and baseline carbon.
+func (a *Accumulator) JobCarbon(i int) (carbon, baseline float64) {
+	return a.sched.carbons[i], a.sched.baselines[i]
+}

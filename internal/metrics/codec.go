@@ -36,7 +36,7 @@ var accumulatorMagic = [8]byte{'G', 'A', 'I', 'A', 'A', 'C', 'C', 1}
 // patterns, so a decoded accumulator answers every aggregate query
 // bit-identically to the original.
 func EncodeAccumulator(a *Accumulator) []byte {
-	n := len(a.waitings)
+	n := len(a.sched.waitings)
 	size := 8 + 8 + 8 + // magic, version, nJobs
 		n*8*2 + n*8*3 + n + // duration, float columns, queues
 		3*8 + 8 + 3*8 + // cpuHours, evictions, wasted
@@ -48,22 +48,22 @@ func EncodeAccumulator(a *Accumulator) []byte {
 	buf = append(buf, accumulatorMagic[:]...)
 	buf = le.AppendUint64(buf, CodecVersion)
 	buf = le.AppendUint64(buf, uint64(n))
-	for _, v := range a.waitings {
+	for _, v := range a.sched.waitings {
 		buf = le.AppendUint64(buf, uint64(v))
 	}
-	for _, v := range a.lengths {
+	for _, v := range a.sched.lengths {
 		buf = le.AppendUint64(buf, uint64(v))
 	}
-	for _, v := range a.carbons {
+	for _, v := range a.sched.carbons {
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	for _, v := range a.baselines {
+	for _, v := range a.sched.baselines {
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
 	for _, v := range a.costs {
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
-	buf = append(buf, a.queues...)
+	buf = append(buf, a.sched.queues...)
 	for _, v := range a.cpuHours {
 		buf = le.AppendUint64(buf, math.Float64bits(v))
 	}
@@ -154,30 +154,23 @@ func DecodeAccumulator(data []byte) (*Accumulator, error) {
 	}
 
 	n := d.length(1)
-	a := &Accumulator{
-		waitings:  make([]simtime.Duration, n),
-		lengths:   make([]simtime.Duration, n),
-		carbons:   make([]float64, n),
-		baselines: make([]float64, n),
-		costs:     make([]float64, n),
-		queues:    make([]uint8, n),
+	a := &Accumulator{sched: newScheduleColumns(n), costs: make([]float64, n)}
+	for i := range a.sched.waitings {
+		a.sched.waitings[i] = simtime.Duration(d.u64())
 	}
-	for i := range a.waitings {
-		a.waitings[i] = simtime.Duration(d.u64())
+	for i := range a.sched.lengths {
+		a.sched.lengths[i] = simtime.Duration(d.u64())
 	}
-	for i := range a.lengths {
-		a.lengths[i] = simtime.Duration(d.u64())
+	for i := range a.sched.carbons {
+		a.sched.carbons[i] = d.f64()
 	}
-	for i := range a.carbons {
-		a.carbons[i] = d.f64()
-	}
-	for i := range a.baselines {
-		a.baselines[i] = d.f64()
+	for i := range a.sched.baselines {
+		a.sched.baselines[i] = d.f64()
 	}
 	for i := range a.costs {
 		a.costs[i] = d.f64()
 	}
-	copy(a.queues, d.bytes(n))
+	copy(a.sched.queues, d.bytes(n))
 	for o := range a.cpuHours {
 		a.cpuHours[o] = d.f64()
 	}

@@ -157,13 +157,13 @@ func (r *Result) memoScalars() {
 	a := r.agg
 	var tc, bc, uc, wh float64
 	var tw, tcomp simtime.Duration
-	for i := range a.carbons {
-		tc += a.carbons[i]
-		bc += a.baselines[i]
+	for i := range a.sched.carbons {
+		tc += a.sched.carbons[i]
+		bc += a.sched.baselines[i]
 		uc += a.costs[i]
-		wh += a.waitings[i].Hours()
-		tw += a.waitings[i]
-		tcomp += a.waitings[i] + a.lengths[i]
+		wh += a.sched.waitings[i].Hours()
+		tw += a.sched.waitings[i]
+		tcomp += a.sched.waitings[i] + a.sched.lengths[i]
 	}
 	r.memo.totalCarbon = tc
 	r.memo.baselineCarbon = bc
@@ -313,8 +313,8 @@ func (r *Result) WaitingPercentile(p float64) simtime.Duration {
 	}
 	r.memo.mu.Lock()
 	if r.memo.sortedWaitings == nil {
-		xs := make([]float64, len(r.agg.waitings))
-		for i, w := range r.agg.waitings {
+		xs := make([]float64, len(r.agg.sched.waitings))
+		for i, w := range r.agg.sched.waitings {
 			xs[i] = float64(w)
 		}
 		sort.Float64s(xs)
@@ -478,14 +478,14 @@ func (r *Result) SavingsByLengthCDF() *stats.WeightedCDF {
 			return r.memo.cdf
 		}
 		a := r.agg
-		values := make([]float64, 0, len(a.lengths))
-		weights := make([]float64, 0, len(a.lengths))
-		for i := range a.lengths {
-			s := a.baselines[i] - a.carbons[i]
+		values := make([]float64, 0, len(a.sched.lengths))
+		weights := make([]float64, 0, len(a.sched.lengths))
+		for i := range a.sched.lengths {
+			s := a.sched.baselines[i] - a.sched.carbons[i]
 			if s <= 0 {
 				continue
 			}
-			values = append(values, float64(a.lengths[i]))
+			values = append(values, float64(a.sched.lengths[i]))
 			weights = append(weights, s)
 		}
 		r.memo.cdf = stats.NewWeightedCDF(values, weights)
