@@ -1,6 +1,9 @@
 package carbon
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"math/rand"
 
 	"github.com/carbonsched/gaia/internal/simtime"
@@ -11,6 +14,11 @@ import (
 // The paper assumes perfect forecasts (citing CarbonCast's accuracy);
 // PerfectService provides that, and NoisyService models forecast error for
 // sensitivity studies.
+//
+// A service that can name its forecasts also has a Fingerprint() [32]byte
+// method: equal fingerprints promise bit-identical answers to every query,
+// so the simulation cache may key on it. The services in this repository
+// all have one; a CIS without it is opaque and is never cached.
 type Service interface {
 	// Intensity returns the current carbon intensity at t in g/kWh.
 	Intensity(t simtime.Time) float64
@@ -48,17 +56,54 @@ func (s *PerfectService) Region() string { return s.trace.Region() }
 // Trace exposes the underlying trace (accounting uses realized values).
 func (s *PerfectService) Trace() *Trace { return s.trace }
 
+// Fingerprint identifies the service's forecasts. A perfect forecast is
+// the trace itself, so this is the trace's fingerprint.
+func (s *PerfectService) Fingerprint() [32]byte { return s.trace.Fingerprint() }
+
+// ServiceFingerprint hashes the recipe of a service whose forecasts are a
+// pure function of a trace and a few parameters: a domain tag naming the
+// kind of service, the version of its forecast generator, the trace's
+// fingerprint, and each parameter's exact bits. Bump version whenever the
+// same recipe would start producing different forecasts, so cache entries
+// keyed by the old generator can never match.
+func ServiceFingerprint(kind string, version uint64, tr *Trace, params ...uint64) [32]byte {
+	h := sha256.New()
+	var buf [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	u64(uint64(len(kind)))
+	h.Write([]byte(kind))
+	u64(version)
+	tfp := tr.Fingerprint()
+	h.Write(tfp[:])
+	u64(uint64(len(params)))
+	for _, p := range params {
+		u64(p)
+	}
+	var fp [32]byte
+	h.Sum(fp[:0])
+	return fp
+}
+
 // NoisyService perturbs forecasts with multiplicative noise whose standard
 // deviation grows linearly with lead time, while Intensity (the "now"
 // reading) stays exact. It models an imperfect CIS such as a day-ahead
 // forecast feed.
 type NoisyService struct {
 	trace *Trace
-	// ErrPerDay is the relative forecast error accrued per day of lead
+	// errPerDay is the relative forecast error accrued per day of lead
 	// time (e.g. 0.05 = 5 %/day).
-	ErrPerDay float64
+	errPerDay float64
+	seed      int64     // draws noise; kept so Fingerprint can name it
 	noise     []float64 // per-slot frozen noise draws, pre-generated
 }
+
+// noisyGenerator versions how NewNoisyService turns (trace, seed) into
+// noise draws and ForecastIntegral turns them into forecasts. Bump it
+// with any change to either.
+const noisyGenerator = 1
 
 // NewNoisyService wraps tr with multiplicative forecast noise seeded by
 // seed. errPerDay is the relative error per day of lead time.
@@ -68,7 +113,14 @@ func NewNoisyService(tr *Trace, errPerDay float64, seed int64) *NoisyService {
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
-	return &NoisyService{trace: tr, ErrPerDay: errPerDay, noise: noise}
+	return &NoisyService{trace: tr, errPerDay: errPerDay, seed: seed, noise: noise}
+}
+
+// Fingerprint identifies the service's forecasts by their recipe: the
+// trace, the error rate and the seed the noise is drawn from.
+func (s *NoisyService) Fingerprint() [32]byte {
+	return ServiceFingerprint("gaia:cis:noisy", noisyGenerator, s.trace,
+		math.Float64bits(s.errPerDay), uint64(s.seed))
 }
 
 // Intensity returns the exact current CI.
@@ -90,7 +142,7 @@ func (s *NoisyService) ForecastIntegral(asOf simtime.Time, iv simtime.Interval) 
 	}
 	first := iv.Start.HourIndex()
 	last := (iv.End - 1).HourIndex()
-	errPerDay := s.ErrPerDay
+	errPerDay := s.errPerDay
 	lastIdx := len(s.noise) - 1
 	var total float64
 	slotStart := simtime.Time(simtime.Duration(first) * simtime.Hour)

@@ -61,6 +61,10 @@ func TestDirectPathEligibility(t *testing.T) {
 		{"plan-ecovisor", func(c *Config) { c.Policy = policy.Ecovisor{} }, false},
 		{"opaque-cis", func(c *Config) {
 			c.Policy = policy.CarbonTime{}
+			c.CIS = opaqueCIS{carbon.NewPerfectService(tr)}
+		}, false},
+		{"noisy-cis", func(c *Config) {
+			c.Policy = policy.CarbonTime{}
 			c.CIS = carbon.NewNoisyService(tr, 0.1, 1)
 		}, false},
 		{"force-event-engine", func(c *Config) {

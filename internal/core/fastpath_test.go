@@ -12,7 +12,9 @@ import (
 
 // opaqueCIS hides the concrete service type, so EnableFastPaths cannot
 // recognize a perfect-knowledge CIS and every decision takes the reference
-// path. Forecasts are still bit-identical to the wrapped service.
+// path. It hides the service's Fingerprint too, standing in for a CIS that
+// cannot name its forecasts. Forecasts are still bit-identical to the
+// wrapped service.
 type opaqueCIS struct{ carbon.Service }
 
 // TestRunIdenticalWithFastPathsDefeated is the end-to-end counterpart of

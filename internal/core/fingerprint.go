@@ -18,13 +18,21 @@ import (
 // Result identical to the one Run would have produced.
 func (c Config) Canonical() Config { return c.withDefaults() }
 
+// identifiedCIS is a CIS that can name its forecasts: equal fingerprints
+// promise bit-identical answers to every Intensity and ForecastIntegral
+// query. carbon.PerfectService returns its trace's fingerprint, and the
+// forecast services hash their recipe (carbon.ServiceFingerprint).
+type identifiedCIS interface {
+	Fingerprint() [32]byte
+}
+
 // Fingerprint returns a content hash identifying the simulation outcome of
 // running this configuration over jobs: two runs fingerprint equal if and
 // only if core.Run is guaranteed to produce bit-identical aggregate
 // results for them. ok=false means the configuration cannot be
-// fingerprinted (an unrecognized policy or CIS implementation whose
-// behaviour is opaque, per-job retention requested, or a pinned
-// Mechanism) and the caller must simulate.
+// fingerprinted (an unrecognized policy, a CIS that cannot name its
+// forecasts, per-job retention requested, or a pinned Mechanism) and the
+// caller must simulate.
 //
 // The hash covers the canonical (defaulted) form, so a zero field and its
 // explicit default collide as required, and it deliberately excludes or
@@ -60,7 +68,7 @@ func (c Config) Fingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
 	if !ok {
 		return fp, false
 	}
-	perfect, ok := canon.CIS.(*carbon.PerfectService)
+	cis, ok := canon.CIS.(identifiedCIS)
 	if !ok {
 		return fp, false
 	}
@@ -100,7 +108,9 @@ func (c Config) Fingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
 	f64(pparam)
 	cfp := canon.Carbon.Fingerprint()
 	h.Write(cfp[:])
-	sfp := perfect.Trace().Fingerprint()
+	// A perfect CIS's fingerprint is its trace's, so keys written before
+	// other services could name themselves stay valid.
+	sfp := cis.Fingerprint()
 	h.Write(sfp[:])
 	u64(uint64(canon.Reserved))
 	if canon.WorkConserving {

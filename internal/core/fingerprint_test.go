@@ -9,6 +9,7 @@ import (
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
+	"github.com/carbonsched/gaia/internal/forecast"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -104,6 +105,18 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		SpotMaxLen: 2 * simtime.Hour, EvictionRate: 0.05, CheckpointInterval: simtime.Hour}
 	decisionBase := Config{Policy: policy.CarbonTime{}, Carbon: tr}
 	elastic := func(c *Config) { c.Elastic = workload.Degenerate(jobs) }
+	noisy := func(tr *carbon.Trace, errPerDay float64, seed int64) func(*Config) {
+		return func(c *Config) { c.CIS = carbon.NewNoisyService(tr, errPerDay, seed) }
+	}
+	seasonal := func(tr *carbon.Trace, trainingDays int, rho float64) func(*Config) {
+		return func(c *Config) {
+			s, err := forecast.NewSeasonalNaive(tr, trainingDays, rho)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.CIS = s
+		}
+	}
 
 	type effect int
 	const (
@@ -124,10 +137,25 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		"Policy/ecovisor percentile": {prep: func(c *Config) { c.Policy = policy.Ecovisor{} },
 			set: func(c *Config) { c.Policy = policy.Ecovisor{ThresholdPercentile: 50} }, full: splits, decision: bypass},
 		"Carbon": {set: func(c *Config) { c.Carbon = tr2 }, full: splits, decision: splits},
-		"CIS": {set: func(c *Config) { c.CIS = carbon.NewNoisyService(tr, 0.05, 1) },
+		"CIS": {set: func(c *Config) { c.CIS = opaqueCIS{carbon.NewPerfectService(tr)} },
 			full: bypass, decision: bypass},
 		"CIS/perfect over another trace": {set: func(c *Config) { c.CIS = carbon.NewPerfectService(tr2) },
 			full: splits, decision: splits},
+		// Forecast services are keyed by their recipe. Only the perfect
+		// CIS has a decision projection, so each of them bypasses the
+		// plan tier. A zero error rate still splits from the perfect CIS:
+		// the two integrate forecasts in different float operation orders.
+		"CIS/noisy":               {set: noisy(tr, 0, 1), full: splits, decision: bypass},
+		"CIS/noisy trace":         {prep: noisy(tr, 0.05, 1), set: noisy(tr2, 0.05, 1), full: splits, decision: bypass},
+		"CIS/noisy error rate":    {prep: noisy(tr, 0.05, 1), set: noisy(tr, 0.20, 1), full: splits, decision: bypass},
+		"CIS/noisy seed":          {prep: noisy(tr, 0.05, 1), set: noisy(tr, 0.05, 2), full: splits, decision: bypass},
+		"CIS/noisy one recipe":    {prep: noisy(tr, 0.05, 1), set: noisy(tr, 0.05, 1), full: same, decision: bypass},
+		"CIS/seasonal":            {set: seasonal(tr, 7, 0.9), full: splits, decision: bypass},
+		"CIS/seasonal trace":      {prep: seasonal(tr, 7, 0.9), set: seasonal(tr2, 7, 0.9), full: splits, decision: bypass},
+		"CIS/seasonal training":   {prep: seasonal(tr, 7, 0.9), set: seasonal(tr, 8, 0.9), full: splits, decision: bypass},
+		"CIS/seasonal rho":        {prep: seasonal(tr, 7, 0.9), set: seasonal(tr, 7, 0.5), full: splits, decision: bypass},
+		"CIS/seasonal one recipe": {prep: seasonal(tr, 7, 0.9), set: seasonal(tr, 7, 0.9), full: same, decision: bypass},
+
 		"Reserved":       {set: func(c *Config) { c.Reserved = 10 }, full: splits, decision: same},
 		"WorkConserving": {set: func(c *Config) { c.WorkConserving = true }, full: splits, decision: bypass},
 		"SpotMaxLen":     {set: func(c *Config) { c.SpotMaxLen = 4 * simtime.Hour }, full: splits, decision: bypass},
@@ -229,8 +257,8 @@ func TestFingerprintDistinguishes(t *testing.T) {
 func TestFingerprintNotCacheable(t *testing.T) {
 	tr, jobs := fpFixture(t)
 	cases := map[string]Config{
-		"noisy CIS": {Policy: policy.CarbonTime{}, Carbon: tr,
-			CIS: carbon.NewNoisyService(tr, 0.05, 1)},
+		"opaque CIS": {Policy: policy.CarbonTime{}, Carbon: tr,
+			CIS: opaqueCIS{carbon.NewNoisyService(tr, 0.05, 1)}},
 		"retain jobs": {Policy: policy.CarbonTime{}, Carbon: tr, RetainJobs: true},
 		"engine":      {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismEngine},
 		"heap engine": {Policy: policy.CarbonTime{}, Carbon: tr, Mechanism: MechanismHeapEngine},
@@ -345,7 +373,7 @@ func TestDecisionFingerprintBypass(t *testing.T) {
 		"spot":            {Policy: policy.CarbonTime{}, Carbon: tr, SpotMaxLen: 2 * simtime.Hour},
 		"plan policy":     {Policy: policy.WaitAwhile{}, Carbon: tr},
 		"opaque CIS": {Policy: policy.CarbonTime{}, Carbon: tr,
-			CIS: carbon.NewNoisyService(tr, 0.05, 1)},
+			CIS: opaqueCIS{carbon.NewPerfectService(tr)}},
 		"no policy": {Carbon: tr},
 		"no carbon": {Policy: policy.CarbonTime{}},
 	}

@@ -98,6 +98,41 @@ func resign(body []byte) []byte {
 	return le.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
 }
 
+// FuzzDecodeDecisionPlan feeds the plan decoder arbitrary bytes: no input
+// may panic, and an accepted plan must re-encode to exactly the input.
+// With sign set, resign appends a valid crc trailer to the input, so
+// mutations reach the structural checks behind the checksum.
+func FuzzDecodeDecisionPlan(f *testing.F) {
+	for _, plan := range []*DecisionPlan{
+		{},
+		{starts: []simtime.Time{7}, classes: []uint8{1}},
+		{starts: []simtime.Time{0, 5, 5, 1 << 40}, classes: []uint8{0, 1, 0, 2}},
+	} {
+		data := EncodeDecisionPlan(plan)
+		f.Add(data, false)
+		body := data[:len(data)-4]
+		for n := 0; n < len(body); n++ {
+			f.Add(data[:n], false)
+			f.Add(body[:n], true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sign bool) {
+		if sign {
+			data = resign(data)
+		}
+		plan, err := DecodeDecisionPlan(data)
+		if err != nil {
+			if plan != nil {
+				t.Fatal("decoder returned a plan with its error")
+			}
+			return
+		}
+		if back := EncodeDecisionPlan(plan); !bytes.Equal(back, data) {
+			t.Fatalf("accepted plan re-encodes to %d different bytes (input %d)", len(back), len(data))
+		}
+	})
+}
+
 // TestDecidePlanEligibility pins the plan seam's admission rule: eligible
 // configs yield a plan covering every job; ineligible ones fail with
 // ErrNoPlan.

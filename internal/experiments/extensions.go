@@ -57,8 +57,10 @@ func runX01Forecast(scale Scale) (fmt.Stringer, error) {
 		{"noise 40%/day", carbon.NewNoisyService(tr, 0.40, seedCarbon+50)},
 		{"seasonal-naive (trained)", seasonal},
 	}
-	// Cell 0 is the shared NoWait baseline (cacheable across figures);
-	// the noisy/seasonal CIS rows bypass the cache by design.
+	// Cell 0 is the shared NoWait baseline (cacheable across figures).
+	// The noisy and seasonal CIS rows are keyed by their forecast recipe,
+	// so they are cached like the rest; having no decision plan, they
+	// take the event engine when they compute.
 	cells := []cell{{cfg: core.Config{Policy: policy.NoWait{}, Carbon: tr, Horizon: horizon(scale)}, jobs: jobs}}
 	for _, r := range rows {
 		cells = append(cells, cell{cfg: core.Config{

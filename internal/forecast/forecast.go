@@ -28,10 +28,10 @@ const hoursPerWeek = 24 * 7
 // ForecastIntegral uses only data at or before asOf.
 type SeasonalNaive struct {
 	trace *carbon.Trace
-	// TrainingDays is the trailing window the profile averages over.
-	TrainingDays int
-	// Rho is the per-hour persistence of the current residual.
-	Rho float64
+	// trainingDays is the trailing window the profile averages over.
+	trainingDays int
+	// rho is the per-hour persistence of the current residual.
+	rho float64
 
 	// occPrefix[w][k] = sum of the first k realized values at
 	// hour-of-week w (occurrences in hour-index order), enabling O(1)
@@ -48,7 +48,7 @@ func NewSeasonalNaive(tr *carbon.Trace, trainingDays int, rho float64) (*Seasona
 	if rho < 0 || rho >= 1 {
 		return nil, fmt.Errorf("forecast: rho %v must be in [0, 1)", rho)
 	}
-	s := &SeasonalNaive{trace: tr, TrainingDays: trainingDays, Rho: rho}
+	s := &SeasonalNaive{trace: tr, trainingDays: trainingDays, rho: rho}
 	for w := 0; w < hoursPerWeek; w++ {
 		n := (tr.Len()-w+hoursPerWeek-1)/hoursPerWeek + 1
 		s.occPrefix[w] = make([]float64, 1, n)
@@ -59,6 +59,19 @@ func NewSeasonalNaive(tr *carbon.Trace, trainingDays int, rho float64) (*Seasona
 		s.occPrefix[w] = append(p, p[len(p)-1]+tr.Value(i))
 	}
 	return s, nil
+}
+
+// modelVersion versions how NewSeasonalNaive and ForecastValue turn a
+// recipe (trace, training days, rho) into forecasts. Bump it with any
+// change to either.
+const modelVersion = 1
+
+// Fingerprint identifies the forecasts by their recipe: the trace the
+// model trains on and forecasts from, the training window and rho. The
+// simulation cache keys cells forecast by this model on it.
+func (s *SeasonalNaive) Fingerprint() [32]byte {
+	return carbon.ServiceFingerprint("gaia:cis:seasonal-naive", modelVersion, s.trace,
+		uint64(s.trainingDays), math.Float64bits(s.rho))
 }
 
 // Region implements carbon.Service.
@@ -81,7 +94,7 @@ func (s *SeasonalNaive) profileAt(h int) float64 {
 	if end > s.trace.Len() {
 		end = s.trace.Len()
 	}
-	start := h - s.TrainingDays*24
+	start := h - s.trainingDays*24
 	if start < 0 {
 		start = 0
 	}
@@ -114,7 +127,7 @@ func (s *SeasonalNaive) ForecastValue(asOf, tau simtime.Time) float64 {
 	prof := s.profileAt(hTau)
 	residual := s.trace.At(asOf) - s.profileAt(hNow)
 	lead := float64(hTau - hNow)
-	v := prof + residual*math.Pow(s.Rho, lead)
+	v := prof + residual*math.Pow(s.rho, lead)
 	if v < 0 {
 		v = 0
 	}
@@ -156,7 +169,7 @@ type Accuracy struct {
 // populated).
 func (s *SeasonalNaive) Evaluate(leads []int) []Accuracy {
 	out := make([]Accuracy, 0, len(leads))
-	warm := s.TrainingDays * 24
+	warm := s.trainingDays * 24
 	for _, lead := range leads {
 		var apeSum, seSum float64
 		n := 0

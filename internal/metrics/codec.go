@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"github.com/carbonsched/gaia/internal/simtime"
 )
 
 // CodecVersion identifies the binary layout EncodeAccumulator writes. It
@@ -119,6 +117,26 @@ func (d *accDecoder) u64() uint64 {
 
 func (d *accDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
+// decodeInts fills dst from the next len(dst) little-endian u64s. The
+// column's bounds are checked once; the loop then runs without a cursor
+// or error check per element.
+func decodeInts[T ~int64](d *accDecoder, dst []T) {
+	b := d.bytes(8 * len(dst))
+	for i := 0; len(b) >= 8; i++ {
+		dst[i] = T(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+}
+
+// decodeFloats is decodeInts for a column of Float64bits patterns.
+func (d *accDecoder) decodeFloats(dst []float64) {
+	b := d.bytes(8 * len(dst))
+	for i := 0; len(b) >= 8; i++ {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+}
+
 // length reads a u64 element count and sanity-bounds it against the bytes
 // remaining, so a corrupted count cannot drive a multi-gigabyte make.
 func (d *accDecoder) length(elemSize int) int {
@@ -155,21 +173,11 @@ func DecodeAccumulator(data []byte) (*Accumulator, error) {
 
 	n := d.length(1)
 	a := &Accumulator{sched: newScheduleColumns(n), costs: make([]float64, n)}
-	for i := range a.sched.waitings {
-		a.sched.waitings[i] = simtime.Duration(d.u64())
-	}
-	for i := range a.sched.lengths {
-		a.sched.lengths[i] = simtime.Duration(d.u64())
-	}
-	for i := range a.sched.carbons {
-		a.sched.carbons[i] = d.f64()
-	}
-	for i := range a.sched.baselines {
-		a.sched.baselines[i] = d.f64()
-	}
-	for i := range a.costs {
-		a.costs[i] = d.f64()
-	}
+	decodeInts(d, a.sched.waitings)
+	decodeInts(d, a.sched.lengths)
+	d.decodeFloats(a.sched.carbons)
+	d.decodeFloats(a.sched.baselines)
+	d.decodeFloats(a.costs)
 	copy(a.sched.queues, d.bytes(n))
 	for o := range a.cpuHours {
 		a.cpuHours[o] = d.f64()
@@ -179,11 +187,8 @@ func DecodeAccumulator(data []byte) (*Accumulator, error) {
 	a.wastedCarbon = d.f64()
 	a.wastedC = d.f64()
 	for o := range a.usage {
-		m := d.length(8)
-		a.usage[o] = make([]int64, m)
-		for i := range a.usage[o] {
-			a.usage[o][i] = int64(d.u64())
-		}
+		a.usage[o] = make([]int64, d.length(8))
+		decodeInts(d, a.usage[o])
 	}
 	if d.err != nil {
 		return nil, d.err

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"reflect"
@@ -118,4 +120,158 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 	if _, err := DecodeAccumulator(appendCRC(body3)); err == nil {
 		t.Error("corrupt job count: want error")
 	}
+}
+
+// refDecoder is the element-at-a-time cursor the column decoder replaced:
+// every read checks its own bounds and the sticky error.
+type refDecoder struct {
+	data []byte
+	off  int
+	err  error
+}
+
+var errRefDecode = errors.New("reference decoder rejected the input")
+
+func (d *refDecoder) bytes(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n < 0 || d.off+n > len(d.data) {
+		d.err = errRefDecode
+		return nil
+	}
+	b := d.data[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+func (d *refDecoder) u64() uint64 {
+	b := d.bytes(8)
+	if b == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func (d *refDecoder) f64() float64 { return math.Float64frombits(d.u64()) }
+
+func (d *refDecoder) length(elemSize int) int {
+	n := d.u64()
+	if d.err == nil && n > uint64(len(d.data)-d.off)/uint64(elemSize) {
+		d.err = errRefDecode
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// referenceDecode is DecodeAccumulator as it was before columns decoded
+// in bulk: one bounds-checked read per element. FuzzDecodeAccumulator
+// holds the column decoder to it.
+func referenceDecode(data []byte) (*Accumulator, error) {
+	if len(data) < len(accumulatorMagic)+8+8+4 {
+		return nil, errRefDecode
+	}
+	body, trailer := data[:len(data)-4], data[len(data)-4:]
+	if binary.LittleEndian.Uint32(trailer) != crc32.ChecksumIEEE(body) {
+		return nil, errRefDecode
+	}
+	d := &refDecoder{data: body}
+	var magic [8]byte
+	copy(magic[:], d.bytes(8))
+	if magic != accumulatorMagic || d.u64() != CodecVersion {
+		return nil, errRefDecode
+	}
+	n := d.length(1)
+	a := &Accumulator{sched: newScheduleColumns(n), costs: make([]float64, n)}
+	for i := range a.sched.waitings {
+		a.sched.waitings[i] = simtime.Duration(d.u64())
+	}
+	for i := range a.sched.lengths {
+		a.sched.lengths[i] = simtime.Duration(d.u64())
+	}
+	for i := range a.sched.carbons {
+		a.sched.carbons[i] = d.f64()
+	}
+	for i := range a.sched.baselines {
+		a.sched.baselines[i] = d.f64()
+	}
+	for i := range a.costs {
+		a.costs[i] = d.f64()
+	}
+	copy(a.sched.queues, d.bytes(n))
+	for o := range a.cpuHours {
+		a.cpuHours[o] = d.f64()
+	}
+	a.evictions = int(d.u64())
+	a.wastedCPUHours = d.f64()
+	a.wastedCarbon = d.f64()
+	a.wastedC = d.f64()
+	for o := range a.usage {
+		m := d.length(8)
+		a.usage[o] = make([]int64, m)
+		for i := range a.usage[o] {
+			a.usage[o][i] = int64(d.u64())
+		}
+	}
+	if d.err != nil || d.off != len(d.data) {
+		return nil, errRefDecode
+	}
+	return a, nil
+}
+
+// codecSeeds returns encoded fixtures covering each shape the codec
+// carries: no jobs, one job, every field set, and usage bins grown past
+// the sized horizon.
+func codecSeeds() [][]byte {
+	one := NewAccumulator(1, simtime.Hour)
+	one.AddJob(&JobResult{JobID: 0, Waiting: 3, Length: 60, Carbon: 1.5, BaselineCarbon: 2, UsageCost: 0.25})
+	one.AddUsage(simtime.Interval{Start: 3, End: 63}, 1, 0, 0)
+	grown := NewAccumulator(2, simtime.Hour)
+	grown.AddUsage(simtime.Interval{Start: 0, End: 5 * 60}, 0, 2, 1)
+	return [][]byte{
+		EncodeAccumulator(NewAccumulator(0, 0)),
+		EncodeAccumulator(one),
+		EncodeAccumulator(codecFixture()),
+		EncodeAccumulator(grown),
+	}
+}
+
+// FuzzDecodeAccumulator holds DecodeAccumulator to the element-at-a-time
+// reference: on any input both accept or both reject, an accepted input
+// decodes to DeepEqual accumulators, and it re-encodes to the same bytes.
+// With reseal set the input gets a valid crc trailer appended, so
+// mutations reach the structural checks behind the checksum.
+func FuzzDecodeAccumulator(f *testing.F) {
+	for _, data := range codecSeeds() {
+		f.Add(data, false)
+		body := data[:len(data)-4]
+		for n := 0; n < len(body); n++ {
+			f.Add(data[:n], false)
+			f.Add(body[:n], true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal {
+			data = appendCRC(data)
+		}
+		got, err := DecodeAccumulator(data)
+		want, refErr := referenceDecode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoder error %v, reference error %v", err, refErr)
+		}
+		if err != nil {
+			if got != nil {
+				t.Fatal("decoder returned an accumulator with its error")
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded accumulator differs from the reference:\n got %+v\nwant %+v", got, want)
+		}
+		if back := EncodeAccumulator(got); !bytes.Equal(back, data) {
+			t.Fatalf("accepted input re-encodes to %d different bytes (input %d)", len(back), len(data))
+		}
+	})
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -256,6 +257,11 @@ func entryPath(dir string, fp [32]byte) string {
 	return filepath.Join(dir, name)
 }
 
+// readBufs holds the buffers disk entries are read into. An entry is
+// garbage once decoded (DecodeAccumulator copies every column out), so a
+// warm suite reuses a few buffers instead of allocating one per entry.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // loadDisk fetches and decodes a disk entry, returning nil on any miss or
 // problem. Absent files are silent; anything else is logged.
 func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
@@ -263,7 +269,10 @@ func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
 		return nil
 	}
 	path := entryPath(dir, fp)
-	data, err := os.ReadFile(path)
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	data, err := readFileInto(path, *buf)
+	*buf = data[:0]
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.Logf("runcache: reading %s: %v (recomputing)", path, err)
@@ -276,6 +285,40 @@ func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
 		return nil
 	}
 	return acc
+}
+
+// readFileInto is os.ReadFile into buf's storage, grown if the file needs
+// more. It reads until EOF rather than trusting the size Stat reports, so
+// a file that grew or shrank since is read as it is, and the decoder
+// judges what was read.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	var size int
+	if info, err := f.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
+		size = int(info.Size())
+	}
+	if cap(buf) <= size {
+		// One spare byte lets the read that finds EOF run without growing.
+		buf = make([]byte, 0, size+1)
+	}
+	buf = buf[:0]
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // storeDisk persists an encoded accumulator, atomically: the entry is

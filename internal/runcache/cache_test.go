@@ -103,13 +103,17 @@ func TestCacheLabelsStayPerRequester(t *testing.T) {
 	}
 }
 
+// opaqueCIS hides a service's Fingerprint behind the bare carbon.Service
+// methods: the stand-in for a CIS that cannot name its forecasts.
+type opaqueCIS struct{ carbon.Service }
+
 func TestCacheBypass(t *testing.T) {
 	cfg, jobs := fixture(t)
 	c := New()
-	noisy := cfg
-	noisy.CIS = carbon.NewNoisyService(cfg.Carbon, 0.05, 1)
+	opaque := cfg
+	opaque.CIS = opaqueCIS{carbon.NewNoisyService(cfg.Carbon, 0.05, 1)}
 	for name, bad := range map[string]core.Config{
-		"noisy CIS":   noisy,
+		"opaque CIS":  opaque,
 		"retained":    {Policy: cfg.Policy, Carbon: cfg.Carbon, RetainJobs: true},
 		"engine":      {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.MechanismEngine},
 		"heap engine": {Policy: cfg.Policy, Carbon: cfg.Carbon, Mechanism: core.MechanismHeapEngine},
@@ -126,6 +130,33 @@ func TestCacheBypass(t *testing.T) {
 				t.Fatalf("%s: nil result", name)
 			}
 		}
+	}
+}
+
+// TestCacheIdentifiedCIS is TestCacheBypass's counterpart: a forecast
+// service keyed by its recipe computes once, and a second instance built
+// from the same recipe hits, bit-identical to core.Run.
+func TestCacheIdentifiedCIS(t *testing.T) {
+	cfg, jobs := fixture(t)
+	noisy := func() core.Config {
+		c := cfg
+		c.CIS = carbon.NewNoisyService(cfg.Carbon, 0.05, 1)
+		return c
+	}
+	want, err := core.Run(noisy(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New()
+	for i, wantOutcome := range []Outcome{Computed, Hit} {
+		got, outcome, err := c.Run(noisy(), jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != wantOutcome {
+			t.Errorf("request %d: outcome %v, want %v", i, outcome, wantOutcome)
+		}
+		sameResult(t, got, want)
 	}
 }
 
@@ -181,65 +212,92 @@ func TestCacheDisk(t *testing.T) {
 	sameResult(t, got, want)
 }
 
-// TestCacheDiskDamage: truncated, corrupted, emptied or version-skewed
-// entries are logged and recomputed — never an error, never a wrong
-// result.
+// TestCacheDiskDamage damages a small entry at every offset: truncated to
+// each shorter length (down to empty), one bit flipped in each byte, and
+// grown by trailing bytes. Every damaged entry must be logged and
+// recomputed, bit-identical to core.Run — never an error, never served.
+// The entry is read into a reused buffer larger than most of the damaged
+// files, so short reads into a stale buffer are covered too.
 func TestCacheDiskDamage(t *testing.T) {
-	cfg, jobs := fixture(t)
+	tr := carbon.RegionSAAU.Generate(12, 1)
+	jobs := workload.MustTrace("small", []workload.Job{
+		{Arrival: 0, Length: 90 * simtime.Minute, CPUs: 2},
+		{Arrival: 30, Length: 4 * simtime.Hour, CPUs: 1},
+		{Arrival: 3 * simtime.Time(simtime.Hour), Length: 20 * simtime.Minute, CPUs: 3},
+	})
+	cfg := core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 2, WorkConserving: true}
 	want, err := core.Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage := map[string]func([]byte) []byte{
-		"truncated": func(b []byte) []byte { return b[:len(b)/3] },
-		"empty":     func([]byte) []byte { return nil },
-		"bit flip":  func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
-		"version skew": func(b []byte) []byte {
-			b[8]++ // codec version byte; crc trailer now stale too
-			return b
-		},
+	dir := t.TempDir()
+	seed := New()
+	if err := seed.SetDir(dir); err != nil {
+		t.Fatal(err)
 	}
-	for name, corrupt := range damage {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			seed := New()
-			if err := seed.SetDir(dir); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := seed.Run(cfg, jobs); err != nil {
-				t.Fatal(err)
-			}
-			entries, _ := filepath.Glob(filepath.Join(dir, "*.gacc"))
-			if len(entries) != 1 {
-				t.Fatalf("want 1 entry, got %v", entries)
-			}
-			data, err := os.ReadFile(entries[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(entries[0], corrupt(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	if _, _, err := seed.Run(cfg, jobs); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := filepath.Glob(filepath.Join(dir, "*.gacc"))
+	if len(entries) != 1 {
+		t.Fatalf("want 1 entry, got %v", entries)
+	}
+	good, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var logged atomic.Int32
-			c := New()
-			c.Logf = func(string, ...any) { logged.Add(1) }
-			if err := c.SetDir(dir); err != nil {
-				t.Fatal(err)
-			}
-			got, outcome, err := c.Run(cfg, jobs)
-			if err != nil {
-				t.Fatalf("damaged entry surfaced an error: %v", err)
-			}
-			if outcome != Computed {
-				t.Errorf("outcome %v, want computed (recompute on damage)", outcome)
-			}
-			if logged.Load() == 0 {
-				t.Error("damage was not logged")
-			}
-			sameResult(t, got, want)
-		})
+	// serve writes a damaged copy over the entry and runs the cell through
+	// a fresh cache, stopping the subtest at the first copy that is not
+	// logged and recomputed.
+	serve := func(t *testing.T, name string, damaged []byte) {
+		t.Helper()
+		if err := os.WriteFile(entries[0], damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged atomic.Int32
+		c := New()
+		c.Logf = func(string, ...any) { logged.Add(1) }
+		if err := c.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got, outcome, err := c.Run(cfg, jobs)
+		if err != nil {
+			t.Fatalf("%s: damaged entry surfaced an error: %v", name, err)
+		}
+		if outcome != Computed {
+			t.Fatalf("%s: outcome %v, want computed (recompute on damage)", name, outcome)
+		}
+		if logged.Load() == 0 {
+			t.Fatalf("%s: damage was not logged", name)
+		}
+		if sameResult(t, got, want); t.Failed() {
+			t.FailNow()
+		}
 	}
+	t.Run("empty", func(t *testing.T) { serve(t, "empty", nil) })
+	t.Run("truncated", func(t *testing.T) {
+		for n := 1; n < len(good); n++ {
+			serve(t, fmt.Sprintf("truncated to %d of %d bytes", n, len(good)), good[:n])
+		}
+	})
+	t.Run("bit flip", func(t *testing.T) {
+		for off := range good {
+			bad := append([]byte(nil), good...)
+			bad[off] ^= 1 << (off % 8)
+			serve(t, fmt.Sprintf("bit %d flipped at offset %d", off%8, off), bad)
+		}
+	})
+	t.Run("version skew", func(t *testing.T) {
+		bad := append([]byte(nil), good...)
+		bad[8]++ // codec version byte; crc trailer now stale too
+		serve(t, "version skew", bad)
+	})
+	t.Run("grown", func(t *testing.T) {
+		for _, extra := range []int{1, 4, len(good)} {
+			serve(t, fmt.Sprintf("grown by %d bytes", extra), append(append([]byte(nil), good...), make([]byte, extra)...))
+		}
+	})
 }
 
 // TestCacheSingleFlight hammers one cache with concurrent requests for a

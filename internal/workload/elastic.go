@@ -8,7 +8,7 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/simtime"
 )
@@ -149,11 +149,9 @@ type ElasticTrace struct {
 	succs        [][]int32
 	slack        []simtime.Duration
 	critical     simtime.Duration
-}
 
-// elasticFingerprints memoizes ElasticTrace.Fingerprint per instance, the
-// same side-table idiom Trace uses.
-var elasticFingerprints sync.Map // *ElasticTrace → *[32]byte
+	fp atomic.Pointer[[32]byte] // memoized Fingerprint
+}
 
 // NewElasticTrace builds an elastic trace from parallel job/spec slices
 // and precedence edges. Jobs are stably sorted by arrival and renumbered
@@ -471,11 +469,11 @@ func (et *ElasticTrace) CriticalPathLength() simtime.Duration { return et.critic
 
 // Fingerprint returns a content hash of everything that can influence an
 // elastic simulation: the underlying trace fingerprint, every spec and
-// every edge. Memoized per instance; callers must not mutate the trace
-// after fingerprinting.
+// every edge. Memoized in the instance, like Trace's; callers must not
+// mutate the trace after fingerprinting.
 func (et *ElasticTrace) Fingerprint() [32]byte {
-	if fp, ok := elasticFingerprints.Load(et); ok {
-		return *fp.(*[32]byte)
+	if fp := et.fp.Load(); fp != nil {
+		return *fp
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -502,6 +500,6 @@ func (et *ElasticTrace) Fingerprint() [32]byte {
 	}
 	fp := new([32]byte)
 	h.Sum(fp[:0])
-	elasticFingerprints.Store(et, fp)
+	et.fp.Store(fp)
 	return *fp
 }

@@ -8,7 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/stats"
@@ -19,12 +19,9 @@ import (
 type Trace struct {
 	Name string
 	Jobs []Job
-}
 
-// fingerprints memoizes Trace.Fingerprint per trace instance. The memo is
-// a side table (rather than a field) so Trace stays a plain copyable
-// struct; traces are long-lived fixtures, so entries are never evicted.
-var fingerprints sync.Map // *Trace → *[32]byte
+	fp atomic.Pointer[[32]byte] // memoized Fingerprint
+}
 
 // Fingerprint returns a content hash of the trace's scheduling-relevant
 // content: the name and every job's ID, arrival, length, CPU demand and
@@ -33,13 +30,13 @@ var fingerprints sync.Map // *Trace → *[32]byte
 // so the tag never influences a simulation result (and AssignQueues may
 // rewrite it on a trace that is otherwise shared immutably).
 //
-// The hash is memoized per trace instance on first use; callers must not
-// mutate jobs after fingerprinting (the same immutability the concurrent
-// sweep engine already relies on). It is the workload half of the
-// content-addressed simulation cache key.
+// The hash is memoized in the trace on first use, so it lives and dies
+// with the trace; callers must not mutate jobs after fingerprinting (the
+// same immutability the concurrent sweep engine already relies on). It is
+// the workload half of the content-addressed simulation cache key.
 func (t *Trace) Fingerprint() [32]byte {
-	if fp, ok := fingerprints.Load(t); ok {
-		return *fp.(*[32]byte)
+	if fp := t.fp.Load(); fp != nil {
+		return *fp
 	}
 	h := sha256.New()
 	var buf [8]byte
@@ -65,7 +62,7 @@ func (t *Trace) Fingerprint() [32]byte {
 	}
 	fp := new([32]byte)
 	h.Sum(fp[:0])
-	fingerprints.Store(t, fp)
+	t.fp.Store(fp)
 	return *fp
 }
 
