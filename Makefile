@@ -73,11 +73,18 @@ bench-check:
 # elastic machinery), the resize/cancel-storm wheel-vs-heap fuzz seeds, the
 # shard-private usage-delta fill, the shard-boundary cases of the
 # replay's parallel validation scans, and concurrent replays of one plan
-# racing its memo's publication (shared schedule columns never written). go test -run skips an entry that
-# matches no test without complaint, so bench-quick first checks that
-# every entry matches a test `go test -list` reports in the listed
-# packages, and fails naming any entry that does not.
-BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate
+# racing its memo's publication (shared schedule columns never written).
+# It also replays runcache's single flight, shared by the result and plan
+# tiers: one computation for concurrent callers, cancellation only when
+# the last waiter leaves, distinct keys independent, a retired flight
+# never evicting its successor, a panic returned as the flight's error
+# (TestFlight*), and a waiter with a live context getting the result
+# after the caller that started the computation gave up
+# (TestRunContextWaiterOutlivesCanceledLeader). go test -run skips an
+# entry that matches no test without complaint, so bench-quick first
+# checks that every entry matches a test `go test -list` reports in the
+# listed packages, and fails naming any entry that does not.
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader
 BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 bench-quick:
 	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \

@@ -3,8 +3,11 @@
 // through a Cache first derives the canonical fingerprint of its inputs
 // (core.Config.Fingerprint, which folds in the memoized carbon- and
 // workload-trace hashes), and duplicate cells — the same (policy, region,
-// workload, reserved, ...) appearing in several figures — block on the one
-// in-flight computation instead of re-running it. Tier 2 is an optional
+// workload, reserved, ...) appearing in several figures — wait for the one
+// in-flight computation instead of re-running it. That computation runs
+// detached from every caller for as long as any caller still waits, so a
+// caller that gives up never cancels work another wants, and callers need
+// no coalescing of their own around the cache. Tier 2 is an optional
 // on-disk store of encoded accumulators (internal/metrics codec), so a
 // warm re-run of the whole figure suite skips simulation entirely.
 //
@@ -90,15 +93,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// entry is one cell's single-flight slot. The leader (whoever inserted
-// it) closes done after setting acc or err; the channel close publishes
-// both to waiters.
-type entry struct {
-	done chan struct{}
-	acc  *metrics.Accumulator
-	err  error
-}
-
 // Cache deduplicates simulation runs by content fingerprint. The zero
 // value is not ready; use New.
 type Cache struct {
@@ -107,20 +101,20 @@ type Cache struct {
 	// first use. Never called on the happy path.
 	Logf func(format string, args ...any)
 
-	mu      sync.Mutex
-	entries map[[32]byte]*entry
-	plans   map[[32]byte]*planEntry // keyed by DecisionFingerprint
-	dir     string                  // "" = in-memory tier only
-	remote  RemoteStore             // nil = no shared fleet tier
+	results flights[*metrics.Accumulator]
+	plans   flights[*core.DecisionPlan] // keyed by DecisionFingerprint
+
+	mu     sync.Mutex  // guards dir and remote
+	dir    string      // "" = in-memory tier only
+	remote RemoteStore // nil = no shared fleet tier
 }
 
 // New returns an empty in-memory cache. Call SetDir to add the disk tier.
 func New() *Cache {
-	return &Cache{
-		Logf:    log.Printf,
-		entries: make(map[[32]byte]*entry),
-		plans:   make(map[[32]byte]*planEntry),
-	}
+	c := &Cache{Logf: log.Printf}
+	c.results.m = make(map[[32]byte]*flight[*metrics.Accumulator])
+	c.plans.m = make(map[[32]byte]*flight[*core.DecisionPlan])
+	return c
 }
 
 // SetDir attaches the on-disk store rooted at dir, creating it if needed.
@@ -143,15 +137,14 @@ func (c *Cache) Run(cfg core.Config, jobs *workload.Trace) (*metrics.Result, Out
 }
 
 // RunContext is Run with cooperative cancellation, for serving layers
-// whose clients may disconnect mid-simulation. A caller that becomes the
-// single-flight leader passes ctx down to core.RunContext, so cancellation
-// actually stops the event loop; a caller that joins an in-flight
-// computation stops waiting when its own ctx is done, while the leader's
-// computation keeps running for the remaining waiters. A canceled leader's
-// error is shared with its waiters but — like every error — never cached,
-// so the next request for the cell simply recomputes it. Serving layers
-// that coalesce requests should therefore cancel the leader's ctx only
-// when no requester remains interested (see internal/serve).
+// whose clients may disconnect mid-simulation. The first caller for a cell
+// starts its computation on a context detached from every caller; each
+// caller waits on its own ctx and returns ctx.Err() when that ends, and
+// the computation keeps running while any caller still waits. Only when
+// the last one has left does it cancel the computation (core.RunContext
+// then stops its event loop) and forget the cell, so the next request
+// recomputes it. Callers therefore need no coalescing of their own: a
+// serving layer passes each request's ctx, deadline included.
 func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.Trace) (*metrics.Result, Outcome, error) {
 	fp, ok := cfg.Fingerprint(jobs)
 	if !ok {
@@ -159,75 +152,50 @@ func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.
 		return res, Bypass, err
 	}
 	canon := cfg.Canonical()
-
-	c.mu.Lock()
-	if e, exists := c.entries[fp]; exists {
-		// Completed entry → Hit; still in flight → Dedup. The split is
-		// informational only, so the non-blocking probe racing a close
-		// is harmless.
-		outcome := Dedup
-		select {
-		case <-e.done:
-			outcome = Hit
-		default:
-		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, outcome, ctx.Err()
-		}
-		if e.err != nil {
-			// The leader failed and removed the entry; the error is
-			// deterministic for these inputs, so share it.
-			return nil, outcome, e.err
-		}
-		return buildResult(canon, jobs, e.acc), outcome, nil
+	acc, outcome, err := c.results.do(ctx, fp, func(ctx context.Context) (*metrics.Accumulator, Outcome, error) {
+		return c.miss(ctx, fp, canon, jobs)
+	})
+	if err != nil {
+		return nil, outcome, err
 	}
-	e := &entry{done: make(chan struct{})}
-	c.entries[fp] = e
-	dir := c.dir
-	remote := c.remote
-	c.mu.Unlock()
-
-	// Tier order for the single-flight leader: disk (local, trusted) →
-	// remote fleet tier (another replica computed it) → compute. A remote
-	// hit also warms the local disk tier with the blob exactly as fetched
-	// (it already passed the codec's checksum); a computed cell is encoded
-	// once and offered to both, so the cell's ring owner ends up holding
-	// it for the fleet.
-	// Computation itself consults one more tier: the decision-plan cache
-	// (plan.go), which lets a cell whose decide phase matches an earlier
-	// cell replay accounting over the shared plan (PlanHit/PlanDiskHit).
-	outcome := Computed
-	acc := c.loadDisk(dir, fp)
-	var blob []byte
-	if acc != nil {
-		outcome = DiskHit
-	} else if acc, blob = c.loadRemote(ctx, remote, fp); acc != nil {
-		outcome = RemoteHit
-		c.storeDisk(dir, fp, blob)
-	} else {
-		res, served, err := c.computePlanned(ctx, canon, jobs)
-		if err != nil {
-			c.mu.Lock()
-			delete(c.entries, fp)
-			c.mu.Unlock()
-			e.err = err
-			close(e.done)
-			return nil, served, err
-		}
-		outcome = served
-		acc = res.Accumulator()
-		if dir != "" || remote != nil {
-			blob = metrics.EncodeAccumulator(acc)
-			c.storeDisk(dir, fp, blob)
-			c.storeRemote(ctx, remote, fp, blob)
-		}
-	}
-	e.acc = acc
-	close(e.done)
 	return buildResult(canon, jobs, acc), outcome, nil
+}
+
+// miss is a result flight's work. Tier order: disk (local, trusted) →
+// remote fleet tier (another replica computed it) → compute. A remote hit
+// also warms the local disk tier with the blob exactly as fetched (it
+// already passed the codec's checksum); a computed cell is encoded once
+// and offered to both, so the cell's ring owner ends up holding it for
+// the fleet. Computation itself consults one more tier: the decision-plan
+// cache (plan.go), which lets a cell whose decide phase matches an earlier
+// cell replay accounting over the shared plan (PlanHit/PlanDiskHit).
+func (c *Cache) miss(ctx context.Context, fp [32]byte, canon core.Config, jobs *workload.Trace) (*metrics.Accumulator, Outcome, error) {
+	dir, remote := c.tiers()
+	if acc := loadEntry(c, dir, fp, accSuffix, metrics.DecodeAccumulator); acc != nil {
+		return acc, DiskHit, nil
+	}
+	if acc, blob := c.loadRemote(ctx, remote, fp); acc != nil {
+		c.storeEntry(dir, fp, accSuffix, blob)
+		return acc, RemoteHit, nil
+	}
+	res, served, err := c.computePlanned(ctx, canon, jobs)
+	if err != nil {
+		return nil, served, err
+	}
+	acc := res.Accumulator()
+	if dir != "" || remote != nil {
+		blob := metrics.EncodeAccumulator(acc)
+		c.storeEntry(dir, fp, accSuffix, blob)
+		c.storeRemote(ctx, remote, fp, blob)
+	}
+	return acc, served, nil
+}
+
+// tiers returns the attached disk directory and fleet store.
+func (c *Cache) tiers() (string, RemoteStore) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dir, c.remote
 }
 
 // buildResult assembles the Result core.Run would have returned for this
@@ -249,26 +217,31 @@ func buildResult(canon core.Config, jobs *workload.Trace, acc *metrics.Accumulat
 	return res
 }
 
-// entryPath names a disk entry. The fingerprint layout version is already
-// folded into fp; the codec and store versions are spelled out in the file
-// name, so entries written by an incompatible binary simply never match.
-func entryPath(dir string, fp [32]byte) string {
-	name := fmt.Sprintf("%s.c%d.s%d.gacc", hex.EncodeToString(fp[:]), metrics.CodecVersion, StoreVersion)
-	return filepath.Join(dir, name)
+// Store entries are named by the hex key plus a suffix spelling out the
+// codec and store versions, so entries written by an incompatible binary
+// simply never match; the key's own layout version is already folded into
+// the fingerprint. Results and decision plans share one directory.
+var (
+	accSuffix  = fmt.Sprintf(".c%d.s%d.gacc", metrics.CodecVersion, StoreVersion)
+	planSuffix = fmt.Sprintf(".p%d.s%d.gplan", core.PlanCodecVersion, StoreVersion)
+)
+
+func entryPath(dir string, key [32]byte, suffix string) string {
+	return filepath.Join(dir, hex.EncodeToString(key[:])+suffix)
 }
 
 // readBufs holds the buffers disk entries are read into. An entry is
-// garbage once decoded (DecodeAccumulator copies every column out), so a
-// warm suite reuses a few buffers instead of allocating one per entry.
+// garbage once decoded (both codecs copy every column out), so a warm
+// suite reuses a few buffers instead of allocating one per entry.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// loadDisk fetches and decodes a disk entry, returning nil on any miss or
-// problem. Absent files are silent; anything else is logged.
-func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
+// loadEntry fetches and decodes the disk entry for key, returning nil on
+// any miss or problem. Absent files are silent; anything else is logged.
+func loadEntry[T any](c *Cache, dir string, key [32]byte, suffix string, decode func([]byte) (*T, error)) *T {
 	if dir == "" {
 		return nil
 	}
-	path := entryPath(dir, fp)
+	path := entryPath(dir, key, suffix)
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
 	data, err := readFileInto(path, *buf)
@@ -279,12 +252,12 @@ func (c *Cache) loadDisk(dir string, fp [32]byte) *metrics.Accumulator {
 		}
 		return nil
 	}
-	acc, err := metrics.DecodeAccumulator(data)
+	v, err := decode(data)
 	if err != nil {
 		c.Logf("runcache: decoding %s: %v (recomputing)", path, err)
 		return nil
 	}
-	return acc
+	return v
 }
 
 // readFileInto is os.ReadFile into buf's storage, grown if the file needs
@@ -321,16 +294,16 @@ func readFileInto(path string, buf []byte) ([]byte, error) {
 	}
 }
 
-// storeDisk persists an encoded accumulator, atomically: the entry is
-// written to a temp file in the same directory and renamed into place, so
-// concurrent readers (a cold and a warm suite sharing one cache dir) only
-// ever see complete entries. Failures are logged and otherwise ignored —
-// the store is an accelerator, not a system of record.
-func (c *Cache) storeDisk(dir string, fp [32]byte, data []byte) {
+// storeEntry persists an encoded entry atomically: it is written to a
+// temp file in the same directory and renamed into place, so concurrent
+// readers (a cold and a warm suite sharing one cache dir) only ever see
+// complete entries. Failures are logged and otherwise ignored — the store
+// is an accelerator, not a system of record.
+func (c *Cache) storeEntry(dir string, key [32]byte, suffix string, data []byte) {
 	if dir == "" {
 		return
 	}
-	path := entryPath(dir, fp)
+	path := entryPath(dir, key, suffix)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		c.Logf("runcache: creating temp entry in %s: %v", dir, err)

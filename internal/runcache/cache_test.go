@@ -212,12 +212,14 @@ func TestCacheDisk(t *testing.T) {
 	sameResult(t, got, want)
 }
 
-// TestCacheDiskDamage damages a small entry at every offset: truncated to
-// each shorter length (down to empty), one bit flipped in each byte, and
-// grown by trailing bytes. Every damaged entry must be logged and
-// recomputed, bit-identical to core.Run — never an error, never served.
-// The entry is read into a reused buffer larger than most of the damaged
-// files, so short reads into a stale buffer are covered too.
+// TestCacheDiskDamage damages small store entries at every offset: a
+// result entry (.gacc) and a decision plan (.gplan). Each is truncated to
+// each shorter length (down to empty), has one bit flipped in each byte,
+// and is grown by trailing bytes. Every damaged copy is served alone from
+// a fresh store by a fresh cache and must be logged and recomputed,
+// bit-identical to core.Run — never an error, never served. Entries are
+// read into a reused buffer larger than most of the damaged files, so
+// short reads into a stale buffer are covered too.
 func TestCacheDiskDamage(t *testing.T) {
 	tr := carbon.RegionSAAU.Generate(12, 1)
 	jobs := workload.MustTrace("small", []workload.Job{
@@ -225,34 +227,55 @@ func TestCacheDiskDamage(t *testing.T) {
 		{Arrival: 30, Length: 4 * simtime.Hour, CPUs: 1},
 		{Arrival: 3 * simtime.Time(simtime.Hour), Length: 20 * simtime.Minute, CPUs: 3},
 	})
-	cfg := core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 2, WorkConserving: true}
-	want, err := core.Run(cfg, jobs)
-	if err != nil {
-		t.Fatal(err)
+	// Work conservation keeps the result cell out of the plan tier. The
+	// plan cell is direct-eligible and replays at another Reserved, so its
+	// result-tier key misses and only the plan artifact is read.
+	resultCell := core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 2, WorkConserving: true}
+	planCell := core.Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 2}
+	replayCell := planCell
+	replayCell.Reserved = 3
+	type artifact struct {
+		kind      string
+		glob      string
+		seed, run core.Config
+		name      string // file name of the seeded entry
+		good      []byte
+		want      *metrics.Result
 	}
-	dir := t.TempDir()
-	seed := New()
-	if err := seed.SetDir(dir); err != nil {
-		t.Fatal(err)
+	artifacts := []*artifact{
+		{kind: "result", glob: "*.gacc", seed: resultCell, run: resultCell},
+		{kind: "plan", glob: "*.gplan", seed: planCell, run: replayCell},
 	}
-	if _, _, err := seed.Run(cfg, jobs); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := filepath.Glob(filepath.Join(dir, "*.gacc"))
-	if len(entries) != 1 {
-		t.Fatalf("want 1 entry, got %v", entries)
-	}
-	good, err := os.ReadFile(entries[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, a := range artifacts {
+		dir := t.TempDir()
+		seed := New()
+		if err := seed.SetDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := seed.Run(a.seed, jobs); err != nil {
+			t.Fatal(err)
+		}
+		entries, _ := filepath.Glob(filepath.Join(dir, a.glob))
+		if len(entries) != 1 {
+			t.Fatalf("%s: want 1 entry, got %v", a.kind, entries)
+		}
+		a.name = filepath.Base(entries[0])
+		var err error
+		if a.good, err = os.ReadFile(entries[0]); err != nil {
+			t.Fatal(err)
+		}
+		if a.want, err = core.Run(a.run, jobs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// serve writes a damaged copy over the entry and runs the cell through
-	// a fresh cache, stopping the subtest at the first copy that is not
-	// logged and recomputed.
-	serve := func(t *testing.T, name string, damaged []byte) {
+	// serve writes a damaged copy of a's entry into an empty store and runs
+	// a's cell through a fresh cache over it, stopping the subtest at the
+	// first copy that is not logged and recomputed.
+	serve := func(t *testing.T, a *artifact, name string, damaged []byte) {
 		t.Helper()
-		if err := os.WriteFile(entries[0], damaged, 0o644); err != nil {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, a.name), damaged, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		var logged atomic.Int32
@@ -261,41 +284,53 @@ func TestCacheDiskDamage(t *testing.T) {
 		if err := c.SetDir(dir); err != nil {
 			t.Fatal(err)
 		}
-		got, outcome, err := c.Run(cfg, jobs)
+		got, outcome, err := c.Run(a.run, jobs)
 		if err != nil {
-			t.Fatalf("%s: damaged entry surfaced an error: %v", name, err)
+			t.Fatalf("%s %s: damaged entry surfaced an error: %v", a.kind, name, err)
 		}
 		if outcome != Computed {
-			t.Fatalf("%s: outcome %v, want computed (recompute on damage)", name, outcome)
+			t.Fatalf("%s %s: outcome %v, want computed (recompute on damage)", a.kind, name, outcome)
 		}
 		if logged.Load() == 0 {
-			t.Fatalf("%s: damage was not logged", name)
+			t.Fatalf("%s %s: damage was not logged", a.kind, name)
 		}
-		if sameResult(t, got, want); t.Failed() {
+		if sameResult(t, got, a.want); t.Failed() {
 			t.FailNow()
 		}
 	}
-	t.Run("empty", func(t *testing.T) { serve(t, "empty", nil) })
+	t.Run("empty", func(t *testing.T) {
+		for _, a := range artifacts {
+			serve(t, a, "empty", nil)
+		}
+	})
 	t.Run("truncated", func(t *testing.T) {
-		for n := 1; n < len(good); n++ {
-			serve(t, fmt.Sprintf("truncated to %d of %d bytes", n, len(good)), good[:n])
+		for _, a := range artifacts {
+			for n := 1; n < len(a.good); n++ {
+				serve(t, a, fmt.Sprintf("truncated to %d of %d bytes", n, len(a.good)), a.good[:n])
+			}
 		}
 	})
 	t.Run("bit flip", func(t *testing.T) {
-		for off := range good {
-			bad := append([]byte(nil), good...)
-			bad[off] ^= 1 << (off % 8)
-			serve(t, fmt.Sprintf("bit %d flipped at offset %d", off%8, off), bad)
+		for _, a := range artifacts {
+			for off := range a.good {
+				bad := append([]byte(nil), a.good...)
+				bad[off] ^= 1 << (off % 8)
+				serve(t, a, fmt.Sprintf("bit %d flipped at offset %d", off%8, off), bad)
+			}
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[8]++ // codec version byte; crc trailer now stale too
-		serve(t, "version skew", bad)
+		for _, a := range artifacts {
+			bad := append([]byte(nil), a.good...)
+			bad[8]++ // both codecs' version follows an 8-byte magic; crc trailer now stale too
+			serve(t, a, "version skew", bad)
+		}
 	})
 	t.Run("grown", func(t *testing.T) {
-		for _, extra := range []int{1, 4, len(good)} {
-			serve(t, fmt.Sprintf("grown by %d bytes", extra), append(append([]byte(nil), good...), make([]byte, extra)...))
+		for _, a := range artifacts {
+			for _, extra := range []int{1, 4, len(a.good)} {
+				serve(t, a, fmt.Sprintf("grown by %d bytes", extra), append(append([]byte(nil), a.good...), make([]byte, extra)...))
+			}
 		}
 	})
 }

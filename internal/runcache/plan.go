@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
 
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/metrics"
@@ -23,18 +20,11 @@ import (
 // core.DecisionPlan; every later cell replays the sweep-line and
 // accounting phases over the shared plan under its own knobs
 // (core.RunWithPlan), bit-identical to a full run. Like the result tiers,
-// plans are single-flight in memory, persisted to the cache directory
-// under the plan codec, and errors are never cached. A plan that fails to
-// decode or replay is discarded and the cell recomputes from scratch — a
-// bad artifact can cost time, never correctness.
-
-// planEntry is one decision fingerprint's single-flight slot; the leader
-// closes done after setting plan or err.
-type planEntry struct {
-	done chan struct{}
-	plan *core.DecisionPlan
-	err  error
-}
+// plans are single-flight in memory (the same flights, flight.go),
+// persisted to the cache directory under the plan codec, and errors are
+// never cached. A plan that fails to decode or replay is discarded and the
+// cell recomputes from scratch — a bad artifact can cost time, never
+// correctness.
 
 // computePlanned runs one cell the result tiers missed, serving its decide
 // phase from the plan tier when the configuration has a decision
@@ -56,8 +46,8 @@ func (c *Cache) computePlanned(ctx context.Context, canon core.Config, jobs *wor
 			return res, Computed, rerr
 		}
 		// A decide-phase failure is exactly the error core.Run would
-		// return for this cell; surface it (planFor already dropped the
-		// entry, so it is never cached).
+		// return for this cell; surface it (its failed plan flight was
+		// retired, so it is never cached).
 		return nil, Computed, err
 	}
 	res, err := core.RunWithPlan(ctx, canon, jobs, plan)
@@ -76,107 +66,24 @@ func (c *Cache) computePlanned(ctx context.Context, canon core.Config, jobs *wor
 
 // planFor serves one decision fingerprint through the plan tier: memory
 // (single-flight) → disk → decide. The outcome is PlanHit for any caller
-// served by an entry another caller created (completed or in flight —
+// served by a flight another cell started (completed or in flight —
 // either way this cell skipped its decide phase), PlanDiskHit when this
-// caller decoded the plan from disk, Computed when it ran the decide
-// phase itself.
+// caller's flight decoded the plan from disk, Computed when it ran the
+// decide phase itself.
 func (c *Cache) planFor(ctx context.Context, dfp [32]byte, canon core.Config, jobs *workload.Trace) (*core.DecisionPlan, Outcome, error) {
-	c.mu.Lock()
-	if e, exists := c.plans[dfp]; exists {
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, PlanHit, ctx.Err()
+	plan, outcome, err := c.plans.do(ctx, dfp, func(ctx context.Context) (*core.DecisionPlan, Outcome, error) {
+		dir, _ := c.tiers()
+		if plan := loadEntry(c, dir, dfp, planSuffix, core.DecodeDecisionPlan); plan != nil {
+			return plan, PlanDiskHit, nil
 		}
-		if e.err != nil {
-			// The leader failed and removed the entry; the error is
-			// deterministic for these inputs, so share it.
-			return nil, PlanHit, e.err
+		plan, err := core.DecidePlan(ctx, canon, jobs)
+		if err == nil && dir != "" {
+			c.storeEntry(dir, dfp, planSuffix, core.EncodeDecisionPlan(plan))
 		}
-		return e.plan, PlanHit, nil
+		return plan, Computed, err
+	})
+	if outcome == Hit || outcome == Dedup {
+		outcome = PlanHit
 	}
-	e := &planEntry{done: make(chan struct{})}
-	c.plans[dfp] = e
-	dir := c.dir
-	c.mu.Unlock()
-
-	served := Computed
-	plan := c.loadPlanDisk(dir, dfp)
-	if plan != nil {
-		served = PlanDiskHit
-	} else {
-		var err error
-		plan, err = core.DecidePlan(ctx, canon, jobs)
-		if err != nil {
-			c.mu.Lock()
-			delete(c.plans, dfp)
-			c.mu.Unlock()
-			e.err = err
-			close(e.done)
-			return nil, Computed, err
-		}
-		c.storePlanDisk(dir, dfp, plan)
-	}
-	e.plan = plan
-	close(e.done)
-	return plan, served, nil
-}
-
-// planPath names a disk entry of the plan store. The decision fingerprint
-// layout is already folded into dfp; the plan codec and store versions are
-// spelled out in the name, so artifacts written by an incompatible binary
-// simply never match.
-func planPath(dir string, dfp [32]byte) string {
-	name := fmt.Sprintf("%s.p%d.s%d.gplan", hex.EncodeToString(dfp[:]), core.PlanCodecVersion, StoreVersion)
-	return filepath.Join(dir, name)
-}
-
-// loadPlanDisk fetches and decodes a plan entry, returning nil on any miss
-// or problem. Absent files are silent; anything else is logged.
-func (c *Cache) loadPlanDisk(dir string, dfp [32]byte) *core.DecisionPlan {
-	if dir == "" {
-		return nil
-	}
-	path := planPath(dir, dfp)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			c.Logf("runcache: reading %s: %v (deciding)", path, err)
-		}
-		return nil
-	}
-	plan, err := core.DecodeDecisionPlan(data)
-	if err != nil {
-		c.Logf("runcache: decoding %s: %v (deciding)", path, err)
-		return nil
-	}
-	return plan
-}
-
-// storePlanDisk persists a plan atomically (temp file + rename), like
-// storeDisk. Failures are logged and otherwise ignored.
-func (c *Cache) storePlanDisk(dir string, dfp [32]byte, plan *core.DecisionPlan) {
-	if dir == "" {
-		return
-	}
-	path := planPath(dir, dfp)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		c.Logf("runcache: creating temp plan in %s: %v", dir, err)
-		return
-	}
-	data := core.EncodeDecisionPlan(plan)
-	if _, err := tmp.Write(data); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		c.Logf("runcache: writing %s: %v", path, err)
-	}
+	return plan, outcome, err
 }

@@ -139,9 +139,21 @@ func (o *observer) render(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP gaia_serve_simulate_cache_total Simulation requests by runcache outcome.\n")
 	fmt.Fprintf(w, "# TYPE gaia_serve_simulate_cache_total counter\n")
+	var leaders, joined int64
 	for i, oc := range outcomes {
 		fmt.Fprintf(w, "gaia_serve_simulate_cache_total{outcome=%q} %d\n", oc, cacheCounts[i])
+		if oc == "dedup" {
+			joined += cacheCounts[i]
+		} else {
+			leaders += cacheCounts[i]
+		}
 	}
+	// A request that joined another's computation of its cell is a dedup;
+	// every other outcome led its own.
+	fmt.Fprintf(w, "# HELP gaia_serve_coalesce_total Simulate requests by coalescing role.\n")
+	fmt.Fprintf(w, "# TYPE gaia_serve_coalesce_total counter\n")
+	fmt.Fprintf(w, "gaia_serve_coalesce_total{role=\"leader\"} %d\n", leaders)
+	fmt.Fprintf(w, "gaia_serve_coalesce_total{role=\"joined\"} %d\n", joined)
 
 	o.gaugesMu.Lock()
 	gauges := append([]gauge(nil), o.gauges...)

@@ -10,9 +10,9 @@
 //   - Admission control: a bounded queue in front of the work endpoints
 //     sheds load with 429 + Retry-After instead of building an unbounded
 //     backlog (admission.go).
-//   - Request coalescing: identical in-flight /v1/simulate cells share
-//     one computation, refcounted so a disconnecting client cancels the
-//     work only when nobody else wants it (coalesce.go).
+//   - One computation per cell: identical in-flight /v1/simulate cells
+//     share one run-cache flight, which a disconnecting client cancels
+//     only when nobody else waits on it (internal/runcache).
 //   - Deadlines that mean it: per-endpoint timeouts propagate through
 //     context into the simulator's event loop, which actually stops.
 //   - Graceful drain: SIGTERM stops admissions (queued requests shed
@@ -117,7 +117,6 @@ type Server struct {
 	regionList []TraceInfo
 
 	adm   *admission
-	co    *coalescer
 	obs   *observer
 	cache *runcache.Cache
 	// blobs is this replica's shard of the shared fleet cache tier,
@@ -131,9 +130,10 @@ type Server struct {
 	mux     *http.ServeMux
 	httpSrv *http.Server
 
-	// simGate, when non-nil, blocks each simulate computation until the
-	// channel is closed (or its flight canceled). Test hook for
-	// deterministic drain and coalescing tests; nil in production.
+	// simGate, when non-nil, holds each admitted simulate request until
+	// the channel is closed or the request's deadline passes. Test hook
+	// for deterministic drain, shedding and coalescing tests; nil in
+	// production.
 	simGate chan struct{}
 }
 
@@ -156,7 +156,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		regions:      make(map[string]*carbon.Trace),
 		adm:          newAdmission(cfg.QueueDepth, cfg.MaxConcurrent),
-		co:           newCoalescer(),
 		obs:          newObserver(),
 		cache:        runcache.New(),
 		blobs:        fleet.NewBlobStore(0),
@@ -217,8 +216,6 @@ func New(cfg Config) (*Server, error) {
 	s.obs.registerGauge("gaia_serve_service_time_ewma_seconds",
 		"Moving average of admitted-request service time feeding Retry-After.",
 		func() float64 { return s.adm.serviceTime().Seconds() })
-	s.obs.registerGauge("gaia_serve_coalesced_flights",
-		"Distinct simulate computations currently in flight.", func() float64 { return float64(s.co.inFlight()) })
 	s.obs.registerGauge("gaia_serve_cache_shard_entries",
 		"Entries held by this replica's shard of the fleet cache tier.",
 		func() float64 { return float64(s.blobs.Stats().Entries) })
@@ -376,8 +373,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimulateTimeout)
 	defer cancel()
+	if s.simGate != nil {
+		select {
+		case <-s.simGate:
+		case <-ctx.Done(): // RunContext then starts nothing and returns ctx.Err()
+		}
+	}
 
-	req, err := decodeSimulate(r.Body)
+	buf := simulateBodies.Get().(*[]byte)
+	defer simulateBodies.Put(buf)
+	var req SimulateRequest
+	body, err := readBody(buf, r.Body, maxAdviseBodyLen)
+	if err == nil {
+		req, err = decodeSimulate(body)
+	}
 	if err == nil {
 		err = s.normalizeSimulate(&req)
 	}
@@ -386,22 +395,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	gate := s.simGate
-	val, leader, err := s.co.do(ctx, req.coalesceKey(), func(wctx context.Context) (any, error) {
-		// The flight context has no deadline of its own (it must outlive
-		// any single requester); bound the work by this endpoint's
-		// timeout instead.
-		wctx, wcancel := context.WithTimeout(wctx, s.cfg.SimulateTimeout)
-		defer wcancel()
-		if gate != nil {
-			select {
-			case <-gate:
-			case <-wctx.Done():
-				return nil, wctx.Err()
-			}
-		}
-		return s.simulate(wctx, req)
-	})
+	resp, err := s.simulate(ctx, req)
 	if err != nil {
 		code := http.StatusInternalServerError
 		msg := err.Error()
@@ -412,9 +406,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, msg)
 		return
 	}
-	resp := *val.(*SimulateResponse)
-	resp.Coalesced = !leader
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
@@ -439,18 +431,13 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.obs.render(w)
-	// Counters owned by the admission gate and coalescer are rendered
-	// from their own state rather than mirrored into the observer.
+	// Counters owned by the admission gate are rendered from its own
+	// state rather than mirrored into the observer.
 	full, drain := s.adm.sheds()
 	fmt.Fprintf(w, "# HELP gaia_serve_shed_total Requests shed by the admission gate, by reason.\n")
 	fmt.Fprintf(w, "# TYPE gaia_serve_shed_total counter\n")
 	fmt.Fprintf(w, "gaia_serve_shed_total{reason=\"queue_full\"} %d\n", full)
 	fmt.Fprintf(w, "gaia_serve_shed_total{reason=\"draining\"} %d\n", drain)
-	leaders, joined := s.co.stats()
-	fmt.Fprintf(w, "# HELP gaia_serve_coalesce_total Simulate requests by coalescing role.\n")
-	fmt.Fprintf(w, "# TYPE gaia_serve_coalesce_total counter\n")
-	fmt.Fprintf(w, "gaia_serve_coalesce_total{role=\"leader\"} %d\n", leaders)
-	fmt.Fprintf(w, "gaia_serve_coalesce_total{role=\"joined\"} %d\n", joined)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

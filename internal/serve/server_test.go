@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -292,26 +293,49 @@ func TestSimulateComputedThenCached(t *testing.T) {
 
 func TestSimulateBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	cases := []string{
-		`{"policy":"nope","region":"SE"}`,
-		`{"policy":"nowait","region":"XX"}`,
-		`{"policy":"nowait","region":"SE","family":"netflix"}`,
-		`{"policy":"nowait","region":"SE","jobs":-1}`,
-		`{"policy":"nowait","region":"SE","days":9999}`,
-		`{"policy":"nowait","region":"SE","eviction_rate":1.5}`,
-		`{"policy":"nowait","region":"SE","reserved":-3}`,
+	// Bodies go straight to the handler: a server that answers an
+	// oversized body before reading all of it may reset the connection
+	// under a client still writing.
+	pad := strings.Repeat(" ", 2<<20)
+	cases := []struct {
+		body, wantErr string // wantErr "" = any error text
+	}{
+		{`{"policy":"nope","region":"SE"}`, ""},
+		{`{"policy":"nowait","region":"XX"}`, ""},
+		{`{"policy":"nowait","region":"SE","family":"netflix"}`, ""},
+		{`{"policy":"nowait","region":"SE","jobs":-1}`, ""},
+		{`{"policy":"nowait","region":"SE","days":9999}`, ""},
+		{`{"policy":"nowait","region":"SE","eviction_rate":1.5}`, ""},
+		{`{"policy":"nowait","region":"SE","reserved":-3}`, ""},
+		// Simulate bodies share the advise endpoints' 1 MiB limit, wherever
+		// the excess sits.
+		{`{"policy":"nowait",` + pad + `"region":"SE"}`, "body exceeds 1048576 bytes"},
+		{`{"policy":"nowait","region":"SE","jobs":10,"days":1}` + pad, "body exceeds 1048576 bytes"},
 	}
-	for _, body := range cases {
-		resp, raw := postJSON(t, ts.URL+"/v1/simulate", body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
+	for _, tc := range cases {
+		name := tc.body
+		if len(name) > 80 {
+			name = name[:40] + "…" + name[len(name)-40:]
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(tc.body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("body %q: status = %d, want 400 (%s)", name, rec.Code, rec.Body)
+			continue
+		}
+		var out map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["error"] == "" {
+			t.Errorf("body %q: 400 body %s is not an error object", name, rec.Body)
+		} else if tc.wantErr != "" && out["error"] != tc.wantErr {
+			t.Errorf("body %q: error %q, want %q", name, out["error"], tc.wantErr)
 		}
 	}
 }
 
+// TestSimulateCoalescing: two concurrent identical requests compute the
+// cell once. The gate holds both just after admission, so they reach the
+// run cache together: the other answer is a dedup if it joined the running
+// computation, a hit if it arrived after, and coalesced says which.
 func TestSimulateCoalescing(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 4})
 	s.simGate = make(chan struct{})
@@ -332,35 +356,34 @@ func TestSimulateCoalescing(t *testing.T) {
 			results <- reply{resp.StatusCode, out}
 		}()
 	}
-	// Both requests must be participants of ONE flight before the gate
-	// opens: one leader, one joined.
-	waitFor(t, "second request to coalesce", func() bool {
-		_, joined := s.co.stats()
-		return joined == 1
-	})
-	if got := s.co.inFlight(); got != 1 {
-		t.Fatalf("in-flight computations = %d, want 1", got)
-	}
+	waitFor(t, "both requests admitted", func() bool { return s.adm.running() == 2 })
 	close(s.simGate)
 
-	var coalesced, fresh int
+	outcomes := map[string]int{}
 	for i := 0; i < 2; i++ {
 		r := <-results
 		if r.status != http.StatusOK {
 			t.Fatalf("status = %d", r.status)
 		}
-		if r.resp.Coalesced {
-			coalesced++
-		} else {
-			fresh++
+		outcomes[r.resp.CacheOutcome]++
+		if r.resp.Coalesced != (r.resp.CacheOutcome == "dedup") {
+			t.Fatalf("coalesced = %v with cache_outcome %q", r.resp.Coalesced, r.resp.CacheOutcome)
 		}
 	}
-	if coalesced != 1 || fresh != 1 {
-		t.Fatalf("coalesced/fresh = %d/%d, want 1/1", coalesced, fresh)
+	dedup := outcomes["dedup"]
+	if outcomes["computed"] != 1 || outcomes["hit"]+dedup != 1 {
+		t.Fatalf("outcomes = %v, want one computed and one hit or dedup", outcomes)
 	}
-	leaders, joined := s.co.stats()
-	if leaders != 1 || joined != 1 {
-		t.Fatalf("coalescer stats = %d leaders / %d joined, want 1/1", leaders, joined)
+
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`gaia_serve_simulate_cache_total{outcome="computed"} 1`,
+		fmt.Sprintf(`gaia_serve_coalesce_total{role="leader"} %d`, 2-dedup),
+		fmt.Sprintf(`gaia_serve_coalesce_total{role="joined"} %d`, dedup),
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics output missing %q:\n%s", want, metrics)
+		}
 	}
 }
 
@@ -420,8 +443,8 @@ func TestSimulateTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("timeout response took %v", elapsed)
 	}
-	// The abandoned flight must be torn down, not leaked.
-	waitFor(t, "flight teardown", func() bool { return s.co.inFlight() == 0 })
+	// The timed-out request must give its admission slot back.
+	waitFor(t, "admission slot released", func() bool { return s.adm.running() == 0 })
 }
 
 func TestMetricsEndpoint(t *testing.T) {

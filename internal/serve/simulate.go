@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,10 +9,12 @@ import (
 	"io"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/runcache"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -31,9 +34,9 @@ var workloadFamilies = map[string]func() workload.Family{
 }
 
 // SimulateRequest describes one what-if simulation cell. Zero-valued
-// fields take the documented defaults, and the normalized form of the
-// request is the coalescing key: two clients asking for the same cell in
-// different spellings share one computation.
+// fields take the documented defaults, so two clients asking for the same
+// cell in different spellings normalize to one request, one memoized trace
+// pair and one run-cache fingerprint, and share one computation.
 type SimulateRequest struct {
 	Policy string `json:"policy"`
 	Region string `json:"region"`
@@ -58,7 +61,7 @@ type SimulateRequest struct {
 }
 
 // SimulateResponse reports the cell's aggregates plus how the request
-// was served — clients can see coalescing and caching working.
+// was served — clients can see the run cache working.
 type SimulateResponse struct {
 	Label    string `json:"label"`
 	Region   string `json:"region"`
@@ -74,18 +77,22 @@ type SimulateResponse struct {
 	Evictions             int     `json:"evictions"`
 
 	// CacheOutcome is the runcache verdict (computed, hit, dedup,
-	// disk-hit); Coalesced reports whether this HTTP request attached to
-	// another request's in-flight computation.
+	// disk-hit, remote-hit, plan-hit, plan-disk-hit). Coalesced reports
+	// whether this request joined another request's computation of the
+	// same cell while it ran: exactly when CacheOutcome is "dedup".
 	CacheOutcome string `json:"cache_outcome"`
 	Coalesced    bool   `json:"coalesced"`
 }
 
+// simulateBodies holds the buffers simulate bodies are read into.
+var simulateBodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // decodeSimulate strictly parses one simulate body: unknown fields and
 // trailing garbage are errors, so client typos fail loudly instead of
 // silently meaning something else.
-func decodeSimulate(r io.Reader) (SimulateRequest, error) {
+func decodeSimulate(body []byte) (SimulateRequest, error) {
 	var req SimulateRequest
-	dec := json.NewDecoder(io.LimitReader(r, maxAdviseBodyLen))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return SimulateRequest{}, fmt.Errorf("invalid JSON: %w", err)
@@ -96,9 +103,8 @@ func decodeSimulate(r io.Reader) (SimulateRequest, error) {
 	return req, nil
 }
 
-// normalizeSimulate validates and canonicalizes a request in place. The
-// result is deterministic, so its JSON form can serve as the coalescing
-// key. All failures map to HTTP 400.
+// normalizeSimulate validates and canonicalizes a request in place, so
+// equal cells map to equal trace-memo keys. All failures map to HTTP 400.
 func (s *Server) normalizeSimulate(req *SimulateRequest) error {
 	if _, err := policy.ByName(req.Policy); err != nil {
 		return err
@@ -145,20 +151,9 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) error {
 	return nil
 }
 
-// coalesceKey is the canonical identity of a simulation cell at the HTTP
-// layer. Struct field order is fixed, so the encoding is deterministic.
-func (req SimulateRequest) coalesceKey() string {
-	b, err := json.Marshal(req)
-	if err != nil {
-		// A plain struct of scalars cannot fail to marshal.
-		panic(err)
-	}
-	return string(b)
-}
-
-// simulate runs one normalized cell through the run cache under ctx. The
-// ctx is the coalesced flight's context: it outlives any single request
-// and is canceled only when every requester has gone.
+// simulate runs one normalized cell through the run cache under the
+// request's ctx. A request that finds the cell already computing waits on
+// that computation, which stops only when every waiting request has gone.
 func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateResponse, error) {
 	carbonTr := s.carbonTrace(req.Region, req.Days)
 	jobsTr := s.workloadTrace(req.Family, req.Jobs, req.Days, req.Seed)
@@ -185,13 +180,6 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 		Seed:           req.Seed,
 	}
 	res, outcome, err := s.cache.RunContext(ctx, cfg, jobsTr)
-	if err != nil && ctx.Err() == nil && errors.Is(err, context.Canceled) {
-		// Lost a race with a dying flight: another request's canceled
-		// leader shared its error through the runcache entry before the
-		// entry was retired. Our own context is live, so retry once —
-		// the entry is gone and this call becomes the new leader.
-		res, outcome, err = s.cache.RunContext(ctx, cfg, jobsTr)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -209,6 +197,7 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 		MeanCompletionMinutes: res.MeanCompletion().Minutes(),
 		Evictions:             res.TotalEvictions(),
 		CacheOutcome:          outcome.String(),
+		Coalesced:             outcome == runcache.Dedup,
 	}, nil
 }
 
