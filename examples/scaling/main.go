@@ -11,9 +11,11 @@ import (
 	"log"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/viz"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func main() {
@@ -22,14 +24,13 @@ func main() {
 	fmt.Println("carbon intensity (72h):", viz.Sparkline(ci.Values()))
 
 	job := scaling.ElasticJob{
-		Arrival:     0,
-		Work:        16, // serial CPU-hours
-		MaxParallel: 8,
-		Curve:       scaling.Amdahl{Parallel: 0.9},
-		Deadline:    60 * simtime.Hour,
+		Arrival:  0,
+		Work:     16, // serial CPU-hours
+		Curve:    workload.AmdahlCurve(0.9, 8),
+		Deadline: 60 * simtime.Hour,
 	}
 
-	const kw = 0.01
+	pw := cloud.DefaultPower()
 	serial, err := scaling.StaticPlan(job, 1)
 	if err != nil {
 		log.Fatal(err)
@@ -54,7 +55,7 @@ func main() {
 		plan scaling.Plan
 	}{{"serial (k=1)", serial}, {"carbon-scaler", scaled}} {
 		fmt.Printf("%-14s %10.1f %8.1f %12v\n",
-			p.name, p.plan.Carbon(ci, kw), p.plan.CPUHours(),
+			p.name, p.plan.Carbon(ci, pw), p.plan.CPUHours(),
 			p.plan.Completion(job.Arrival).Sub(job.Arrival))
 	}
 	fmt.Println("\nthe width curve is the CI curve upside down: the job runs wide in")

@@ -483,16 +483,8 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	}
 
 	directRuns.Add(1)
-	res := &metrics.Result{
-		Label:    cfg.Label,
-		Region:   cfg.Carbon.Region(),
-		Workload: trace.Name,
-		Reserved: cfg.Reserved,
-		Horizon:  cfg.Horizon,
-		Pricing:  cfg.Pricing,
-		Jobs:     results,
-	}
-	res.AttachAccumulator(acc)
+	res := NewResult(cfg, trace, acc)
+	res.Jobs = results
 	return res, nil
 }
 

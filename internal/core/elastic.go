@@ -274,14 +274,12 @@ func (el *elasticState) tick() {
 		// an unchanged grant costs no accounting split.
 		er := ej.remaining - float64(now.Sub(ej.segStart))*ej.rate()
 		el.views = append(el.views, policy.ElasticJobView{
-			ID:        id,
-			Queue:     ej.job.Queue,
-			CPUs:      ej.job.CPUs,
-			Min:       ej.spec.MinReplicas,
-			Max:       ej.spec.MaxReplicas,
-			Curve:     ej.spec.Curve,
-			Remaining: er,
-			Replicas:  ej.replicas,
+			ID:          id,
+			Queue:       ej.job.Queue,
+			CPUs:        ej.job.CPUs,
+			ElasticSpec: ej.spec,
+			Remaining:   er,
+			Replicas:    ej.replicas,
 		})
 	}
 

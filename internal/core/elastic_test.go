@@ -387,7 +387,7 @@ func (a stormAlloc) Allocate(views []policy.ElasticJobView, now simtime.Time, _ 
 		h ^= h >> 31
 		h *= 0x94D049BB133111EB
 		h ^= h >> 29
-		grants[i] = int(h % uint64(v.Max+2)) // 0..Max+1: suspends and over-grants
+		grants[i] = int(h % uint64(v.MaxReplicas+2)) // 0..Max+1: suspends and over-grants
 	}
 	return grants
 }

@@ -6,8 +6,8 @@ import (
 	"math"
 	"sort"
 
-	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
@@ -94,75 +94,43 @@ func (c Config) Fingerprint(jobs *workload.Trace) (fp [32]byte, ok bool) {
 		canon.Seed = 0
 	}
 
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	u64 := func(v uint64) {
-		le.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-
-	u64(fingerprintLayout)
-	u64(uint64(ptag))
-	f64(pparam)
-	cfp := canon.Carbon.Fingerprint()
-	h.Write(cfp[:])
-	// A perfect CIS's fingerprint is its trace's, so keys written before
-	// other services could name themselves stay valid.
-	sfp := cis.Fingerprint()
-	h.Write(sfp[:])
-	u64(uint64(canon.Reserved))
-	if canon.WorkConserving {
-		u64(1)
-	} else {
-		u64(0)
-	}
-	u64(uint64(canon.SpotMaxLen))
-	f64(canon.EvictionRate)
-	u64(uint64(canon.CheckpointInterval))
-	u64(uint64(canon.CheckpointOverhead))
-	f64(canon.Pricing.OnDemandHourly)
-	f64(canon.Pricing.ReservedFraction)
-	f64(canon.Pricing.SpotFraction)
-	f64(canon.Power.KWPerCPU)
-	u64(uint64(len(canon.Queues)))
-	for _, q := range canon.Queues {
-		u64(uint64(q.MaxLength))
-		u64(uint64(q.MaxWait))
-	}
-	u64(uint64(canon.Horizon))
-	keys := make([]int, 0, len(canon.AvgLengthOverride))
-	for q := range canon.AvgLengthOverride {
-		if int(q) >= 0 && int(q) < len(canon.Queues) {
-			keys = append(keys, int(q))
-		}
-	}
-	sort.Ints(keys)
-	u64(uint64(len(keys)))
-	for _, k := range keys {
-		u64(uint64(k))
-		u64(uint64(canon.AvgLengthOverride[workload.Queue(k)]))
-	}
-	u64(uint64(canon.Seed))
-	jfp := jobs.Fingerprint()
-	h.Write(jfp[:])
+	var buf [keyBufSize]byte
+	k := keyBuf(buf[:0]).
+		u64(fingerprintLayout).
+		u64(uint64(ptag)).
+		f64(pparam).
+		digest(canon.Carbon.Fingerprint()).
+		// A perfect CIS's fingerprint is its trace's, so keys written
+		// before other services could name themselves stay valid.
+		digest(cis.Fingerprint()).
+		u64(uint64(canon.Reserved)).
+		flag(canon.WorkConserving).
+		u64(uint64(canon.SpotMaxLen)).
+		f64(canon.EvictionRate).
+		u64(uint64(canon.CheckpointInterval)).
+		u64(uint64(canon.CheckpointOverhead)).
+		f64(canon.Pricing.OnDemandHourly).
+		f64(canon.Pricing.ReservedFraction).
+		f64(canon.Pricing.SpotFraction).
+		f64(canon.Power.KWPerCPU).
+		queues(canon.Queues).
+		u64(uint64(canon.Horizon)).
+		lengthOverrides(canon.AvgLengthOverride, len(canon.Queues)).
+		u64(uint64(canon.Seed)).
+		digest(jobs.Fingerprint())
 	if canon.Elastic != nil {
 		// Elastic block, appended only when present: a rigid config's hash
 		// is bit-for-bit what it was before elasticity existed, so the
 		// on-disk cache stays valid without a layout bump, and the marker
 		// keeps an elastic config from ever colliding with a rigid one.
-		u64(0xE1A5)
-		efp := canon.Elastic.Fingerprint()
-		h.Write(efp[:])
-		u64(uint64(atag))
-		f64(aparams[0])
-		f64(aparams[1])
-		u64(uint64(canon.ElasticCapacity))
+		k = k.u64(0xE1A5).
+			digest(canon.Elastic.Fingerprint()).
+			u64(uint64(atag)).
+			f64(aparams[0]).
+			f64(aparams[1]).
+			u64(uint64(canon.ElasticCapacity))
 	}
-
-	h.Sum(fp[:0])
-	return fp, true
+	return sha256.Sum256(k), true
 }
 
 // allocatorIdentity maps an elastic allocator to a stable tag plus its
@@ -230,49 +198,25 @@ func (c Config) DecisionFingerprint(jobs *workload.Trace) (fp [32]byte, ok bool)
 	if !ok {
 		return fp, false
 	}
-	// directEligible admitted the config, so the CIS is the perfect
-	// service wrapping some (possibly distinct) trace.
-	perfect := canon.CIS.(*carbon.PerfectService)
-
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	u64 := func(v uint64) {
-		le.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	// directEligible admitted only the perfect CIS, whose fingerprint is
+	// its trace's.
+	cis, ok := canon.CIS.(identifiedCIS)
+	if !ok {
+		return fp, false
 	}
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
 
 	// Domain separator: a decision fingerprint must never collide with a
 	// full simulation fingerprint of any configuration.
-	h.Write([]byte("gaia:decision-plan"))
-	u64(decisionFingerprintLayout)
-	u64(uint64(ptag))
-	f64(pparam)
-	sfp := perfect.Trace().Fingerprint()
-	h.Write(sfp[:])
-	u64(uint64(len(canon.Queues)))
-	for _, q := range canon.Queues {
-		u64(uint64(q.MaxLength))
-		u64(uint64(q.MaxWait))
-	}
-	keys := make([]int, 0, len(canon.AvgLengthOverride))
-	for q := range canon.AvgLengthOverride {
-		if int(q) >= 0 && int(q) < len(canon.Queues) {
-			keys = append(keys, int(q))
-		}
-	}
-	sort.Ints(keys)
-	u64(uint64(len(keys)))
-	for _, k := range keys {
-		u64(uint64(k))
-		u64(uint64(canon.AvgLengthOverride[workload.Queue(k)]))
-	}
-	jfp := jobs.Fingerprint()
-	h.Write(jfp[:])
-
-	h.Sum(fp[:0])
-	return fp, true
+	var buf [keyBufSize]byte
+	k := append(keyBuf(buf[:0]), "gaia:decision-plan"...).
+		u64(decisionFingerprintLayout).
+		u64(uint64(ptag)).
+		f64(pparam).
+		digest(cis.Fingerprint()).
+		queues(canon.Queues).
+		lengthOverrides(canon.AvgLengthOverride, len(canon.Queues)).
+		digest(jobs.Fingerprint())
+	return sha256.Sum256(k), true
 }
 
 // decisionFingerprintLayout versions the DecisionFingerprint hash layout,
@@ -312,4 +256,57 @@ func policyIdentity(p policy.Policy) (tag int, param float64, ok bool) {
 	default:
 		return 0, 0, false
 	}
+}
+
+// keyBuf collects the fields the two cache keys hash, each in a fixed
+// little-endian encoding; the key is the SHA-256 of the whole buffer.
+// Each method appends one field or block and returns the grown buffer, so
+// a key built in a keyBufSize stack array allocates nothing of its own.
+type keyBuf []byte
+
+// keyBufSize covers a full key, elastic block included, with room to
+// spare for a long queue ladder.
+const keyBufSize = 512
+
+func (k keyBuf) u64(v uint64) keyBuf { return binary.LittleEndian.AppendUint64(k, v) }
+
+func (k keyBuf) f64(v float64) keyBuf { return k.u64(math.Float64bits(v)) }
+
+func (k keyBuf) flag(v bool) keyBuf {
+	if v {
+		return k.u64(1)
+	}
+	return k.u64(0)
+}
+
+// digest appends a content fingerprint (a trace's, a CIS's, an elastic
+// trace's).
+func (k keyBuf) digest(d [32]byte) keyBuf { return append(k, d[:]...) }
+
+// queues appends the queue ladder: its length, then each queue's length
+// bound and wait guarantee.
+func (k keyBuf) queues(qs []QueueSpec) keyBuf {
+	k = k.u64(uint64(len(qs)))
+	for _, q := range qs {
+		k = k.u64(uint64(q.MaxLength)).u64(uint64(q.MaxWait))
+	}
+	return k
+}
+
+// lengthOverrides appends the average-length overrides for the queues of
+// an n-queue ladder in ascending queue order; entries for queues outside
+// the ladder are ignored by the scheduler and skipped here.
+func (k keyBuf) lengthOverrides(over map[workload.Queue]simtime.Duration, n int) keyBuf {
+	keys := make([]int, 0, len(over))
+	for q := range over {
+		if int(q) >= 0 && int(q) < n {
+			keys = append(keys, int(q))
+		}
+	}
+	sort.Ints(keys)
+	k = k.u64(uint64(len(keys)))
+	for _, q := range keys {
+		k = k.u64(uint64(q)).u64(uint64(over[workload.Queue(q)]))
+	}
+	return k
 }

@@ -28,18 +28,11 @@ import (
 // plan. DecidePlan(cfg) followed by RunWithPlan(cfg', plan) for any cfg'
 // that decision-fingerprints equal to cfg is bit-identical to Run(cfg').
 
-// A DecisionPlan is the artifact of the decide phase: one start time and
-// execution class per job of the (normalized) trace, in job-ID order. The
-// decisions are immutable after creation; plans are shared across
-// concurrent replays.
+// A DecisionPlan is the artifact of the decide phase: one start time per
+// job of the (normalized) trace, in job-ID order. The decisions are
+// immutable after creation; plans are shared across concurrent replays.
 type DecisionPlan struct {
 	starts []simtime.Time
-	// classes records each job's execution class (0 = pooled
-	// reserved/on-demand capacity). Direct-eligible configurations never
-	// route jobs to spot today, so the column is all zeros; it is part of
-	// the artifact so a future spot-capable decide phase extends the codec
-	// without a layout break.
-	classes []uint8
 	// memo holds what replays of this plan share (replayMemo): the sweep's
 	// endpoint orders, keyed by trace identity, and the schedule columns,
 	// keyed by (realized carbon trace, power, queue bounds) as well. A
@@ -61,7 +54,7 @@ var ErrNoPlan = errors.New("core: configuration has no decision plan")
 // PlanCodecVersion identifies the binary layout EncodeDecisionPlan writes.
 // It participates in on-disk cache entry names: bump it whenever the plan
 // gains, loses or reorders state, and old entries simply never match.
-const PlanCodecVersion = 1
+const PlanCodecVersion = 2
 
 // planMagic opens every encoded plan. The trailing byte is a format
 // generation separate from PlanCodecVersion, mirroring the accumulator
@@ -71,14 +64,14 @@ var planMagic = [8]byte{'G', 'A', 'I', 'A', 'P', 'L', 'N', 1}
 // EncodeDecisionPlan serializes a plan into a self-contained blob:
 //
 //	magic [8] | codec version u64 | nJobs u64
-//	| starts (u64 LE each) | classes (1 byte each)
+//	| starts (u64 LE each)
 //	| crc32-IEEE of everything above (u32 LE)
 //
 // Integers are little-endian; start times are exact bit patterns, so a
 // decoded plan replays bit-identically to the one the decide phase built.
 func EncodeDecisionPlan(p *DecisionPlan) []byte {
 	n := len(p.starts)
-	buf := make([]byte, 0, 8+8+8+n*8+n+4)
+	buf := make([]byte, 0, 8+8+8+n*8+4)
 	le := binary.LittleEndian
 	buf = append(buf, planMagic[:]...)
 	buf = le.AppendUint64(buf, PlanCodecVersion)
@@ -86,7 +79,6 @@ func EncodeDecisionPlan(p *DecisionPlan) []byte {
 	for _, v := range p.starts {
 		buf = le.AppendUint64(buf, uint64(v))
 	}
-	buf = append(buf, p.classes...)
 	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf
 }
@@ -113,23 +105,19 @@ func DecodeDecisionPlan(data []byte) (*DecisionPlan, error) {
 	}
 	n64 := le.Uint64(body[16:24])
 	rest := body[24:]
-	// Each job costs 9 bytes (8-byte start + 1-byte class); bound the count
-	// before allocating so a corrupted header cannot drive a huge make.
-	if n64 > uint64(len(rest))/9+1 {
+	// Each job costs one 8-byte start; bound the count before allocating
+	// so a corrupted header cannot drive a huge make.
+	if n64 > uint64(len(rest))/8+1 {
 		return nil, fmt.Errorf("core: plan job count %d exceeds payload", n64)
 	}
 	n := int(n64)
-	if len(rest) != n*8+n {
-		return nil, fmt.Errorf("core: plan payload %d bytes, want %d for %d jobs", len(rest), n*9, n)
+	if len(rest) != n*8 {
+		return nil, fmt.Errorf("core: plan payload %d bytes, want %d for %d jobs", len(rest), n*8, n)
 	}
-	p := &DecisionPlan{
-		starts:  make([]simtime.Time, n),
-		classes: make([]uint8, n),
-	}
+	p := &DecisionPlan{starts: make([]simtime.Time, n)}
 	for i := range p.starts {
 		p.starts[i] = simtime.Time(le.Uint64(rest[i*8:]))
 	}
-	copy(p.classes, rest[n*8:])
 	return p, nil
 }
 
@@ -164,7 +152,7 @@ func DecidePlan(ctx context.Context, cfg Config, jobs *workload.Trace) (plan *De
 		}
 		return nil, err
 	}
-	return &DecisionPlan{starts: starts, classes: make([]uint8, len(starts))}, nil
+	return &DecisionPlan{starts: starts}, nil
 }
 
 // RunWithPlan is Run for a direct-eligible configuration whose decide phase

@@ -34,10 +34,7 @@ func mustDecidePlan(t *testing.T, cfg Config, jobs *workload.Trace) *DecisionPla
 // the identity, and every corruption mode is rejected with an error rather
 // than a partial plan.
 func TestPlanCodecRoundTrip(t *testing.T) {
-	plan := &DecisionPlan{
-		starts:  []simtime.Time{0, 5, 5, 1 << 40},
-		classes: []uint8{0, 0, 0, 0},
-	}
+	plan := &DecisionPlan{starts: []simtime.Time{0, 5, 5, 1 << 40}}
 	data := EncodeDecisionPlan(plan)
 	got, err := DecodeDecisionPlan(data)
 	if err != nil {
@@ -57,7 +54,7 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 		"truncated payload": func(b []byte) []byte {
 			// Drop one start and re-sign: the payload-length check, not
 			// the checksum, must reject it.
-			return resign(b[: len(b)-4-9 : len(b)-4-9])
+			return resign(b[: len(b)-4-8 : len(b)-4-8])
 		},
 		"bad magic": func(b []byte) []byte {
 			c := append([]byte(nil), b...)
@@ -105,8 +102,11 @@ func resign(body []byte) []byte {
 func FuzzDecodeDecisionPlan(f *testing.F) {
 	for _, plan := range []*DecisionPlan{
 		{},
-		{starts: []simtime.Time{7}, classes: []uint8{1}},
-		{starts: []simtime.Time{0, 5, 5, 1 << 40}, classes: []uint8{0, 1, 0, 2}},
+		{starts: []simtime.Time{7}},
+		{starts: []simtime.Time{0, 5, 5, 1 << 40}},
+		// Starts with the sign bit set: decoding must restore the exact
+		// bit pattern, not a clamped or unsigned value.
+		{starts: []simtime.Time{-1, 1<<63 - 1}},
 	} {
 		data := EncodeDecisionPlan(plan)
 		f.Add(data, false)
@@ -166,15 +166,12 @@ func TestRunWithPlanRejectsBadPlans(t *testing.T) {
 	if _, err := RunWithPlan(context.Background(), cfg, jobs, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
-	short := &DecisionPlan{starts: make([]simtime.Time, 1), classes: make([]uint8, 1)}
+	short := &DecisionPlan{starts: make([]simtime.Time, 1)}
 	if _, err := RunWithPlan(context.Background(), cfg, jobs, short); err == nil {
 		t.Error("wrong-length plan accepted")
 	}
 	early := mustDecidePlan(t, cfg, jobs)
-	tampered := &DecisionPlan{
-		starts:  append([]simtime.Time(nil), early.starts...),
-		classes: append([]uint8(nil), early.classes...),
-	}
+	tampered := &DecisionPlan{starts: append([]simtime.Time(nil), early.starts...)}
 	tampered.starts[0] = jobs.Jobs[0].Arrival - 1
 	if _, err := RunWithPlan(context.Background(), cfg, jobs, tampered); err == nil {
 		t.Error("start-before-arrival plan accepted")
@@ -517,10 +514,7 @@ func TestShardedScanReportsLowestBadStart(t *testing.T) {
 		{bounds[2].Hi - 1, bounds[3].Lo},
 		{bounds[0].Hi - 1, bounds[1].Lo},
 	} {
-		tampered := &DecisionPlan{
-			starts:  append([]simtime.Time(nil), plan.starts...),
-			classes: append([]uint8(nil), plan.classes...),
-		}
+		tampered := &DecisionPlan{starts: append([]simtime.Time(nil), plan.starts...)}
 		for _, i := range bad {
 			tampered.starts[i] = jobs.Jobs[i].Arrival - 1
 		}

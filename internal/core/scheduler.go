@@ -145,17 +145,28 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 		return nil, fmt.Errorf("core: run canceled: %w", err)
 	}
 
-	res = &metrics.Result{
+	res = NewResult(cfg, trace, s.acc)
+	res.Jobs = s.results
+	return res, nil
+}
+
+// NewResult builds the Result Run returns for the canonical config cfg
+// over trace around the run's accumulator: every identity field comes
+// from cfg and trace, every aggregate from acc. Per-job records, when
+// retained, are the caller's to attach. Cache layers rebuild a cached run
+// with it, so callers sharing one (immutable) accumulator still get their
+// own labels.
+func NewResult(cfg Config, trace *workload.Trace, acc *metrics.Accumulator) *metrics.Result {
+	res := &metrics.Result{
 		Label:    cfg.Label,
 		Region:   cfg.Carbon.Region(),
 		Workload: trace.Name,
 		Reserved: cfg.Reserved,
 		Horizon:  cfg.Horizon,
 		Pricing:  cfg.Pricing,
-		Jobs:     s.results,
 	}
-	res.AttachAccumulator(s.acc)
-	return res, nil
+	res.AttachAccumulator(acc)
+	return res
 }
 
 // normalizedTrace returns jobs itself when it already satisfies the

@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 // Checkpointing must reduce eviction waste versus full progress loss at
@@ -88,26 +90,26 @@ func TestShapeCarbonTaxMonotone(t *testing.T) {
 func TestShapeScalingDominatesNarrow(t *testing.T) {
 	tr := regionTrace("SA-AU")
 	cis := carbon.NewPerfectService(tr)
-	const kw = 0.01
+	pw := cloud.DefaultPower()
+	linear := workload.ScaleCurve{1, 1, 1, 1, 1, 1, 1, 1}
 	for i := 0; i < 10; i++ {
 		job := scaling.ElasticJob{
-			Arrival:     simtime.Time(simtime.Duration(i*13) * simtime.Hour),
-			Work:        6,
-			MaxParallel: 8,
-			Curve:       scaling.Linear{},
-			Deadline:    48 * simtime.Hour,
+			Arrival:  simtime.Time(simtime.Duration(i*13) * simtime.Hour),
+			Work:     6,
+			Curve:    linear,
+			Deadline: 48 * simtime.Hour,
 		}
 		wide, err := scaling.PlanJob(job, cis)
 		if err != nil {
 			t.Fatal(err)
 		}
 		narrowJob := job
-		narrowJob.MaxParallel = 1
+		narrowJob.Curve = linear[:1]
 		narrow, err := scaling.PlanJob(narrowJob, cis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wide.Carbon(tr, kw) > narrow.Carbon(tr, kw)+1e-9 {
+		if wide.Carbon(tr, pw) > narrow.Carbon(tr, pw)+1e-9 {
 			t.Errorf("arrival %v: wide plan dirtier than narrow", job.Arrival)
 		}
 	}

@@ -5,10 +5,12 @@ import (
 	"math/rand"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/par"
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/stats"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func init() {
@@ -28,26 +30,9 @@ func init() {
 func runX08Scaling(scale Scale) (fmt.Stringer, error) {
 	tr := regionTrace("SA-AU")
 	cis := carbon.NewPerfectService(tr)
-	rng := rand.New(rand.NewSource(seedWorkload + 80))
+	jobs := x08Jobs(scale)
+	pw := cloud.DefaultPower()
 
-	nJobs := 300
-	if scale == Full {
-		nJobs = 3000
-	}
-	span := horizon(scale) - 4*simtime.Day
-	lengths := stats.NewTruncLogNormal(rng, 1.6, 1.0, 0.5, 36) // serial hours
-	jobs := make([]scaling.ElasticJob, 0, nJobs)
-	for i := 0; i < nJobs; i++ {
-		jobs = append(jobs, scaling.ElasticJob{
-			Arrival:     simtime.Time(rng.Float64() * float64(span)),
-			Work:        lengths.Sample(),
-			MaxParallel: 8,
-			Curve:       scaling.Amdahl{Parallel: 0.9},
-			Deadline:    simtime.HoursDur(lengths.Mean()) + 48*simtime.Hour,
-		})
-	}
-
-	const kw = 0.01
 	type agg struct {
 		carbonG, cpuH, complH float64
 	}
@@ -60,14 +45,13 @@ func runX08Scaling(scale Scale) (fmt.Stringer, error) {
 	// order so totals match the sequential loop bit for bit.
 	measure := func(plan scaling.Plan, job scaling.ElasticJob) agg {
 		return agg{
-			carbonG: plan.Carbon(tr, kw),
+			carbonG: plan.Carbon(tr, pw),
 			cpuH:    plan.CPUHours(),
 			complH:  plan.Completion(job.Arrival).Sub(job.Arrival).Hours(),
 		}
 	}
 	perJob, err := par.Map(Parallelism(), jobs, func(_ int, job scaling.ElasticJob) ([4]agg, error) {
 		var out [4]agg
-		job.Deadline = simtime.HoursDur(job.Work) + 48*simtime.Hour
 		serial, err := scaling.StaticPlan(job, 1)
 		if err != nil {
 			return out, err
@@ -83,7 +67,7 @@ func runX08Scaling(scale Scale) (fmt.Stringer, error) {
 
 		// Suspend-resume at unit width = scaling capped at 1.
 		narrow := job
-		narrow.MaxParallel = 1
+		narrow.Curve = job.Curve[:1]
 		sr, err := scaling.PlanJob(narrow, cis)
 		if err != nil {
 			return out, err
@@ -121,10 +105,36 @@ func runX08Scaling(scale Scale) (fmt.Stringer, error) {
 		t.AddRowf(name,
 			a.carbonG/base.carbonG,
 			a.cpuH/base.cpuH,
-			a.complH/float64(nJobs))
+			a.complH/float64(len(jobs)))
 	}
 	t.Caption = "expectation: scaling saves the most carbon and completes faster than unit-width suspend-resume, paying extra CPU-hours (Amdahl inefficiency) — the energy-vs-carbon tension CarbonScaler navigates"
 	return t, nil
+}
+
+// x08Jobs draws x08's elastic jobs: SA-AU arrivals spread over the
+// horizon, log-normal serial work, one shared Amdahl(0.9) curve up to 8
+// CPUs, and a deadline 48 hours past the job's serial length.
+func x08Jobs(scale Scale) []scaling.ElasticJob {
+	rng := rand.New(rand.NewSource(seedWorkload + 80))
+	nJobs := 300
+	if scale == Full {
+		nJobs = 3000
+	}
+	span := horizon(scale) - 4*simtime.Day
+	lengths := stats.NewTruncLogNormal(rng, 1.6, 1.0, 0.5, 36) // serial hours
+	curve := workload.AmdahlCurve(0.9, 8)
+	jobs := make([]scaling.ElasticJob, 0, nJobs)
+	for i := 0; i < nJobs; i++ {
+		arrival := simtime.Time(rng.Float64() * float64(span))
+		work := lengths.Sample()
+		jobs = append(jobs, scaling.ElasticJob{
+			Arrival:  arrival,
+			Work:     work,
+			Curve:    curve,
+			Deadline: simtime.HoursDur(work) + 48*simtime.Hour,
+		})
+	}
+	return jobs
 }
 
 // bestShiftedSerial finds the lowest-carbon contiguous serial (k=1) run

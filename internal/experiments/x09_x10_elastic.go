@@ -142,21 +142,19 @@ func dagPipelineTrace(s Scale) *workload.ElasticTrace {
 	return et
 }
 
-// runX09Elastic compares the carbon-elastic policy family against the
-// rigid baselines on every evaluation region: Lowest-Window and
-// Carbon-Time shift rigid jobs, while the elastic configuration runs
+// x09Cells lists x09's cells, four per evaluation region in
+// evaluationRegions order: Lowest-Window and Carbon-Time shift rigid
+// jobs beside the No-Wait baseline, while the elastic configuration runs
 // Carbon-Time temporal shifting plus the Greedy-Marginal allocator
 // resizing malleable jobs each hour — extra replicas ride idle reserved
-// capacity in clean hours and preemptible jobs suspend in dirty ones. All
-// columns are normalized to No-Wait in the same region.
-func runX09Elastic(scale Scale) (fmt.Stringer, error) {
+// capacity in clean hours and preemptible jobs suspend in dirty ones.
+func x09Cells(scale Scale) []cell {
 	et := elasticYearTrace(scale)
 	jobs := et.Jobs
 	reserved := int(meanDemand("alibaba", scale))
 
-	regions := evaluationRegions()
 	var cells []cell
-	for _, code := range regions {
+	for _, code := range evaluationRegions() {
 		tr := regionTrace(code)
 		base := core.Config{Reserved: reserved, Carbon: tr, Horizon: horizon(scale)}
 		noWait, lowest, ctime := base, base, base
@@ -176,7 +174,15 @@ func runX09Elastic(scale Scale) (fmt.Stringer, error) {
 		cells = append(cells,
 			cell{noWait, jobs}, cell{lowest, jobs}, cell{ctime, jobs}, cell{elastic, jobs})
 	}
-	results, err := runCells("x09-elastic", cells)
+	return cells
+}
+
+// runX09Elastic compares the carbon-elastic policy family against the
+// rigid baselines on every evaluation region (x09Cells). All columns are
+// normalized to No-Wait in the same region.
+func runX09Elastic(scale Scale) (fmt.Stringer, error) {
+	regions := evaluationRegions()
+	results, err := runCells("x09-elastic", x09Cells(scale))
 	if err != nil {
 		return nil, err
 	}

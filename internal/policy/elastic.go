@@ -8,15 +8,14 @@ import (
 )
 
 // ElasticJobView is the allocator-visible state of one running (or
-// suspended) malleable job at a reallocation boundary. Remaining is the
-// serial-equivalent work left in minutes; Replicas is the current
-// allocation (0 = suspended).
+// suspended) malleable job at a reallocation boundary: its elasticity
+// contract, the serial-equivalent work left in minutes (Remaining) and
+// the current allocation (Replicas, 0 = suspended).
 type ElasticJobView struct {
-	ID        int
-	Queue     workload.Queue
-	CPUs      int // per-replica width
-	Min, Max  int
-	Curve     workload.ScaleCurve
+	ID    int
+	Queue workload.Queue
+	CPUs  int // per-replica width
+	workload.ElasticSpec
 	Remaining float64
 	Replicas  int
 }
@@ -24,11 +23,12 @@ type ElasticJobView struct {
 // ElasticAllocator reallocates replicas across the running malleable jobs
 // at every hour boundary — the CarbonScaler control loop. Allocate returns
 // one replica grant per view (same order). Grants are advisory: the
-// scheduler clamps each to [Min, Max], forbids suspension (a zero grant)
-// unless Min is 0 and the job's waiting-time guarantee still has room, and
-// always honours the base width max(Min, 1). capacity is the CPU budget
-// for replicas beyond the base widths (base allocations are pre-granted
-// and not counted): the scheduler passes the reserved pool's idle capacity
+// scheduler clamps each to [MinReplicas, MaxReplicas], forbids suspension
+// (a zero grant) unless MinReplicas is 0 and the job's waiting-time
+// guarantee still has room, and always honours the base width
+// max(MinReplicas, 1). capacity is the CPU budget for replicas beyond the
+// base widths (base allocations are pre-granted and not counted): the
+// scheduler passes the reserved pool's idle capacity
 // at the boundary, further capped by Config.ElasticCapacity when that is
 // positive, so scale-ups ride capacity that is already paid for and are
 // free by construction. A negative capacity (never produced by the
@@ -44,9 +44,9 @@ type ElasticAllocator interface {
 	Allocate(jobs []ElasticJobView, now simtime.Time, capacity int, ctx *Context) []int
 }
 
-// StaticAlloc pins every job to its base width max(Min, 1): elasticity
-// machinery on, no actual scaling — the rigid reference point of the
-// elastic figure suite and the default allocator.
+// StaticAlloc pins every job to its base width max(MinReplicas, 1):
+// elasticity machinery on, no actual scaling — the rigid reference point
+// of the elastic figure suite and the default allocator.
 type StaticAlloc struct{}
 
 // Name implements ElasticAllocator.
@@ -56,7 +56,7 @@ func (StaticAlloc) Name() string { return "Static-Min" }
 func (StaticAlloc) Allocate(jobs []ElasticJobView, _ simtime.Time, _ int, _ *Context) []int {
 	grants := make([]int, len(jobs))
 	for i, v := range jobs {
-		grants[i] = v.Min
+		grants[i] = v.MinReplicas
 		if grants[i] < 1 {
 			grants[i] = 1
 		}
@@ -69,10 +69,10 @@ func (StaticAlloc) Allocate(jobs []ElasticJobView, _ simtime.Time, _ int, _ *Con
 // forecast 24-hour mean (the "greenness" g — below 1 is a clean hour) and
 // grants extra replicas to the jobs with the highest marginal throughput
 // per CPU while each marginal clears ScaleThreshold·g; in dirty hours
-// (g ≥ PreemptAbove) preemptible jobs (Min 0) are suspended outright.
-// Replicas therefore concentrate work into the cleanest hours of the day,
-// paying the scale curve's inefficiency only when the carbon price of an
-// hour is low enough to cover it.
+// (g ≥ PreemptAbove) preemptible jobs (MinReplicas 0) are suspended
+// outright. Replicas therefore concentrate work into the cleanest hours
+// of the day, paying the scale curve's inefficiency only when the carbon
+// price of an hour is low enough to cover it.
 type GreedyMarginal struct {
 	// ScaleThreshold is the marginal-throughput floor per unit greenness a
 	// replica must clear to be granted (default 0.75).
@@ -105,16 +105,16 @@ func (a GreedyMarginal) Allocate(jobs []ElasticJobView, now simtime.Time, capaci
 	}
 	var cands []cand
 	for i, v := range jobs {
-		base := v.Min
+		base := v.MinReplicas
 		if base < 1 {
 			base = 1
 		}
-		if v.Min == 0 && g >= preempt {
+		if v.MinReplicas == 0 && g >= preempt {
 			grants[i] = 0
 			continue
 		}
 		grants[i] = base
-		for r := base; r < v.Max; r++ {
+		for r := base; r < v.MaxReplicas; r++ {
 			m := v.Curve[r]
 			if m < thresh*g {
 				break // marginals are non-increasing: later replicas fail too

@@ -158,7 +158,7 @@ func (c *Cache) RunContext(ctx context.Context, cfg core.Config, jobs *workload.
 	if err != nil {
 		return nil, outcome, err
 	}
-	return buildResult(canon, jobs, acc), outcome, nil
+	return core.NewResult(canon, jobs, acc), outcome, nil
 }
 
 // miss is a result flight's work. Tier order: disk (local, trusted) →
@@ -196,25 +196,6 @@ func (c *Cache) tiers() (string, RemoteStore) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.dir, c.remote
-}
-
-// buildResult assembles the Result core.Run would have returned for this
-// canonical config around a (shared, immutable) accumulator. It mirrors
-// the literal at the end of core.Run exactly: streaming runs carry no
-// per-job records, and every identity field comes from the requester's
-// own canonical config, so two callers sharing one accumulator still get
-// their own labels.
-func buildResult(canon core.Config, jobs *workload.Trace, acc *metrics.Accumulator) *metrics.Result {
-	res := &metrics.Result{
-		Label:    canon.Label,
-		Region:   canon.Carbon.Region(),
-		Workload: jobs.Name,
-		Reserved: canon.Reserved,
-		Horizon:  canon.Horizon,
-		Pricing:  canon.Pricing,
-	}
-	res.AttachAccumulator(acc)
-	return res
 }
 
 // Store entries are named by the hex key plus a suffix spelling out the

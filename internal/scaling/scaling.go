@@ -8,9 +8,10 @@
 //
 // The planner is the greedy marginal-allocation algorithm: repeatedly buy
 // the cheapest next unit of throughput, where a slot's price is
-// CI(slot) / marginal-speedup. For concave speedup curves the marginal
-// throughput per slot is non-increasing, so the greedy plan matches the
-// continuous-relaxation optimum.
+// CI(slot) / marginal-speedup. Jobs carry a workload.ScaleCurve, the same
+// marginal-throughput model the scheduler's elastic allocators read; its
+// marginals are non-increasing, so the greedy plan matches the
+// continuous-relaxation optimum up to its last, whole marginal unit.
 package scaling
 
 import (
@@ -18,62 +19,23 @@ import (
 	"fmt"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
-// SpeedupCurve maps parallelism to throughput in work-units/hour, with
-// Throughput(1) == 1 by convention (one CPU does one unit of serial work
-// per hour).
-type SpeedupCurve interface {
-	Throughput(k int) float64
-}
-
-// Amdahl is the classic speedup law: a Parallel fraction of the work
-// scales perfectly, the rest is serial.
-type Amdahl struct {
-	// Parallel is the parallelizable fraction in [0, 1].
-	Parallel float64
-}
-
-// Throughput implements SpeedupCurve.
-func (a Amdahl) Throughput(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return 1 / ((1 - a.Parallel) + a.Parallel/float64(k))
-}
-
-// Linear is the embarrassingly-parallel limit: s(k) = k.
-type Linear struct{}
-
-// Throughput implements SpeedupCurve.
-func (Linear) Throughput(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	return float64(k)
-}
-
 // ElasticJob is a malleable batch job: Work serial CPU-hours that may run
-// at any parallelism up to MaxParallel, with diminishing returns given by
-// Curve.
+// at up to len(Curve) CPUs per hour slot, with diminishing returns given
+// by Curve.
 type ElasticJob struct {
 	Arrival simtime.Time
-	// Work is the job volume in serial CPU-hours (time at k=1).
+	// Work is the job volume in serial CPU-hours (time at one CPU).
 	Work float64
-	// MaxParallel caps the per-slot allocation.
-	MaxParallel int
-	// Curve is the speedup law; nil means Amdahl{0.9}.
-	Curve SpeedupCurve
+	// Curve is the per-CPU marginal throughput; its length caps the
+	// per-slot allocation.
+	Curve workload.ScaleCurve
 	// Deadline bounds completion at Arrival+Deadline.
 	Deadline simtime.Duration
-}
-
-func (j ElasticJob) curve() SpeedupCurve {
-	if j.Curve == nil {
-		return Amdahl{Parallel: 0.9}
-	}
-	return j.Curve
 }
 
 // Validate reports whether the job is well-formed and feasible at maximum
@@ -82,14 +44,14 @@ func (j ElasticJob) Validate() error {
 	if j.Work <= 0 {
 		return fmt.Errorf("scaling: work %v must be positive", j.Work)
 	}
-	if j.MaxParallel < 1 {
-		return fmt.Errorf("scaling: max parallelism %d must be >= 1", j.MaxParallel)
+	if err := j.Curve.Validate(); err != nil {
+		return fmt.Errorf("scaling: %w", err)
 	}
 	if j.Deadline <= 0 {
 		return fmt.Errorf("scaling: deadline %v must be positive", j.Deadline)
 	}
 	slots := float64(j.Deadline / simtime.Hour)
-	if capacity := j.curve().Throughput(j.MaxParallel) * slots; capacity < j.Work {
+	if capacity := j.Curve.Throughput(len(j.Curve)) * slots; capacity < j.Work {
 		return fmt.Errorf("scaling: infeasible: %v work > %v capacity within deadline", j.Work, capacity)
 	}
 	return nil
@@ -126,15 +88,15 @@ func (p Plan) Completion(arrival simtime.Time) simtime.Time {
 }
 
 // Carbon returns the plan's emissions in grams given the realized trace
-// and per-CPU power in kW.
-func (p Plan) Carbon(tr *carbon.Trace, kwPerCPU float64) float64 {
+// and the power model.
+func (p Plan) Carbon(tr *carbon.Trace, pw cloud.Power) float64 {
 	var g float64
 	for _, a := range p.Allocs {
 		iv := simtime.Interval{
 			Start: simtime.Time(simtime.Duration(a.Slot) * simtime.Hour),
 			End:   simtime.Time(simtime.Duration(a.Slot+1) * simtime.Hour),
 		}
-		g += tr.Integral(iv) * kwPerCPU * float64(a.CPUs)
+		g += pw.Carbon(tr.Integral(iv), a.CPUs)
 	}
 	return g
 }
@@ -147,25 +109,18 @@ type slotState struct {
 	index int
 }
 
+// slotHeap orders slots by the carbon price of their next CPU,
+// ci / curve[cpus]; a slot leaves the heap once its allocation reaches
+// len(curve).
 type slotHeap struct {
 	items []*slotState
-	curve SpeedupCurve
-	max   int
-}
-
-// price is the marginal carbon per unit of added throughput.
-func (h *slotHeap) price(s *slotState) float64 {
-	delta := h.curve.Throughput(s.cpus+1) - h.curve.Throughput(s.cpus)
-	if delta <= 0 {
-		return 0
-	}
-	return s.ci / delta
+	curve workload.ScaleCurve
 }
 
 func (h *slotHeap) Len() int { return len(h.items) }
 func (h *slotHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	pa, pb := h.price(a), h.price(b)
+	pa, pb := a.ci/h.curve[a.cpus], b.ci/h.curve[b.cpus]
 	if pa != pb {
 		return pa < pb
 	}
@@ -194,32 +149,38 @@ func (h *slotHeap) Pop() any {
 // (CI/marginal-speedup) slots until the work fits. The final marginal
 // unit may overshoot slightly, exactly as a real malleable job finishes
 // mid-slot.
+//
+// Slots are whole clock hours, from the one holding Arrival to the one
+// holding Arrival+Deadline−1, and each is priced and booked as a full
+// hour. The part of the arrival slot before Arrival therefore counts as
+// usable time: a 1-hour job arriving at minute 90 whose cheapest slot is
+// its first books all of slot 1 and completes at minute 120, 30 minutes
+// after it arrived.
 func PlanJob(job ElasticJob, cis carbon.Service) (Plan, error) {
 	if err := job.Validate(); err != nil {
 		return Plan{}, err
 	}
-	curve := job.curve()
 	firstSlot := job.Arrival.HourIndex()
 	lastSlot := (job.Arrival.Add(job.Deadline) - 1).HourIndex()
 
-	h := &slotHeap{curve: curve, max: job.MaxParallel}
-	for s := firstSlot; s <= lastSlot; s++ {
-		slotStart := simtime.Time(simtime.Duration(s) * simtime.Hour)
-		ci := cis.ForecastIntegral(job.Arrival, simtime.Interval{
+	slots := make([]slotState, lastSlot-firstSlot+1)
+	h := &slotHeap{items: make([]*slotState, 0, len(slots)), curve: job.Curve}
+	for i := range slots {
+		s := &slots[i]
+		s.slot = firstSlot + i
+		slotStart := simtime.Time(simtime.Duration(s.slot) * simtime.Hour)
+		s.ci = cis.ForecastIntegral(job.Arrival, simtime.Interval{
 			Start: slotStart, End: slotStart.Add(simtime.Hour),
 		})
-		heap.Push(h, &slotState{slot: s, ci: ci})
+		heap.Push(h, s)
 	}
 
 	remaining := job.Work
-	cpus := make(map[int]int)
 	for remaining > 1e-12 && h.Len() > 0 {
 		s := h.items[0]
-		delta := curve.Throughput(s.cpus+1) - curve.Throughput(s.cpus)
+		remaining -= job.Curve[s.cpus]
 		s.cpus++
-		cpus[s.slot] = s.cpus
-		remaining -= delta
-		if s.cpus >= job.MaxParallel {
+		if s.cpus >= len(job.Curve) {
 			heap.Pop(h)
 		} else {
 			heap.Fix(h, s.index)
@@ -230,9 +191,9 @@ func PlanJob(job ElasticJob, cis carbon.Service) (Plan, error) {
 	}
 
 	var plan Plan
-	for s := firstSlot; s <= lastSlot; s++ {
-		if k := cpus[s]; k > 0 {
-			plan.Allocs = append(plan.Allocs, Alloc{Slot: s, CPUs: k})
+	for _, s := range slots {
+		if s.cpus > 0 {
+			plan.Allocs = append(plan.Allocs, Alloc{Slot: s.slot, CPUs: s.cpus})
 		}
 	}
 	return plan, nil
@@ -240,15 +201,16 @@ func PlanJob(job ElasticJob, cis carbon.Service) (Plan, error) {
 
 // StaticPlan runs the job at constant parallelism k from arrival until
 // the work completes (the carbon-agnostic baseline; k=1 is the paper's
-// uninterruptible single-width execution).
+// uninterruptible single-width execution). Like PlanJob it books whole
+// hour slots, starting with the one holding Arrival.
 func StaticPlan(job ElasticJob, k int) (Plan, error) {
 	if err := job.Validate(); err != nil {
 		return Plan{}, err
 	}
-	if k < 1 || k > job.MaxParallel {
-		return Plan{}, fmt.Errorf("scaling: static parallelism %d out of [1, %d]", k, job.MaxParallel)
+	if k < 1 || k > len(job.Curve) {
+		return Plan{}, fmt.Errorf("scaling: static parallelism %d out of [1, %d]", k, len(job.Curve))
 	}
-	throughput := job.curve().Throughput(k)
+	throughput := job.Curve.Throughput(k)
 	remaining := job.Work
 	var plan Plan
 	slot := job.Arrival.HourIndex()

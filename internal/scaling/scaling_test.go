@@ -1,57 +1,43 @@
 package scaling
 
 import (
-	"math"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func cisOver(values []float64) carbon.Service {
 	return carbon.NewPerfectService(carbon.MustTrace("t", values))
 }
 
-func TestAmdahl(t *testing.T) {
-	a := Amdahl{Parallel: 0.9}
-	if a.Throughput(1) != 1 {
-		t.Errorf("s(1) = %v", a.Throughput(1))
+// ones is the embarrassingly-parallel curve: every CPU adds one unit.
+func ones(n int) workload.ScaleCurve {
+	c := make(workload.ScaleCurve, n)
+	for i := range c {
+		c[i] = 1
 	}
-	if a.Throughput(0) != 0 {
-		t.Errorf("s(0) = %v", a.Throughput(0))
-	}
-	// Monotone, concave, bounded by 1/(1-p) = 10.
-	prev, prevDelta := 1.0, math.Inf(1)
-	for k := 2; k <= 64; k++ {
-		s := a.Throughput(k)
-		if s <= prev {
-			t.Fatalf("not monotone at k=%d", k)
-		}
-		delta := s - prev
-		if delta > prevDelta+1e-12 {
-			t.Fatalf("not concave at k=%d", k)
-		}
-		prev, prevDelta = s, delta
-	}
-	if prev >= 10 {
-		t.Errorf("speedup should stay below 1/(1-p)=10, got %v", prev)
-	}
-	if (Linear{}).Throughput(7) != 7 || (Linear{}).Throughput(-1) != 0 {
-		t.Error("Linear curve broken")
-	}
+	return c
 }
 
 func TestValidate(t *testing.T) {
-	good := ElasticJob{Work: 4, MaxParallel: 4, Deadline: 24 * simtime.Hour, Curve: Linear{}}
+	good := ElasticJob{Work: 4, Deadline: 24 * simtime.Hour, Curve: ones(4)}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []ElasticJob{
-		{Work: 0, MaxParallel: 1, Deadline: simtime.Hour},
-		{Work: 1, MaxParallel: 0, Deadline: simtime.Hour},
-		{Work: 1, MaxParallel: 1, Deadline: 0},
+		{Work: 0, Curve: ones(1), Deadline: simtime.Hour},
+		{Work: 1, Curve: nil, Deadline: simtime.Hour},
+		{Work: 1, Curve: ones(1), Deadline: 0},
 		// Infeasible: 100 units of serial work, 2h deadline, max 2x.
-		{Work: 100, MaxParallel: 2, Deadline: 2 * simtime.Hour, Curve: Linear{}},
+		{Work: 100, Curve: ones(2), Deadline: 2 * simtime.Hour},
+		// A zero marginal: Amdahl with no parallel fraction would book
+		// CPUs that add no throughput.
+		{Work: 2, Curve: workload.AmdahlCurve(0, 4), Deadline: 24 * simtime.Hour},
+		// Rising marginals break the greedy's optimality.
+		{Work: 2, Curve: workload.ScaleCurve{1, 0.5, 0.8}, Deadline: 24 * simtime.Hour},
 	}
 	for i, j := range bad {
 		if j.Validate() == nil {
@@ -65,8 +51,8 @@ func TestPlanTargetsCheapSlots(t *testing.T) {
 	// 2 CPUs in each clean hour and nothing elsewhere.
 	cis := cisOver([]float64{900, 900, 50, 60, 900, 900, 900, 900})
 	job := ElasticJob{
-		Arrival: 0, Work: 4, MaxParallel: 2,
-		Deadline: 8 * simtime.Hour, Curve: Linear{},
+		Arrival: 0, Work: 4,
+		Deadline: 8 * simtime.Hour, Curve: ones(2),
 	}
 	plan, err := PlanJob(job, cis)
 	if err != nil {
@@ -97,8 +83,8 @@ func TestPlanRespectsDiminishingReturns(t *testing.T) {
 	// single cleanest slot.
 	cis := cisOver([]float64{100, 120, 900, 900, 900, 900, 900, 900})
 	job := ElasticJob{
-		Arrival: 0, Work: 2, MaxParallel: 8,
-		Deadline: 8 * simtime.Hour, Curve: Amdahl{Parallel: 0.5},
+		Arrival: 0, Work: 2,
+		Deadline: 8 * simtime.Hour, Curve: workload.AmdahlCurve(0.5, 8),
 	}
 	plan, err := PlanJob(job, cis)
 	if err != nil {
@@ -118,9 +104,9 @@ func TestPlanRespectsDiminishingReturns(t *testing.T) {
 
 func TestPlanCoversWork(t *testing.T) {
 	cis := cisOver(carbon.RegionSAAU.Generate(24*4, 1).Values())
-	for _, curve := range []SpeedupCurve{Linear{}, Amdahl{Parallel: 0.9}, Amdahl{Parallel: 0.5}} {
+	for _, curve := range []workload.ScaleCurve{ones(6), workload.AmdahlCurve(0.9, 6), workload.AmdahlCurve(0.5, 6)} {
 		job := ElasticJob{
-			Arrival: 90, Work: 10, MaxParallel: 6,
+			Arrival: 90, Work: 10,
 			Deadline: 36 * simtime.Hour, Curve: curve,
 		}
 		plan, err := PlanJob(job, cis)
@@ -132,11 +118,11 @@ func TestPlanCoversWork(t *testing.T) {
 			done += curve.Throughput(a.CPUs)
 		}
 		if done < job.Work-1e-9 {
-			t.Errorf("%T: plan does %v of %v work", curve, done, job.Work)
+			t.Errorf("%v: plan does %v of %v work", curve, done, job.Work)
 		}
 		// At most one marginal overshoot.
-		if done > job.Work+curve.Throughput(job.MaxParallel) {
-			t.Errorf("%T: excessive overshoot %v", curve, done)
+		if done > job.Work+curve.Throughput(len(curve)) {
+			t.Errorf("%v: excessive overshoot %v", curve, done)
 		}
 	}
 }
@@ -147,28 +133,28 @@ func TestScalerNeverDirtierThanStatic(t *testing.T) {
 	tr := carbon.RegionSAAU.Generate(24*4, 2)
 	cis := carbon.NewPerfectService(tr)
 	job := ElasticJob{
-		Arrival: 0, Work: 12, MaxParallel: 4,
-		Deadline: 48 * simtime.Hour, Curve: Linear{},
+		Arrival: 0, Work: 12,
+		Deadline: 48 * simtime.Hour, Curve: ones(4),
 	}
 	plan, err := PlanJob(job, cis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const kw = 0.01
-	planC := plan.Carbon(tr, kw)
+	pw := cloud.DefaultPower()
+	planC := plan.Carbon(tr, pw)
 	for _, k := range []int{1, 4} {
 		static, err := StaticPlan(job, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c := static.Carbon(tr, kw); planC > c+1e-9 {
+		if c := static.Carbon(tr, pw); planC > c+1e-9 {
 			t.Errorf("scaler %v dirtier than static-%d %v", planC, k, c)
 		}
 	}
 }
 
 func TestStaticPlan(t *testing.T) {
-	job := ElasticJob{Arrival: 0, Work: 4, MaxParallel: 4, Deadline: 24 * simtime.Hour, Curve: Linear{}}
+	job := ElasticJob{Arrival: 0, Work: 4, Deadline: 24 * simtime.Hour, Curve: ones(4)}
 	p1, err := StaticPlan(job, 1)
 	if err != nil || len(p1.Allocs) != 4 || p1.CPUHours() != 4 {
 		t.Errorf("static-1 = %+v, %v", p1, err)
@@ -188,7 +174,7 @@ func TestStaticPlan(t *testing.T) {
 func TestAmdahlCostsMoreCPUHours(t *testing.T) {
 	// Scaling wide with Amdahl burns more CPU-hours than serial — the
 	// energy/carbon tension CarbonScaler navigates.
-	job := ElasticJob{Arrival: 0, Work: 6, MaxParallel: 8, Deadline: 48 * simtime.Hour, Curve: Amdahl{Parallel: 0.9}}
+	job := ElasticJob{Arrival: 0, Work: 6, Deadline: 48 * simtime.Hour, Curve: workload.AmdahlCurve(0.9, 8)}
 	cis := cisOver([]float64{10, 900, 900, 900, 900, 900, 900, 900,
 		900, 900, 900, 900, 900, 900, 900, 900,
 		900, 900, 900, 900, 900, 900, 900, 900,
