@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick bench-module-test load-smoke figures figures-full examples serve clean
+.PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick bench-module-test load-smoke figures figures-full figures-check examples serve clean
 
 all: build lint test race bench-check
 
@@ -78,13 +78,15 @@ bench-check:
 # tiers: one computation for concurrent callers, cancellation only when
 # the last waiter leaves, distinct keys independent, a retired flight
 # never evicting its successor, a panic returned as the flight's error
-# (TestFlight*), and a waiter with a live context getting the result
-# after the caller that started the computation gave up
-# (TestRunContextWaiterOutlivesCanceledLeader). go test -run skips an
+# (TestFlight*), a waiter with a live context getting the result after
+# the caller that started the computation gave up
+# (TestRunContextWaiterOutlivesCanceledLeader), and the memory budget's
+# evictions racing runs, joins, peer PUTs and GETs on the same keys
+# (TestMemoryEvictionRaces). go test -run skips an
 # entry that matches no test without complaint, so bench-quick first
 # checks that every entry matches a test `go test -list` reports in the
 # listed packages, and fails naming any entry that does not.
-BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader|TestMemoryEvictionRaces
 BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
 bench-quick:
 	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \
@@ -116,6 +118,15 @@ figures:
 
 figures-full:
 	$(GO) run ./cmd/gaia-exp -all -full -outdir results
+
+# Paper-scale reproduction check: regenerate every figure at full scale
+# into a temp dir and require each .txt to equal its copy in results/
+# byte for byte, with no file missing on either side (~10 s on 2 cores).
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/gaia-exp -all -full -outdir "$$tmp" >/dev/null && \
+	rm -f "$$tmp"/*.tsv && \
+	diff -ru results "$$tmp" && echo "figures-check: results/ reproduced byte for byte"
 
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done

@@ -1,7 +1,11 @@
 // Command gaia-cached runs a standalone node of the shared simulation-
-// result cache tier: one fleet.BlobStore behind the minimal HTTP shard
-// protocol (GET/PUT /v1/cache/{fingerprint}, GET /v1/cache/stats), with
-// nothing else — no simulator, no oracle tables, no admission gate.
+// result cache tier: one run cache's store (internal/runcache) behind the
+// minimal HTTP shard protocol (GET/PUT /v1/cache/{fingerprint},
+// GET /v1/cache/stats), with nothing else — no simulator, no oracle
+// tables, no admission gate. Entries are held in memory under the
+// -max-bytes budget, oldest evicted first; with -dir each is also written
+// as <fingerprint>.c1.s1.gacc, the file gaia-serve's -cache-dir and
+// gaia-exp's -cache use, so an entry evicted from memory is still served.
 //
 // Use it to give a gaia-serve fleet cache capacity that survives replica
 // deploys: point every replica's -fleet-peers at a set of gaia-cached
@@ -12,7 +16,7 @@
 //	gaia-cached -addr :8405 -max-bytes 1073741824 -dir /var/cache/gaia-cached
 //
 // SIGINT/SIGTERM shut the listener down cleanly; with -dir set the shard
-// contents come back on restart.
+// contents are served again after a restart.
 package main
 
 import (
@@ -28,6 +32,7 @@ import (
 	"time"
 
 	"github.com/carbonsched/gaia/internal/fleet"
+	"github.com/carbonsched/gaia/internal/runcache"
 )
 
 func main() {
@@ -42,21 +47,22 @@ func run(args []string) error {
 	var (
 		addr     = fs.String("addr", ":8405", "listen address")
 		dir      = fs.String("dir", "", "write-through disk directory (empty = memory only)")
-		maxBytes = fs.Int64("max-bytes", fleet.DefaultMaxBytes, "in-memory shard byte budget")
+		maxBytes = fs.Int64("max-bytes", runcache.DefaultMaxBytes, "in-memory shard byte budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	store := fleet.NewBlobStore(*maxBytes)
+	cache := runcache.New()
+	cache.SetMaxBytes(*maxBytes)
 	if *dir != "" {
-		if err := store.SetDir(*dir); err != nil {
+		if err := cache.SetDir(*dir); err != nil {
 			return err
 		}
 	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           fleet.NewCacheServer(store).Handler(),
+		Handler:           fleet.NewCacheServer(cache).Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -80,7 +86,7 @@ func run(args []string) error {
 	if err := <-serveErr; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	st := store.Stats()
+	st := cache.Stats()
 	log.Printf("gaia-cached: bye (%d entries, %d bytes, %d hits, %d misses)",
 		st.Entries, st.Bytes, st.Hits, st.Misses)
 	return nil

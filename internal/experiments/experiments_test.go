@@ -1,9 +1,13 @@
 package experiments
 
 import (
-	"strings"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick from the rendered quick figures")
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -44,9 +48,13 @@ func TestScaleString(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRunQuick executes every figure at Quick scale and
-// sanity-checks the output. This doubles as the integration test of the
-// whole stack (policies × cloud options × accounting).
+// TestAllExperimentsRunQuick renders every figure at Quick scale and
+// compares it byte for byte with its golden file, testdata/quick/<id>.txt
+// (what gaia-exp -all -outdir writes). This doubles as the integration
+// test of the whole stack (policies × cloud options × accounting): any
+// change that moves a printed digit fails here. After an intended
+// change, rewrite the files with go test ./internal/experiments -update
+// and review their diff.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep still takes seconds")
@@ -58,12 +66,20 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
-			s := out.String()
-			if len(s) < 50 {
-				t.Fatalf("%s output suspiciously short:\n%s", e.ID, s)
+			got := out.String()
+			path := filepath.Join("testdata", "quick", e.ID+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
 			}
-			if !strings.Contains(s, "Figure") && !strings.Contains(s, "Extension") {
-				t.Errorf("%s output lacks a title", e.ID)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s differs from %s:\n got:\n%s\nwant:\n%s", e.ID, path, got, want)
 			}
 		})
 	}

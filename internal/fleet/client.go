@@ -16,37 +16,30 @@ import (
 const DefaultTimeout = 500 * time.Millisecond
 
 // Client routes cache operations through the ring: every fingerprint has
-// exactly one owner member, Get asks it, Put tells it. A member that is
-// its own owner short-circuits to the local shard — no HTTP self-call.
+// exactly one owner member, Get asks it, Put tells it. A fingerprint this
+// member owns is a miss and its put is dropped, without an HTTP
+// self-call: this member's shard is its own run cache, which has already
+// looked in its tiers before asking and fills them itself.
 //
 // Client implements runcache.RemoteStore. Per that contract, errors are
 // advisory: the caller logs and falls back to local compute, so a slow or
 // dead owner degrades the cells it owns to cache misses, nothing more.
 type Client struct {
-	ring  *Ring
-	self  string     // this member's ring name ("" for a pure client)
-	local *BlobStore // this member's shard (nil for a pure client)
-	hc    *http.Client
+	ring *Ring
+	self string // this member's ring name ("" for a pure client)
+	hc   *http.Client
 }
 
-// NewClient builds the routing client. self and local identify this
-// process's own membership: requests the ring routes to self are served
-// from local directly. A non-member (gaia-load, tests) passes "" and nil.
-// Members must be base URLs (http://host:port); they double as ring names.
-func NewClient(ring *Ring, self string, local *BlobStore) *Client {
+// NewClient builds the routing client. self is this process's own ring
+// name; a non-member (gaia-load, tests) passes "". Members must be base
+// URLs (http://host:port); they double as ring names.
+func NewClient(ring *Ring, self string) *Client {
 	return &Client{
-		ring:  ring,
-		self:  self,
-		local: local,
-		hc:    &http.Client{Timeout: DefaultTimeout},
+		ring: ring,
+		self: self,
+		hc:   &http.Client{Timeout: DefaultTimeout},
 	}
 }
-
-// SetTimeout overrides the per-operation timeout (tests).
-func (c *Client) SetTimeout(d time.Duration) { c.hc.Timeout = d }
-
-// Owner exposes the ring decision for observability and tests.
-func (c *Client) Owner(fp [32]byte) string { return c.ring.Owner(fp) }
 
 func cacheURL(owner string, fp [32]byte) string {
 	return owner + "/v1/cache/" + hex.EncodeToString(fp[:])
@@ -55,11 +48,8 @@ func cacheURL(owner string, fp [32]byte) string {
 // Get fetches the blob for fp from its owner; (nil, nil) is a clean miss.
 func (c *Client) Get(ctx context.Context, fp [32]byte) ([]byte, error) {
 	owner := c.ring.Owner(fp)
-	if owner == "" {
+	if owner == "" || owner == c.self {
 		return nil, nil
-	}
-	if owner == c.self {
-		return c.local.Get(fp), nil
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cacheURL(owner, fp), nil)
 	if err != nil {
@@ -93,11 +83,7 @@ func (c *Client) Get(ctx context.Context, fp [32]byte) ([]byte, error) {
 // Put offers the blob for fp to its owner. Best-effort by contract.
 func (c *Client) Put(ctx context.Context, fp [32]byte, blob []byte) error {
 	owner := c.ring.Owner(fp)
-	if owner == "" {
-		return nil
-	}
-	if owner == c.self {
-		c.local.Put(fp, blob)
+	if owner == "" || owner == c.self {
 		return nil
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, cacheURL(owner, fp), bytes.NewReader(blob))

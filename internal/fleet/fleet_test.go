@@ -3,13 +3,20 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/metrics"
+	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/runcache"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -29,86 +36,15 @@ func testBlob(t testing.TB, jobs int) []byte {
 	return metrics.EncodeAccumulator(a)
 }
 
-func TestBlobStoreRoundtrip(t *testing.T) {
-	s := NewBlobStore(0)
-	s.Logf = t.Logf
-	fp := key(1)
-	if got := s.Get(fp); got != nil {
-		t.Fatalf("empty store returned %d bytes", len(got))
-	}
-	blob := testBlob(t, 3)
-	s.Put(fp, blob)
-	if got := s.Get(fp); !bytes.Equal(got, blob) {
-		t.Fatalf("roundtrip mismatch: got %d bytes, want %d", len(got), len(blob))
-	}
-	st := s.Stats()
-	if st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestBlobStoreEviction(t *testing.T) {
-	blob := testBlob(t, 2)
-	// Budget for two entries; the third insert evicts the oldest.
-	s := NewBlobStore(int64(2 * len(blob)))
-	s.Logf = t.Logf
-	s.Put(key(1), blob)
-	s.Put(key(2), blob)
-	s.Put(key(3), blob)
-	if got := s.Get(key(1)); got != nil {
-		t.Fatal("oldest entry survived past the byte budget")
-	}
-	for _, i := range []int{2, 3} {
-		if got := s.Get(key(i)); got == nil {
-			t.Fatalf("entry %d evicted although within budget", i)
-		}
-	}
-	if st := s.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-}
-
-func TestBlobStoreDiskSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	blob := testBlob(t, 4)
-	s := NewBlobStore(0)
-	s.Logf = t.Logf
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.Put(key(7), blob)
-
-	restarted := NewBlobStore(0)
-	restarted.Logf = t.Logf
-	if err := restarted.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if got := restarted.Get(key(7)); !bytes.Equal(got, blob) {
-		t.Fatalf("disk reload mismatch: got %d bytes, want %d", len(got), len(blob))
-	}
-}
-
-func TestBlobStoreDiskCorruptionIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	blob := testBlob(t, 4)
-	s := NewBlobStore(0)
-	var logged bool
-	s.Logf = func(string, ...any) { logged = true }
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.storeDisk(dir, key(9), append(append([]byte(nil), blob...), 0xFF)) // trailing garbage
-	if got := s.loadDisk(dir, key(9)); got != nil {
-		t.Fatal("corrupt disk entry served")
-	}
-	if !logged {
-		t.Fatal("corruption was not logged")
-	}
+// newShard returns an empty run cache to serve as a shard.
+func newShard(t testing.TB) *runcache.Cache {
+	c := runcache.New()
+	c.Logf = t.Logf
+	return c
 }
 
 func TestCacheServerProtocol(t *testing.T) {
-	store := NewBlobStore(0)
-	store.Logf = t.Logf
+	store := newShard(t)
 	ts := httptest.NewServer(NewCacheServer(store).Handler())
 	defer ts.Close()
 	blob := testBlob(t, 5)
@@ -157,20 +93,17 @@ func TestCacheServerProtocol(t *testing.T) {
 	}
 }
 
-// TestClientRouting drives two members — one live HTTP peer and one
-// "self" served from the local shard — and checks that every key reaches
-// exactly its ring owner.
+// TestClientRouting drives two members — one live HTTP peer and "self" —
+// and checks that a key self owns never dials and is stored nowhere,
+// while every key the peer owns reaches the peer's shard.
 func TestClientRouting(t *testing.T) {
-	peerStore := NewBlobStore(0)
-	peerStore.Logf = t.Logf
-	peer := httptest.NewServer(NewCacheServer(peerStore).Handler())
+	peerShard := newShard(t)
+	peer := httptest.NewServer(NewCacheServer(peerShard).Handler())
 	defer peer.Close()
 
-	selfStore := NewBlobStore(0)
-	selfStore.Logf = t.Logf
-	self := "http://self.invalid:0" // never dialed: self traffic short-circuits
+	self := "http://self.invalid:0" // dialing it would fail the operation
 	ring := NewRing([]string{self, peer.URL}, 0)
-	c := NewClient(ring, self, selfStore)
+	c := NewClient(ring, self)
 
 	blob := testBlob(t, 2)
 	ctx := context.Background()
@@ -184,19 +117,19 @@ func TestClientRouting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
+		if ring.Owner(fp) == self {
+			selfKeys++
+			if got != nil || peerShard.Blob(fp) != nil {
+				t.Fatalf("key %d owned by self was stored", i)
+			}
+			continue
+		}
+		peerKeys++
 		if !bytes.Equal(got, blob) {
 			t.Fatalf("get %d: %d bytes, want %d", i, len(got), len(blob))
 		}
-		if c.Owner(fp) == self {
-			selfKeys++
-			if selfStore.Get(fp) == nil {
-				t.Fatalf("key %d owned by self missing from local shard", i)
-			}
-		} else {
-			peerKeys++
-			if peerStore.Get(fp) == nil {
-				t.Fatalf("key %d owned by peer missing from peer shard", i)
-			}
+		if !bytes.Equal(peerShard.Blob(fp), blob) {
+			t.Fatalf("key %d owned by peer missing from peer shard", i)
 		}
 	}
 	if selfKeys == 0 || peerKeys == 0 {
@@ -204,12 +137,57 @@ func TestClientRouting(t *testing.T) {
 	}
 }
 
+// TestPeerPutServesRemoteHitThenHit: a cell a peer PUT through the shard
+// protocol is served to the first local Run as a remote hit and to the
+// next as a hit, bit-identical to core.Run, and the shard's counters
+// record the traffic.
+func TestPeerPutServesRemoteHitThenHit(t *testing.T) {
+	jobs := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(3)), 50, simtime.Day)
+	cfg := core.Config{Policy: policy.CarbonTime{}, Carbon: carbon.RegionSAAU.Generate(72, 1), Reserved: 4}
+	want, err := core.Run(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, ok := cfg.Fingerprint(jobs)
+	if !ok {
+		t.Fatal("cell is not cacheable")
+	}
+	shard := newShard(t)
+	h := NewCacheServer(shard).Handler()
+	path := "/v1/cache/" + hex.EncodeToString(fp[:])
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPut, path, bytes.NewReader(metrics.EncodeAccumulator(want.Accumulator()))))
+	if w.Code != http.StatusNoContent {
+		t.Fatalf("PUT = %d, want 204", w.Code)
+	}
+	for _, wantOutcome := range []runcache.Outcome{runcache.RemoteHit, runcache.Hit} {
+		got, outcome, err := shard.Run(cfg, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outcome != wantOutcome {
+			t.Fatalf("outcome %v, want %v", outcome, wantOutcome)
+		}
+		if got.String() != want.String() || !reflect.DeepEqual(got.Accumulator(), want.Accumulator()) {
+			t.Fatalf("%v result differs from core.Run", outcome)
+		}
+	}
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/cache/"+strings.Repeat("cd", 32), nil))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("GET of an absent cell = %d, want 404", w.Code)
+	}
+	if st := shard.Stats(); st.Entries != 1 || st.Puts != 1 || st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 1 entry, 1 put, 1 miss", st)
+	}
+}
+
 // TestClientDeadPeer pins degradation: a dead owner yields errors, not
 // hangs — and a clean miss is (nil, nil), distinguishable from failure.
 func TestClientDeadPeer(t *testing.T) {
 	dead := "http://127.0.0.1:1" // reserved port, nothing listens
-	c := NewClient(NewRing([]string{dead}, 0), "", nil)
-	c.SetTimeout(200 * time.Millisecond)
+	c := NewClient(NewRing([]string{dead}, 0), "")
+	c.hc.Timeout = 200 * time.Millisecond
 	ctx := context.Background()
 	start := time.Now()
 	if _, err := c.Get(ctx, key(1)); err == nil {
@@ -236,7 +214,7 @@ func FuzzCacheWire(f *testing.F) {
 	f.Add(strings.Repeat("AB", 32), []byte{})                // upper hex, empty body
 	f.Add(strings.Repeat("ab", 32), append(valid, valid...)) // trailing garbage
 	f.Fuzz(func(t *testing.T, fp string, body []byte) {
-		store := NewBlobStore(0)
+		store := runcache.New()
 		store.Logf = func(string, ...any) {}
 		h := NewCacheServer(store).Handler()
 

@@ -7,14 +7,14 @@
 //     cells land on the same replica no matter which replica received the
 //     request — single-flight dedup, which stops at a process boundary,
 //     becomes global because every replica asks the same owner.
-//   - BlobStore: one member's shard of the tier — encoded accumulators
-//     (the internal/metrics codec, already versioned and checksummed, is
-//     the wire format) held in memory with an optional disk directory.
-//   - CacheServer: the minimal HTTP protocol over a BlobStore
+//   - CacheServer: the minimal HTTP protocol over one member's shard,
+//     which is its runcache.Cache — the same bounded memory tier and disk
+//     directory its own runs use; the internal/metrics codec, already
+//     versioned and checksummed, is the wire format
 //     (GET/PUT /v1/cache/{fingerprint-hex}).
 //   - Client: the runcache.RemoteStore implementation that routes each
-//     fingerprint through the Ring, short-circuiting to the local shard
-//     when this member owns the key.
+//     fingerprint through the Ring; a key this member owns is a miss,
+//     since its run cache has already looked in its own tiers.
 //
 // The tier is an accelerator, never a dependency: every Client error or
 // timeout degrades to local compute (runcache logs and recomputes), so a

@@ -6,7 +6,7 @@ import (
 	"io"
 	"net/http"
 
-	"github.com/carbonsched/gaia/internal/metrics"
+	"github.com/carbonsched/gaia/internal/runcache"
 )
 
 // MaxBlobBytes bounds one cache entry on the wire. A 200k-job cell — the
@@ -15,11 +15,11 @@ import (
 const MaxBlobBytes = 64 << 20
 
 // CacheServer speaks the tier's minimal HTTP protocol over one member's
-// BlobStore:
+// shard, its run cache's store (runcache.Cache.Blob and PutBlob):
 //
 //	GET /v1/cache/{fp}    → 200 + raw blob | 404
 //	PUT /v1/cache/{fp}    → 204 | 400 (bad key or blob) | 413 (too large)
-//	GET /v1/cache/stats   → 200 + JSON StoreStats
+//	GET /v1/cache/stats   → 200 + JSON runcache.StoreStats
 //
 // {fp} is the 64-hex-char cell fingerprint. Blobs are the internal/metrics
 // accumulator codec — already versioned and checksummed — so the wire
@@ -27,12 +27,10 @@ const MaxBlobBytes = 64 << 20
 // a blob that does not decode is rejected with 400, which keeps one
 // misbehaving replica from poisoning the shard (peers would only detect
 // the damage at read time, as a recompute).
-type CacheServer struct {
-	store *BlobStore
-}
+type CacheServer struct{ cache *runcache.Cache }
 
-// NewCacheServer wraps store in the HTTP protocol.
-func NewCacheServer(store *BlobStore) *CacheServer { return &CacheServer{store: store} }
+// NewCacheServer serves cache's store as a shard.
+func NewCacheServer(cache *runcache.Cache) *CacheServer { return &CacheServer{cache: cache} }
 
 // Register mounts the protocol on mux.
 func (cs *CacheServer) Register(mux *http.ServeMux) {
@@ -66,7 +64,7 @@ func (cs *CacheServer) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad fingerprint", http.StatusBadRequest)
 		return
 	}
-	blob := cs.store.Get(fp)
+	blob := cs.cache.Blob(fp)
 	if blob == nil {
 		http.Error(w, "not found", http.StatusNotFound)
 		return
@@ -90,16 +88,15 @@ func (cs *CacheServer) handlePut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "blob exceeds size limit", http.StatusRequestEntityTooLarge)
 		return
 	}
-	if _, err := metrics.DecodeAccumulator(blob); err != nil {
+	if err := cs.cache.PutBlob(fp, blob); err != nil {
 		http.Error(w, "invalid blob: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	cs.store.Put(fp, blob)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (cs *CacheServer) handleStats(w http.ResponseWriter, _ *http.Request) {
-	b, _ := json.Marshal(cs.store.Stats())
+	b, _ := json.Marshal(cs.cache.Stats())
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(b)
 }

@@ -99,6 +99,18 @@ func (a *Accumulator) Schedule() ScheduleColumns { return a.sched }
 // JobCount returns the number of jobs the columns cover.
 func (a *Accumulator) JobCount() int { return len(a.sched.waitings) }
 
+// MemBytes returns the bytes a's columns and usage bins occupy: their
+// capacities, which exceed their lengths once the bins have grown, and
+// schedule columns shared with other accumulators included.
+func (a *Accumulator) MemBytes() int {
+	s := &a.sched
+	n := 8*(cap(s.waitings)+cap(s.lengths)+cap(s.carbons)+cap(s.baselines)+cap(a.costs)) + cap(s.queues)
+	for _, u := range a.usage {
+		n += 8 * cap(u)
+	}
+	return n
+}
+
 // AddJob folds one finished job's record into the columns and totals. It
 // must be called exactly once per job, with rec.JobID in [0, n).
 func (a *Accumulator) AddJob(rec *JobResult) {

@@ -154,6 +154,23 @@ func TestGrowUsageMatchesOnDemandGrowth(t *testing.T) {
 	}
 }
 
+// TestMemBytesCountsCapacity: MemBytes counts what the columns and bins
+// occupy, so bins that grew past their horizon count at their capacity.
+func TestMemBytesCountsCapacity(t *testing.T) {
+	a := NewAccumulator(5, 3*simtime.Hour)
+	if got, want := a.MemBytes(), 5*(8*5+1)+3*3*8; got != want {
+		t.Fatalf("MemBytes = %d, want %d", got, want)
+	}
+	a.GrowUsage(simtime.Time(4 * simtime.Hour))
+	want := 5 * (8*5 + 1)
+	for _, u := range a.usage {
+		want += 8 * cap(u)
+	}
+	if got := a.MemBytes(); got != want {
+		t.Fatalf("grown bins: MemBytes = %d, want %d", got, want)
+	}
+}
+
 // usageCase is one FuzzUsageDelta interval: minutes [start, end) with
 // per-option units.
 type usageCase struct {

@@ -7,9 +7,13 @@
 // in-flight computation instead of re-running it. That computation runs
 // detached from every caller for as long as any caller still waits, so a
 // caller that gives up never cancels work another wants, and callers need
-// no coalescing of their own around the cache. Tier 2 is an optional
-// on-disk store of encoded accumulators (internal/metrics codec), so a
-// warm re-run of the whole figure suite skips simulation entirely.
+// no coalescing of their own around the cache. Completed entries share
+// one byte budget and are evicted oldest first (flight.go). Tier 2 is an
+// optional on-disk store of encoded accumulators (internal/metrics codec),
+// so a warm re-run of the whole figure suite skips simulation entirely,
+// and an entry evicted from memory costs a decode instead of a recompute.
+// The same store, memory and disk, is this process's shard of the fleet
+// tier (remote.go).
 //
 // Correctness contract: a cached cell is indistinguishable from a
 // recomputed one. The cache stores only the immutable streaming
@@ -40,6 +44,12 @@ import (
 // StoreVersion names the on-disk entry format (file naming and contents
 // beyond the accumulator codec itself). Bump to orphan all old files.
 const StoreVersion = 1
+
+// DefaultMaxBytes is the memory tier's budget unless SetMaxBytes changes
+// it: 256 MB holds the whole quick figure suite (233 results and 105
+// plans charge about 110 MB), so only paper-scale runs and long-lived
+// servers evict.
+const DefaultMaxBytes = 256 << 20
 
 // Outcome classifies how one Run request was served.
 type Outcome int
@@ -103,19 +113,54 @@ type Cache struct {
 
 	results flights[*metrics.Accumulator]
 	plans   flights[*core.DecisionPlan] // keyed by DecisionFingerprint
+	mem     memory                      // both tiers' byte budget
 
 	mu     sync.Mutex  // guards dir and remote
 	dir    string      // "" = in-memory tier only
 	remote RemoteStore // nil = no shared fleet tier
 }
 
-// New returns an empty in-memory cache. Call SetDir to add the disk tier.
+// New returns an empty in-memory cache bounded to DefaultMaxBytes. Call
+// SetDir to add the disk tier.
 func New() *Cache {
 	c := &Cache{Logf: log.Printf}
+	c.mem.maxBytes = DefaultMaxBytes
 	c.results.m = make(map[[32]byte]*flight[*metrics.Accumulator])
+	c.results.mem, c.results.size = &c.mem, resultBytes
 	c.plans.m = make(map[[32]byte]*flight[*core.DecisionPlan])
+	c.plans.mem, c.plans.size = &c.mem, planBytes
 	return c
 }
+
+// SetMaxBytes sets the memory tier's budget (DefaultMaxBytes when n <= 0);
+// entries beyond it are evicted as the next ones complete.
+func (c *Cache) SetMaxBytes(n int64) {
+	if n <= 0 {
+		n = DefaultMaxBytes
+	}
+	c.mem.mu.Lock()
+	c.mem.maxBytes = n
+	c.mem.mu.Unlock()
+}
+
+// What a completed entry is charged: an upper bound on the heap it keeps
+// reachable, so the budget bounds what the cache holds (TestMemoryBudget
+// measures it). entryBytes covers what any entry holds beyond its
+// columns: the flight, its map and budget slots, the accumulator's or the
+// plan's and its replay memo's headers, about 1 KB measured, doubled for
+// runtimes and race builds that lay them out less tightly. A result adds
+// its columns and usage bins. A plan adds, per job, its start (8 B), once
+// replayed its memo's endpoint orders and rank columns (28 B) and
+// schedule columns (33 B), and the workload job the memo pins (56 B and a
+// user string of up to 16 B).
+const (
+	entryBytes   = 2 << 10
+	planJobBytes = 8 + 28 + 33 + 56 + 16
+)
+
+func resultBytes(a *metrics.Accumulator) int64 { return int64(entryBytes + a.MemBytes()) }
+
+func planBytes(p *core.DecisionPlan) int64 { return int64(entryBytes + planJobBytes*p.NumJobs()) }
 
 // SetDir attaches the on-disk store rooted at dir, creating it if needed.
 func (c *Cache) SetDir(dir string) error {

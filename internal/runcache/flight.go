@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // flight is one computation of one key — a cell's accumulator or a
@@ -18,14 +19,23 @@ type flight[V any] struct {
 	val     V
 	outcome Outcome // how the work served the caller that started it
 	err     error
+	// unread marks an entry that no work produced (insert): the first
+	// caller to find it is served outcome instead of Hit.
+	unread bool
 }
 
 // flights is one tier's single-flight map. A flight whose work succeeded
-// stays in the map as the tier's memory entry; a failed or abandoned one
-// is retired, so errors are never cached.
+// stays in the map as the tier's memory entry until the memory budget
+// evicts it; a failed or abandoned one is retired, so errors are never
+// cached.
 type flights[V any] struct {
-	mu sync.Mutex // guards m and every flight's refs and cancel
+	mu sync.Mutex // guards m and every flight's refs, cancel and unread
 	m  map[[32]byte]*flight[V]
+
+	// mem, when set, is charged size(val) for each completed entry and
+	// evicts the oldest entries beyond its budget.
+	mem  *memory
+	size func(V) int64
 }
 
 // do returns work's result for key, running work at most once across
@@ -44,8 +54,13 @@ func (fs *flights[V]) do(ctx context.Context, key [32]byte, work func(context.Co
 	outcome := Dedup
 	switch {
 	case f != nil && f.cancel == nil:
+		outcome = Hit
+		if f.unread {
+			f.unread = false
+			outcome = f.outcome
+		}
 		fs.mu.Unlock()
-		return f.val, Hit, nil
+		return f.val, outcome, nil
 	case f == nil:
 		if err := ctx.Err(); err != nil {
 			fs.mu.Unlock()
@@ -84,13 +99,58 @@ func (fs *flights[V]) run(ctx context.Context, key [32]byte, f *flight[V], work 
 		if f.err != nil {
 			fs.retire(key, f)
 		}
+		kept := fs.m[key] == f
 		cancel := f.cancel
 		f.cancel = nil
 		close(f.done)
 		fs.mu.Unlock()
 		cancel()
+		if kept {
+			fs.charge(key, f)
+		}
 	}()
 	f.val, f.outcome, f.err = work(ctx)
+}
+
+// completed returns key's completed entry, if any, without serving it to
+// anyone: no outcome is consumed and no running flight is waited on.
+func (fs *flights[V]) completed(key [32]byte) (V, bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.m[key]; f != nil && f.cancel == nil {
+		return f.val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// insert publishes val as key's completed entry, unless key already has a
+// flight, running or completed, which then keeps the key. The first
+// caller to find the entry is served outcome, later ones Hit.
+func (fs *flights[V]) insert(key [32]byte, val V, outcome Outcome) bool {
+	fs.mu.Lock()
+	if fs.m[key] != nil {
+		fs.mu.Unlock()
+		return false
+	}
+	f := &flight[V]{val: val, outcome: outcome, unread: true}
+	fs.m[key] = f
+	fs.mu.Unlock()
+	fs.charge(key, f)
+	return true
+}
+
+// charge bills a completed entry to the memory budget. Eviction retires
+// exactly this flight, generation-checked like any retirement.
+func (fs *flights[V]) charge(key [32]byte, f *flight[V]) {
+	if fs.mem == nil {
+		return
+	}
+	fs.mem.charge(fs.size(f.val), func() {
+		fs.mu.Lock()
+		fs.retire(key, f)
+		fs.mu.Unlock()
+	})
 }
 
 // leave drops a caller whose ctx ended. The last one to leave unfinished
@@ -110,5 +170,45 @@ func (fs *flights[V]) leave(key [32]byte, f *flight[V]) {
 func (fs *flights[V]) retire(key [32]byte, f *flight[V]) {
 	if fs.m[key] == f {
 		delete(fs.m, key)
+	}
+}
+
+// memory is the one byte budget the completed entries of both tiers
+// share. Entries are charged as they complete and evicted oldest-charged
+// first once the total exceeds maxBytes. A running flight is not charged,
+// so it is never evicted, and an evicted value stays valid for whoever
+// already holds it.
+type memory struct {
+	mu        sync.Mutex // guards maxBytes, bytes, fifo and evictions
+	maxBytes  int64
+	bytes     int64
+	fifo      []charged // oldest first
+	evictions int64
+
+	hits, misses, puts atomic.Int64 // the shard protocol's traffic (remote.go)
+}
+
+// charged is one completed entry's bill and the way to evict it.
+type charged struct {
+	bytes int64
+	evict func()
+}
+
+func (m *memory) charge(n int64, evict func()) {
+	m.mu.Lock()
+	m.fifo = append(m.fifo, charged{n, evict})
+	m.bytes += n
+	var victims []func()
+	for m.bytes > m.maxBytes {
+		victims = append(victims, m.fifo[0].evict)
+		m.bytes -= m.fifo[0].bytes
+		m.fifo[0] = charged{} // the slice's prefix must not pin the entry
+		m.fifo = m.fifo[1:]
+		m.evictions++
+	}
+	m.mu.Unlock()
+	// Evicting takes the tier's lock, never held while m.mu is.
+	for _, evict := range victims {
+		evict()
 	}
 }

@@ -1,8 +1,10 @@
 package runcache
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -207,4 +209,47 @@ func TestRemoteCorruptionDegradesToCompute(t *testing.T) {
 		t.Fatal("corruption was not logged")
 	}
 	sameResult(t, res, want)
+}
+
+// TestBlobServesDiskEntries: the shard protocol's GET reads the disk tier
+// too, so a restarted process (or an entry evicted from memory) serves a
+// cell's entry byte for byte, and a damaged entry is a logged miss.
+func TestBlobServesDiskEntries(t *testing.T) {
+	cfg, jobs := fixture(t)
+	fp, _ := cfg.Fingerprint(jobs)
+	dir := t.TempDir()
+	cold := New()
+	if err := cold.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cold.Run(cfg, jobs); err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(dir, fp, accSuffix)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cold.Blob(fp); !bytes.Equal(got, want) {
+		t.Fatalf("memory GET: %d bytes, want the %d-byte entry", len(got), len(want))
+	}
+
+	restarted := New()
+	var logged int
+	restarted.Logf = func(string, ...any) { logged++ }
+	if err := restarted.SetDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := restarted.Blob(fp); !bytes.Equal(got, want) {
+		t.Fatalf("disk GET: %d bytes, want the %d-byte entry", len(got), len(want))
+	}
+	if err := os.WriteFile(path, want[:len(want)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := restarted.Blob(fp); got != nil || logged != 1 {
+		t.Fatalf("damaged entry: served %d bytes, logged %d times; want a logged miss", len(got), logged)
+	}
+	if st := restarted.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 hit and 1 miss", st)
+	}
 }

@@ -12,11 +12,12 @@ import (
 // on any replica is a remote hit everywhere else.
 //
 // self is this replica's own base URL as peers see it ("http://host:port");
-// it is added to the ring and requests it owns short-circuit to the local
-// shard. Pass self == "" to participate as a pure client — the replica
-// consults the tier (e.g. a set of standalone gaia-cached nodes named in
-// peers) without owning a shard of it. peers lists the other members'
-// base URLs; duplicates and empty strings are ignored.
+// it is added to the ring, and its shard is its run cache, so cells it
+// owns never leave the process. Pass self == "" to participate as a pure
+// client — the replica consults the tier (e.g. a set of standalone
+// gaia-cached nodes named in peers) without owning a shard of it. peers
+// lists the other members' base URLs; duplicates and empty strings are
+// ignored.
 //
 // Call after New and before serving traffic. The /v1/cache/* shard routes
 // are always registered — a replica serves its shard even before (or
@@ -34,7 +35,7 @@ func (s *Server) ConfigureFleet(self string, peers []string) error {
 	if len(ring.Members()) == 0 {
 		return errors.New("serve: fleet needs at least one member URL")
 	}
-	client := fleet.NewClient(ring, self, s.blobs)
+	client := fleet.NewClient(ring, self)
 	s.cache.SetRemote(client)
 	label := self
 	if label == "" {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -121,5 +123,39 @@ func TestFleetShardRoutes(t *testing.T) {
 	resp, _ = getBody(t, ts.URL+"/v1/cache/nothex")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad fingerprint status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFleetSelfOwnerKeepsOneCopy: a replica with a cache directory whose
+// ring holds only itself keeps each cell once on disk, as its run cache's
+// entry beside the cell's decision plan, with no second copy of its own
+// for the fleet shard.
+func TestFleetSelfOwnerKeepsOneCopy(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{TraceDays: 2, CacheDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if err := s.ConfigureFleet(ts.URL, nil); err != nil {
+		t.Fatalf("ConfigureFleet: %v", err)
+	}
+	out := simulateOn(t, ts.URL, `{"policy":"carbon-time","region":"CA-US","jobs":300,"days":2,"seed":7}`)
+	if out.CacheOutcome != "computed" {
+		t.Fatalf("outcome = %q, want computed", out.CacheOutcome)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	for _, pattern := range []string{"*.c1.s1.gacc", "*.gplan"} {
+		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) != 1 {
+			t.Errorf("want one %s in the cache directory, have %v", pattern, names)
+		}
+	}
+	if len(names) != 2 {
+		t.Errorf("cache directory holds %v, want only the cell's entry and its plan", names)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -116,12 +115,12 @@ type Server struct {
 	regions    map[string]*carbon.Trace
 	regionList []TraceInfo
 
-	adm   *admission
-	obs   *observer
+	adm *admission
+	obs *observer
+	// cache serves /v1/simulate and is this replica's shard of the fleet
+	// cache tier, served on /v1/cache/* whether or not ConfigureFleet has
+	// run.
 	cache *runcache.Cache
-	// blobs is this replica's shard of the shared fleet cache tier,
-	// served on /v1/cache/* whether or not ConfigureFleet has run.
-	blobs *fleet.BlobStore
 
 	traceMu      sync.Mutex
 	carbonMemo   map[carbonKey]*carbon.Trace
@@ -158,20 +157,13 @@ func New(cfg Config) (*Server, error) {
 		adm:          newAdmission(cfg.QueueDepth, cfg.MaxConcurrent),
 		obs:          newObserver(),
 		cache:        runcache.New(),
-		blobs:        fleet.NewBlobStore(0),
 		carbonMemo:   make(map[carbonKey]*carbon.Trace),
 		workloadMemo: make(map[workloadKey]*workload.Trace),
 		mux:          http.NewServeMux(),
 	}
 	s.cache.Logf = cfg.Logf
-	s.blobs.Logf = cfg.Logf
 	if cfg.CacheDir != "" {
 		if err := s.cache.SetDir(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		// The fleet shard persists next to the run cache, so a restarted
-		// member rejoins the tier warm.
-		if err := s.blobs.SetDir(filepath.Join(cfg.CacheDir, "fleet")); err != nil {
 			return nil, err
 		}
 	}
@@ -217,11 +209,11 @@ func New(cfg Config) (*Server, error) {
 		"Moving average of admitted-request service time feeding Retry-After.",
 		func() float64 { return s.adm.serviceTime().Seconds() })
 	s.obs.registerGauge("gaia_serve_cache_shard_entries",
-		"Entries held by this replica's shard of the fleet cache tier.",
-		func() float64 { return float64(s.blobs.Stats().Entries) })
+		"Entries held in memory by the run cache, this replica's shard of the fleet cache tier.",
+		func() float64 { return float64(s.cache.Stats().Entries) })
 	s.obs.registerGauge("gaia_serve_cache_shard_bytes",
-		"Bytes held by this replica's shard of the fleet cache tier.",
-		func() float64 { return float64(s.blobs.Stats().Bytes) })
+		"Bytes charged to the run cache's memory budget, this replica's shard of the fleet cache tier.",
+		func() float64 { return float64(s.cache.Stats().Bytes) })
 	return s, nil
 }
 
@@ -237,7 +229,7 @@ func (s *Server) routes() {
 	// traffic, not client traffic: it skips admission on purpose — a
 	// saturated replica that sheds its peers' cache lookups would convert
 	// its own overload into fleet-wide recomputes.
-	fleet.NewCacheServer(s.blobs).Register(s.mux)
+	fleet.NewCacheServer(s.cache).Register(s.mux)
 }
 
 // Handler exposes the route tree (httptest and embedding).
