@@ -4,7 +4,10 @@ GO ?= go
 
 .PHONY: all build vet lint test race cover bench bench-json bench-check bench-quick bench-module-test load-smoke figures figures-full figures-check examples serve clean
 
-all: build lint test race bench-check
+# CI's steps in CI's order (.github/workflows/ci.yml), then the snapshot
+# bench gate, which CI leaves out: a green `make all` checks at least what
+# CI checks.
+all: build lint test race load-smoke examples figures-check bench-quick bench-module-test bench-check
 
 build:
 	$(GO) build ./...
@@ -82,12 +85,14 @@ bench-check:
 # the caller that started the computation gave up
 # (TestRunContextWaiterOutlivesCanceledLeader), and the memory budget's
 # evictions racing runs, joins, peer PUTs and GETs on the same keys
-# (TestMemoryEvictionRaces). go test -run skips an
+# (TestMemoryEvictionRaces), and carbon's oracle memo clearing at its
+# bound while concurrent callers look up, build and read tables
+# (TestOracleMemoClearRaces). go test -run skips an
 # entry that matches no test without complaint, so bench-quick first
 # checks that every entry matches a test `go test -list` reports in the
 # listed packages, and fails naming any entry that does not.
-BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader|TestMemoryEvictionRaces
-BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader|TestMemoryEvictionRaces|TestOracleMemoClearRaces
+BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache ./internal/carbon
 bench-quick:
 	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \
 	for name in $$(echo '$(BENCH_QUICK_RACE)' | tr '|' ' '); do \

@@ -11,9 +11,10 @@ import (
 // "where is the lowest-CI slot/window inside [now, now+W]?" in O(1) from
 // these tables instead of re-scanning W forecast queries per job. Tables
 // are built lazily, once per (W, L) pair, as is the one slot ranking
-// WaitAwhile orders its windows by, and cached for the lifetime of the
-// trace, so a 30-cell sweep over one trace shares a single table set the
-// same way it shares the immutable trace itself.
+// WaitAwhile orders its windows by, and memoized with the trace, so a
+// 30-cell sweep over one trace shares a single table set the same way it
+// shares the immutable trace itself. The (W, L) memo holds at most
+// maxQueueTables table sets (see Queue).
 //
 // All table entries are computed through the very same Trace.Value and
 // Trace.Integral calls the reference policy implementations make, so
@@ -45,6 +46,14 @@ func (tr *Trace) Oracle() *Oracle {
 	return tr.oracle.Load()
 }
 
+// maxQueueTables bounds the (W, L) memo. L is a workload's mean queue
+// length, and gaia-serve's advise endpoints take W and L from the client,
+// so the keys one long-lived trace sees are unbounded. At the bound the
+// memo is cleared; callers already holding tables keep them, and a key
+// asked for again is rebuilt bit-identically. The figure suites use at
+// most 29 table sets per trace, so they never reach it.
+const maxQueueTables = 64
+
 // Queue returns the tables for a queue with maximum wait w and length
 // estimate l, building them on first request. It returns nil for
 // configurations the tables cannot represent (negative wait or
@@ -58,6 +67,9 @@ func (o *Oracle) Queue(w, l simtime.Duration) *QueueTables {
 	defer o.mu.Unlock()
 	if t := o.queues[key]; t != nil {
 		return t
+	}
+	if len(o.queues) >= maxQueueTables {
+		clear(o.queues)
 	}
 	t := newQueueTables(o.trace, w, l)
 	o.queues[key] = t
@@ -257,9 +269,6 @@ func (t *QueueTables) LowestWindow(i0, k int) (slot int, ok bool) {
 
 // WindowSum returns the precomputed Integral([j·1h, j·1h+L)).
 func (t *QueueTables) WindowSum(j int) float64 { return t.winSums[j] }
-
-// SlotValue returns the (clamp-padded) CI of slot j.
-func (t *QueueTables) SlotValue(j int) float64 { return t.vals[j] }
 
 // slideMinIndex returns, for every i, the leftmost index of the minimum
 // of base[i : min(i+k, len)] via a monotonic deque: the back is popped

@@ -69,7 +69,7 @@ func TestQueueTablesMatchDirectQueries(t *testing.T) {
 	// be the exact float a direct query returns.
 	for j := 0; j < tr.Len()+int(w/simtime.Hour)+2; j++ {
 		start := simtime.Time(simtime.Duration(j) * simtime.Hour)
-		if got, want := qt.SlotValue(j), tr.Value(j); got != want {
+		if got, want := qt.vals[j], tr.Value(j); got != want {
 			t.Fatalf("vals[%d] = %v, want %v", j, got, want)
 		}
 		iv := simtime.Interval{Start: start, End: start.Add(l)}
@@ -130,6 +130,67 @@ func TestOracleIsCachedPerTraceAndKey(t *testing.T) {
 	}
 }
 
+// TestOracleMemoBounded: distinct (W, L) keys past maxQueueTables clear
+// the memo instead of growing it, tables handed out before a clear stay
+// intact, and a key asked for again after a clear is rebuilt identical.
+func TestOracleMemoBounded(t *testing.T) {
+	tr := MustTrace("test", []float64{300, 200, 300, 100, 200})
+	o := tr.Oracle()
+	first := o.Queue(simtime.Hour, simtime.Minute)
+	for i := 1; i <= 10*maxQueueTables; i++ {
+		o.Queue(simtime.Hour, simtime.Duration(i+1)*simtime.Minute)
+		if n := len(o.queues); n > maxQueueTables {
+			t.Fatalf("after %d distinct keys the memo holds %d table sets, want at most %d", i+1, n, maxQueueTables)
+		}
+	}
+	if first.EstLength() != simtime.Minute || first.WindowSum(0) != tr.Integral(simtime.Interval{Start: 0, End: 1}) {
+		t.Fatal("tables handed out before a clear changed")
+	}
+	again := o.Queue(simtime.Hour, simtime.Minute)
+	if again == first {
+		t.Fatal("first key survived ten clears")
+	}
+	if !slices.Equal(again.vals, first.vals) || !slices.Equal(again.winSums, first.winSums) {
+		t.Fatal("rebuilt tables differ from the originals")
+	}
+}
+
+// TestOracleMemoClearRaces has goroutines ask for more distinct keys than
+// the memo holds, so clears race lookups, builds and readers of tables
+// built before a clear; under -race it checks the memo's locking, and
+// every caller must get tables for the key it asked for.
+func TestOracleMemoClearRaces(t *testing.T) {
+	tr := MustTrace("test", []float64{300, 200, 300, 100, 200, 250})
+	o := tr.Oracle()
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3*maxQueueTables; i++ {
+				w := simtime.Duration(i%3) * simtime.Hour
+				l := simtime.Duration(1+(i*goroutines+g)%(2*maxQueueTables)) * simtime.Minute
+				tab := o.Queue(w, l)
+				if tab.MaxWait() != w || tab.EstLength() != l {
+					errs <- "tables for the wrong key"
+					return
+				}
+				if _, ok := tab.LowestSlot(0, tab.k0); !ok {
+					errs <- "tables do not cover slot 0"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
 // TestOracleConcurrentAccess exercises the lazy init, the (W, L) cache,
 // the slot ranking and the argmin tables from many goroutines, which all
 // touch LowestSlot and LowestWindow for the first time at once; `go test
@@ -162,7 +223,7 @@ func TestOracleConcurrentAccess(t *testing.T) {
 		for i0 := 0; tab.Covers(i0, k); i0++ {
 			slot, win := i0, i0+1
 			for j := i0; j <= i0+k; j++ {
-				if tab.SlotValue(j) < tab.SlotValue(slot) {
+				if tab.vals[j] < tab.vals[slot] {
 					slot = j
 				}
 				if j > i0 && tab.WindowSum(j) < tab.WindowSum(win) {

@@ -25,9 +25,6 @@ const (
 	Spot
 )
 
-// Options lists all purchase options.
-func Options() []Option { return []Option{OnDemand, Reserved, Spot} }
-
 // String returns the option's conventional name.
 func (o Option) String() string {
 	switch o {

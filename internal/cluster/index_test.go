@@ -27,7 +27,7 @@ func scanIdle(m *Manager, prefs []cloud.Option) *Node {
 // index is in heap order, and Provisioning equals the scanned count.
 func checkFleet(t *testing.T, m *Manager, step int, op string) {
 	t.Helper()
-	for _, opt := range cloud.Options() {
+	for _, opt := range []cloud.Option{cloud.OnDemand, cloud.Reserved, cloud.Spot} {
 		h := m.idle[opt]
 		for c := 1; c < len(h); c++ {
 			if h[(c-1)/2] > h[c] {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -25,8 +24,10 @@ import (
 // never feeds information back into decisions: policies see only
 // (job, arrival, oracle tables), jobs run uninterrupted from their chosen
 // start, and the reserved-vs-on-demand split is a pure replay of pool
-// occupancy over the start/finish endpoints. That lets Run skip the event
-// engine entirely:
+// occupancy over the start/finish endpoints. Every policy directEligible
+// admits decides a start; a suspend-resume plan from one fails the run
+// with an error naming the policy, since nothing here re-runs a cell on
+// the engine. That lets Run skip the event engine entirely:
 //
 //	phase 1  fan every decision across cores (par.Shards), each shard
 //	         writing a job-ID-indexed start column — embarrassingly
@@ -54,11 +55,6 @@ import (
 // computes is either stored per job (order-free columns) or folded here
 // in replayed finish order, so results — aggregates, fingerprints and
 // retained records alike — are byte-identical.
-
-// errDirectFallback signals that a nominally eligible run must be
-// re-executed on the event engine (a start-based policy dynamically
-// returned a suspend-resume plan, which the sweep replay does not model).
-var errDirectFallback = errors.New("core: direct path fallback")
 
 // directRuns counts completed direct-path executions (full runs and plan
 // replays alike); tests use the delta to assert which configurations ride
@@ -106,7 +102,6 @@ func scanShards[T any](n int, x T, scan func(x T, lo, hi int) error) error {
 }
 
 // runDirect executes a direct-eligible configuration: decide, then replay.
-// Errors other than errDirectFallback are in their final API form.
 func runDirect(ctx context.Context, cfg Config, trace *workload.Trace) (*metrics.Result, error) {
 	starts, err := decideDirect(ctx, cfg, trace)
 	if err != nil {
@@ -145,15 +140,12 @@ func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]sim
 				return fmt.Errorf("core: run failed: policy %s: %v", cfg.Policy.Name(), err)
 			}
 			if d.IsPlan() {
-				return errDirectFallback
+				return fmt.Errorf("core: run failed: policy %s returned a suspend-resume plan on the direct path", cfg.Policy.Name())
 			}
 			starts[i] = d.Start
 		}
 		return nil
 	}); err != nil {
-		if errors.Is(err, errDirectFallback) {
-			return nil, errDirectFallback
-		}
 		return nil, err
 	}
 	return starts, nil
@@ -357,6 +349,8 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	startOrd, finOrd := ord.startOrd, ord.finOrd
 	stR, enR, cpuR := ord.stR, ord.enR, ord.cpuR
 	if n > 0 {
+		// The bins' final size: the deltas below never grow them, so the
+		// finished run holds no spare capacity.
 		acc.GrowUsage(enR[finOrd[n-1]])
 	}
 	reservedBy := sc.reservedBy // indexed by job ID

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"math/bits"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -316,5 +318,79 @@ func TestTimeOrder(t *testing.T) {
 			t.Fatalf("trial %d (n=%d, span 2^%d): radix order differs from a stable sort",
 				trial, n, bits.Len64(uint64(span))-1)
 		}
+	}
+}
+
+// TestDecideDirectRejectsPlans: the direct path replays start decisions
+// only, so a suspend-resume plan from the policy it runs fails the run
+// with an error naming the policy instead of re-running it on the engine.
+func TestDecideDirectRejectsPlans(t *testing.T) {
+	tr, jobs := randomInstance(31)
+	cfg := baseConfig(tr, policy.WaitAwhile{}).withDefaults()
+	_, err := decideDirect(context.Background(), cfg, normalizedTrace(jobs))
+	if err == nil || !strings.Contains(err.Error(), cfg.Policy.Name()) {
+		t.Fatalf("decideDirect over a plan policy: err = %v, want an error naming %s", err, cfg.Policy.Name())
+	}
+}
+
+// accumulatorFixedBytes is what an encoded accumulator holds beyond one
+// copy of each column and usage bin: magic, codec version, job count,
+// the scalar totals, the three bin counts and the checksum.
+const accumulatorFixedBytes = 108
+
+// TestFinishedRunsHoldNoSpareBins: a finished run's usage bins have no
+// spare capacity, so the memory it is charged (MemBytes) is exactly the
+// bytes of its columns and bins, on every run path — including runs whose
+// jobs finish past the horizon, which grow the bins as they run.
+func TestFinishedRunsHoldNoSpareBins(t *testing.T) {
+	tr, jobs := randomInstance(41)
+	etr, et := randomElasticInstance(41, 60)
+	// A two-day horizon under week-long workloads: most bins grow past it.
+	const horizon = 2 * simtime.Day
+	plain := baseConfig(tr, policy.CarbonTime{})
+	plain.Horizon = horizon
+	plain.RetainJobs = false
+	plain.Reserved = 4
+	engine := plain
+	engine.WorkConserving = true
+	elastic := elasticConfig(etr, policy.CarbonTime{}, et, policy.GreedyMarginal{})
+	elastic.Horizon = horizon
+	var plan *DecisionPlan
+	replay := func() (*metrics.Result, error) {
+		if plan == nil {
+			plan = mustDecidePlan(t, plain, jobs)
+			// The first replay publishes the plan's memo; the second
+			// shares its schedule columns.
+			if _, err := RunWithPlan(context.Background(), plain, jobs, plan); err != nil {
+				return nil, err
+			}
+		}
+		return RunWithPlan(context.Background(), plain, jobs, plan)
+	}
+	cases := []struct {
+		name string
+		run  func() (*metrics.Result, error)
+	}{
+		{"direct", func() (*metrics.Result, error) { return Run(plain, jobs) }},
+		{"plan-replay", replay},
+		{"engine", func() (*metrics.Result, error) { return Run(engine, jobs) }},
+		{"elastic", func() (*metrics.Result, error) { return Run(elastic, et.Jobs) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := res.Accumulator()
+			held := len(metrics.EncodeAccumulator(acc)) - accumulatorFixedBytes
+			// Per job: five 8-byte columns and a 1-byte queue tag.
+			if bins := (held - 41*acc.JobCount()) / 8; bins <= 3*int(horizon/simtime.Hour) {
+				t.Fatalf("usage bins never grew past the horizon (%d bins)", bins)
+			}
+			if got := acc.MemBytes(); got != held {
+				t.Errorf("MemBytes = %d, want %d: the bins kept spare capacity", got, held)
+			}
+		})
 	}
 }

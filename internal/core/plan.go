@@ -47,8 +47,7 @@ type DecisionPlan struct {
 func (p *DecisionPlan) NumJobs() int { return len(p.starts) }
 
 // ErrNoPlan reports that a configuration cannot be served by the decision
-// plan seam — it is not direct-eligible, or its policy dynamically returned
-// a suspend-resume plan — and the caller must use Run.
+// plan seam — it is not direct-eligible — and the caller must use Run.
 var ErrNoPlan = errors.New("core: configuration has no decision plan")
 
 // PlanCodecVersion identifies the binary layout EncodeDecisionPlan writes.
@@ -123,11 +122,10 @@ func DecodeDecisionPlan(data []byte) (*DecisionPlan, error) {
 
 // DecidePlan runs the decide phase of the direct-execution path alone and
 // returns the decisions as a reusable plan. It fails with ErrNoPlan when
-// the configuration is not direct-eligible (or its policy dynamically
-// returned a suspend-resume plan); any other error is exactly the error
-// Run would have returned. The plan indexes jobs of the normalized trace —
-// callers must replay it against the same workload trace content (cache
-// layers guarantee this by content address, DecisionFingerprint).
+// the configuration is not direct-eligible; any other error is exactly the
+// error Run would have returned. The plan indexes jobs of the normalized
+// trace — callers must replay it against the same workload trace content
+// (cache layers guarantee this by content address, DecisionFingerprint).
 func DecidePlan(ctx context.Context, cfg Config, jobs *workload.Trace) (plan *DecisionPlan, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: run canceled: %w", err)
@@ -147,9 +145,6 @@ func DecidePlan(ctx context.Context, cfg Config, jobs *workload.Trace) (plan *De
 	trace := normalizedTrace(jobs)
 	starts, err := decideDirect(ctx, cfg, trace)
 	if err != nil {
-		if errors.Is(err, errDirectFallback) {
-			return nil, ErrNoPlan
-		}
 		return nil, err
 	}
 	return &DecisionPlan{starts: starts}, nil

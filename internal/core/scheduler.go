@@ -72,13 +72,9 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 	// Decision-pure configurations skip the event engine entirely: the
 	// direct path decides every job in parallel and replays accounting
 	// over sorted endpoints, bit-identical to the engine (direct.go). A
-	// pinned Mechanism is never eligible; a dynamic fallback
-	// (errDirectFallback) re-runs on the engine.
+	// pinned Mechanism is never eligible.
 	if cfg.directEligible() {
-		res, err := runDirect(ctx, cfg, trace)
-		if !errors.Is(err, errDirectFallback) {
-			return res, err
-		}
+		return runDirect(ctx, cfg, trace)
 	}
 
 	bounds := cfg.queueBounds()
@@ -144,6 +140,9 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 	if err := s.engine.Err(); err != nil {
 		return nil, fmt.Errorf("core: run canceled: %w", err)
 	}
+	// The run has ended: drop the spare capacity AddUsage's appends left
+	// in the usage bins.
+	s.acc.GrowUsage(0)
 
 	res = NewResult(cfg, trace, s.acc)
 	res.Jobs = s.results

@@ -100,8 +100,9 @@ func (a *Accumulator) Schedule() ScheduleColumns { return a.sched }
 func (a *Accumulator) JobCount() int { return len(a.sched.waitings) }
 
 // MemBytes returns the bytes a's columns and usage bins occupy: their
-// capacities, which exceed their lengths once the bins have grown, and
-// schedule columns shared with other accumulators included.
+// capacities, which exceed their lengths while AddUsage is growing the
+// bins (a finished run trims them with GrowUsage), and schedule columns
+// shared with other accumulators included.
 func (a *Accumulator) MemBytes() int {
 	s := &a.sched
 	n := 8*(cap(s.waitings)+cap(s.lengths)+cap(s.carbons)+cap(s.baselines)+cap(a.costs)) + cap(s.queues)
@@ -167,20 +168,23 @@ func (a *Accumulator) AddCPUHours(h [3]float64) {
 	}
 }
 
-// GrowUsage extends the usage bins to cover an execution ending at end,
-// replicating AddUsage's on-demand growth rule so a pre-grown accumulator
-// is indistinguishable from one grown incrementally to the same maximum.
-// A UsageDelta covers the bins its accumulator had at Reset, so callers
+// GrowUsage sizes the usage bins to cover an execution ending at end, by
+// AddUsage's growth rule, and leaves them no spare capacity. A pre-grown
+// accumulator is thus indistinguishable from one grown incrementally to
+// the same maximum, and bins that grew by AddUsage's appends shrink to
+// their length, so a finished run is charged (MemBytes) only what it
+// holds. It never shrinks the bins' length: GrowUsage(0) only trims. A
+// UsageDelta covers the bins its accumulator had at Reset, so callers
 // pre-grow with the latest end they will bin before resetting deltas.
 func (a *Accumulator) GrowUsage(end simtime.Time) {
-	e := int64(end)
-	if e <= 0 {
-		return
+	need := len(a.usage[0])
+	if e := int64(end); e > 0 {
+		need = max(need, int((e-1)/60)+1)
 	}
-	lastHour := int((e - 1) / 60)
-	if need := lastHour + 1; need > len(a.usage[0]) {
-		for o := range a.usage {
-			a.usage[o] = append(a.usage[o], make([]int64, need-len(a.usage[o]))...)
+	for o, bins := range a.usage {
+		if len(bins) != need || cap(bins) != need {
+			a.usage[o] = make([]int64, need)
+			copy(a.usage[o], bins)
 		}
 	}
 }

@@ -93,29 +93,26 @@ type Result struct {
 	Horizon simtime.Duration
 	// Pricing is the price book used.
 	Pricing cloud.Pricing
-	// Jobs holds one record per executed job. In the scheduler's default
-	// streaming mode it is empty — aggregates come from the attached
-	// Accumulator — and it is populated only under core's RetainJobs flag
-	// (CSV export, accounting DB, per-job tests). Results built by hand
-	// with Jobs filled in are fully supported: every aggregate falls back
-	// to scanning Jobs when no accumulator is attached.
+	// Jobs holds the retained per-job records, filled only under core's
+	// RetainJobs flag for the consumers that read records (WriteDetailsCSV,
+	// the accounting DB, record-level tests); in the default streaming
+	// mode it is empty. No aggregate reads it: every one answers from the
+	// accumulator.
 	Jobs []JobResult
 
-	// agg is the streaming accumulator, when the run was produced by the
-	// scheduler; nil for hand-built results.
+	// agg is the run's streaming accumulator; every aggregate reads it.
 	agg *Accumulator
 	// memo caches derived queries so table rendering stops rescanning.
 	memo resultMemo
 }
 
-// resultMemo holds lazily computed aggregate caches. Guarded by mu so
-// concurrent readers of a shared Result are safe.
+// resultMemo holds the aggregates derived from the accumulator's columns,
+// computed on first query. Guarded by mu so concurrent readers of a shared
+// Result are safe.
 type resultMemo struct {
 	mu      sync.Mutex
 	scalars bool
-	// Fused single-pass totals over the columns, accumulated in job-ID
-	// order — the same order as a scan over retained Jobs records, so the
-	// float64 sums are bit-identical to the legacy path.
+	// Fused single-pass totals over the columns, summed in job-ID order.
 	totalCarbon, baselineCarbon, usageCost float64
 	totalWaitingHours                      float64
 	totalWaiting, totalCompletion          simtime.Duration
@@ -127,25 +124,18 @@ type resultMemo struct {
 }
 
 // AttachAccumulator binds the streaming accumulator the aggregates are
-// answered from. The scheduler calls it once per run; results that carry
-// both an accumulator and retained Jobs answer every aggregate from the
-// accumulator, so the two modes are observationally identical.
+// answered from. core.NewResult calls it once per Result; a Result without
+// one answers no aggregate.
 func (r *Result) AttachAccumulator(a *Accumulator) { r.agg = a }
 
-// Accumulator returns the attached streaming accumulator, or nil for
-// hand-built results. Callers treat it as immutable: the simulation cache
-// shares one accumulator across every Result rebuilt from the same cached
-// run.
+// Accumulator returns the attached streaming accumulator. Callers treat it
+// as immutable: the simulation cache shares one accumulator across every
+// Result rebuilt from the same cached run.
 func (r *Result) Accumulator() *Accumulator { return r.agg }
 
 // JobCount returns the number of jobs in the run, independent of whether
 // per-job records were retained.
-func (r *Result) JobCount() int {
-	if r.agg != nil {
-		return r.agg.JobCount()
-	}
-	return len(r.Jobs)
-}
+func (r *Result) JobCount() int { return r.agg.JobCount() }
 
 // memoScalars fills the fused scalar totals from the columns on first use.
 func (r *Result) memoScalars() {
@@ -176,15 +166,8 @@ func (r *Result) memoScalars() {
 
 // TotalCarbon returns cluster emissions in grams.
 func (r *Result) TotalCarbon() float64 {
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.totalCarbon
-	}
-	var total float64
-	for i := range r.Jobs {
-		total += r.Jobs[i].Carbon
-	}
-	return total
+	r.memoScalars()
+	return r.memo.totalCarbon
 }
 
 // TotalCarbonKg returns cluster emissions in kilograms (the unit of
@@ -193,15 +176,8 @@ func (r *Result) TotalCarbonKg() float64 { return r.TotalCarbon() / 1000 }
 
 // BaselineCarbon returns the NoWait counterfactual emissions in grams.
 func (r *Result) BaselineCarbon() float64 {
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.baselineCarbon
-	}
-	var total float64
-	for i := range r.Jobs {
-		total += r.Jobs[i].BaselineCarbon
-	}
-	return total
+	r.memoScalars()
+	return r.memo.baselineCarbon
 }
 
 // CarbonSavingsFraction returns 1 − carbon/baseline, the paper's
@@ -221,15 +197,8 @@ func (r *Result) ReservedUpfront() float64 {
 
 // UsageCost returns the pay-as-you-go dollars (on-demand + spot).
 func (r *Result) UsageCost() float64 {
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.usageCost
-	}
-	var total float64
-	for i := range r.Jobs {
-		total += r.Jobs[i].UsageCost
-	}
-	return total
+	r.memoScalars()
+	return r.memo.usageCost
 }
 
 // TotalCost returns the cluster's total dollars: reserved upfront plus
@@ -238,29 +207,15 @@ func (r *Result) TotalCost() float64 { return r.ReservedUpfront() + r.UsageCost(
 
 // TotalWaiting returns the summed per-job waiting time.
 func (r *Result) TotalWaiting() simtime.Duration {
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.totalWaiting
-	}
-	var total simtime.Duration
-	for i := range r.Jobs {
-		total += r.Jobs[i].Waiting
-	}
-	return total
+	r.memoScalars()
+	return r.memo.totalWaiting
 }
 
 // TotalWaitingHours returns the per-job waiting times summed in hours
 // (each converted before summing, in job-ID order).
 func (r *Result) TotalWaitingHours() float64 {
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.totalWaitingHours
-	}
-	var total float64
-	for i := range r.Jobs {
-		total += r.Jobs[i].Waiting.Hours()
-	}
-	return total
+	r.memoScalars()
+	return r.memo.totalWaitingHours
 }
 
 // MeanWaiting returns the mean per-job waiting time (0 for an empty run).
@@ -280,15 +235,8 @@ func (r *Result) MeanCompletion() simtime.Duration {
 	if n == 0 {
 		return 0
 	}
-	if r.agg != nil {
-		r.memoScalars()
-		return r.memo.totalCompletion / simtime.Duration(n)
-	}
-	var total simtime.Duration
-	for i := range r.Jobs {
-		total += r.Jobs[i].Completion()
-	}
-	return total / simtime.Duration(n)
+	r.memoScalars()
+	return r.memo.totalCompletion / simtime.Duration(n)
 }
 
 // WaitingPercentile returns the p-th percentile of per-job waiting times;
@@ -299,17 +247,6 @@ func (r *Result) MeanCompletion() simtime.Duration {
 func (r *Result) WaitingPercentile(p float64) simtime.Duration {
 	if math.IsNaN(p) || r.JobCount() == 0 {
 		return 0
-	}
-	if r.agg == nil {
-		xs := make([]float64, len(r.Jobs))
-		for i := range r.Jobs {
-			xs[i] = float64(r.Jobs[i].Waiting)
-		}
-		v, err := stats.Percentile(xs, p)
-		if err != nil {
-			return 0
-		}
-		return simtime.Duration(v)
 	}
 	r.memo.mu.Lock()
 	if r.memo.sortedWaitings == nil {
@@ -330,43 +267,14 @@ func (r *Result) WaitingPercentile(p float64) simtime.Duration {
 }
 
 // TotalEvictions counts spot revocations across the run.
-func (r *Result) TotalEvictions() int {
-	if r.agg != nil {
-		return r.agg.evictions
-	}
-	var total int
-	for i := range r.Jobs {
-		total += r.Jobs[i].Evictions
-	}
-	return total
-}
+func (r *Result) TotalEvictions() int { return r.agg.evictions }
 
 // TotalWastedCPUHours returns CPU·hours of execution lost to spot
 // evictions (already included in the billed totals).
-func (r *Result) TotalWastedCPUHours() float64 {
-	if r.agg != nil {
-		return r.agg.wastedCPUHours
-	}
-	var total float64
-	for i := range r.Jobs {
-		total += r.Jobs[i].WastedCPUHours
-	}
-	return total
-}
+func (r *Result) TotalWastedCPUHours() float64 { return r.agg.wastedCPUHours }
 
 // CPUHoursByOption returns total CPU·hours billed per purchase option.
-func (r *Result) CPUHoursByOption() [3]float64 {
-	if r.agg != nil {
-		return r.agg.cpuHours
-	}
-	var out [3]float64
-	for i := range r.Jobs {
-		for o := range out {
-			out[o] += r.Jobs[i].CPUHours[o]
-		}
-	}
-	return out
-}
+func (r *Result) CPUHoursByOption() [3]float64 { return r.agg.cpuHours }
 
 // ReservedUtilization returns used reserved CPU·hours over paid reserved
 // CPU·hours (0 with no or degenerate reserved capacity). Low utilization
@@ -390,66 +298,21 @@ func (r *Result) UsageSeries(horizon simtime.Duration) [3][]float64 {
 	if slots <= 0 {
 		return out
 	}
-	if r.agg != nil {
-		r.memo.mu.Lock()
-		defer r.memo.mu.Unlock()
-		if r.memo.series != nil && r.memo.seriesHorizon == horizon {
-			return *r.memo.series
-		}
-		// The bins hold integer CPU·minutes per hour; dividing by 60 here
-		// equals the segment replay below bit for bit, because per-hour
-		// float64 sums of small integers are exact. Hours past the last
-		// bin saw no execution at all, so they read as zero either way.
-		for o := range out {
-			out[o] = make([]float64, slots)
-			bins := r.agg.usage[o]
-			for s := 0; s < slots && s < len(bins); s++ {
-				out[o][s] = float64(bins[s]) / 60
-			}
-		}
-		r.memo.series, r.memo.seriesHorizon = &out, horizon
-		return out
+	r.memo.mu.Lock()
+	defer r.memo.mu.Unlock()
+	if r.memo.series != nil && r.memo.seriesHorizon == horizon {
+		return *r.memo.series
 	}
-	minutes := slots * 60
-	var diff [3][]int32
-	for o := range diff {
-		diff[o] = make([]int32, minutes+1)
-	}
-	addSeg := func(opt int, iv simtime.Interval, units int) {
-		if units == 0 {
-			return
-		}
-		s, e := int(iv.Start), int(iv.End)
-		if s < 0 {
-			s = 0
-		}
-		if e > minutes {
-			e = minutes
-		}
-		if s >= e {
-			return
-		}
-		diff[opt][s] += int32(units)
-		diff[opt][e] -= int32(units)
-	}
-	for i := range r.Jobs {
-		for _, seg := range r.Jobs[i].Segments {
-			addSeg(int(cloud.Reserved), seg.Interval, seg.Reserved)
-			addSeg(int(cloud.OnDemand), seg.Interval, seg.OnDemand)
-			addSeg(int(cloud.Spot), seg.Interval, seg.Spot)
-		}
-	}
+	// The bins hold integer CPU·minutes per hour, so dividing by 60 gives
+	// the hourly mean exactly. Hours past the last bin saw no execution.
 	for o := range out {
 		out[o] = make([]float64, slots)
-		var cur int32
-		for m := 0; m < minutes; m++ {
-			cur += diff[o][m]
-			out[o][m/60] += float64(cur)
-		}
-		for s := range out[o] {
-			out[o][s] /= 60
+		bins := r.agg.usage[o]
+		for s := 0; s < slots && s < len(bins); s++ {
+			out[o][s] = float64(bins[s]) / 60
 		}
 	}
+	r.memo.series, r.memo.seriesHorizon = &out, horizon
 	return out
 }
 
@@ -471,37 +334,24 @@ func (r *Result) PeakDemand(horizon simtime.Duration) float64 {
 // savings contributed by jobs of length <= x minutes (Figure 9). Only
 // positive savings contribute weight.
 func (r *Result) SavingsByLengthCDF() *stats.WeightedCDF {
-	if r.agg != nil {
-		r.memo.mu.Lock()
-		defer r.memo.mu.Unlock()
-		if r.memo.cdf != nil {
-			return r.memo.cdf
-		}
-		a := r.agg
-		values := make([]float64, 0, len(a.sched.lengths))
-		weights := make([]float64, 0, len(a.sched.lengths))
-		for i := range a.sched.lengths {
-			s := a.sched.baselines[i] - a.sched.carbons[i]
-			if s <= 0 {
-				continue
-			}
-			values = append(values, float64(a.sched.lengths[i]))
-			weights = append(weights, s)
-		}
-		r.memo.cdf = stats.NewWeightedCDF(values, weights)
+	r.memo.mu.Lock()
+	defer r.memo.mu.Unlock()
+	if r.memo.cdf != nil {
 		return r.memo.cdf
 	}
-	values := make([]float64, 0, len(r.Jobs))
-	weights := make([]float64, 0, len(r.Jobs))
-	for i := range r.Jobs {
-		s := r.Jobs[i].CarbonSaving()
+	a := r.agg
+	values := make([]float64, 0, len(a.sched.lengths))
+	weights := make([]float64, 0, len(a.sched.lengths))
+	for i := range a.sched.lengths {
+		s := a.sched.baselines[i] - a.sched.carbons[i]
 		if s <= 0 {
 			continue
 		}
-		values = append(values, float64(r.Jobs[i].Length))
+		values = append(values, float64(a.sched.lengths[i]))
 		weights = append(weights, s)
 	}
-	return stats.NewWeightedCDF(values, weights)
+	r.memo.cdf = stats.NewWeightedCDF(values, weights)
+	return r.memo.cdf
 }
 
 // String summarizes the run for logs.

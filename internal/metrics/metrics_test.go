@@ -10,34 +10,42 @@ import (
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
-func sampleResult() *Result {
-	p := cloud.Pricing{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: 0.2}
-	return &Result{
+// sampleJobs returns the records behind sampleResult.
+func sampleJobs() []JobResult {
+	return []JobResult{
+		{
+			JobID: 0, Queue: workload.QueueShort, CPUs: 1,
+			Length: simtime.Hour, Arrival: 0, Start: 0,
+			Finish: simtime.Time(simtime.Hour),
+			Carbon: 10, BaselineCarbon: 10, UsageCost: 0,
+			CPUHours: [3]float64{0, 1, 0}, // reserved hour
+		},
+		{
+			JobID: 1, Queue: workload.QueueLong, CPUs: 2,
+			Length: 2 * simtime.Hour, Arrival: 0,
+			Start:   simtime.Time(simtime.Hour),
+			Finish:  simtime.Time(3 * simtime.Hour),
+			Waiting: simtime.Hour,
+			Carbon:  20, BaselineCarbon: 50, UsageCost: 4,
+			CPUHours: [3]float64{4, 0, 0}, // on-demand hours
+		},
+	}
+}
+
+// sampleResult is a two-job retained run: its records, and the
+// accumulator they were folded into.
+func sampleResult(jobs ...JobResult) *Result {
+	if jobs == nil {
+		jobs = sampleJobs()
+	}
+	return accumulated(&Result{
 		Label:    "test",
 		Region:   "XX",
 		Workload: "wl",
 		Reserved: 2,
 		Horizon:  100 * simtime.Hour,
-		Pricing:  p,
-		Jobs: []JobResult{
-			{
-				JobID: 0, Queue: workload.QueueShort, CPUs: 1,
-				Length: simtime.Hour, Arrival: 0, Start: 0,
-				Finish: simtime.Time(simtime.Hour),
-				Carbon: 10, BaselineCarbon: 10, UsageCost: 0,
-				CPUHours: [3]float64{0, 1, 0}, // reserved hour
-			},
-			{
-				JobID: 1, Queue: workload.QueueLong, CPUs: 2,
-				Length: 2 * simtime.Hour, Arrival: 0,
-				Start:   simtime.Time(simtime.Hour),
-				Finish:  simtime.Time(3 * simtime.Hour),
-				Waiting: simtime.Hour,
-				Carbon:  20, BaselineCarbon: 50, UsageCost: 4,
-				CPUHours: [3]float64{4, 0, 0}, // on-demand hours
-			},
-		},
-	}
+		Pricing:  cloud.Pricing{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: 0.2},
+	}, jobs...)
 }
 
 func TestResultTotals(t *testing.T) {
@@ -87,24 +95,20 @@ func TestResultTotals(t *testing.T) {
 }
 
 func TestWaitingPercentile(t *testing.T) {
-	r := &Result{}
-	for _, w := range []simtime.Duration{0, simtime.Hour, 2 * simtime.Hour, 3 * simtime.Hour, 4 * simtime.Hour} {
-		r.Jobs = append(r.Jobs, JobResult{Waiting: w})
-	}
+	r := waitingResult(0, simtime.Hour, 2*simtime.Hour, 3*simtime.Hour, 4*simtime.Hour)
 	if got := r.WaitingPercentile(50); got != 2*simtime.Hour {
 		t.Errorf("p50 = %v", got)
 	}
 	if got := r.WaitingPercentile(100); got != 4*simtime.Hour {
 		t.Errorf("p100 = %v", got)
 	}
-	empty := &Result{}
-	if empty.WaitingPercentile(95) != 0 {
+	if empty := waitingResult(); empty.WaitingPercentile(95) != 0 {
 		t.Error("empty percentile should be 0")
 	}
 }
 
 func TestEmptyResult(t *testing.T) {
-	r := &Result{Pricing: cloud.DefaultPricing()}
+	r := accumulated(&Result{Pricing: cloud.DefaultPricing()})
 	if r.TotalCarbon() != 0 || r.MeanWaiting() != 0 || r.MeanCompletion() != 0 {
 		t.Error("empty result should be zeros")
 	}
@@ -131,9 +135,9 @@ func TestJobResultHelpers(t *testing.T) {
 
 func TestCompareTo(t *testing.T) {
 	base := sampleResult()
-	r := sampleResult()
-	r.Jobs[1].Carbon = 5 // total 15 vs base 30
-	rel := r.CompareTo(base)
+	jobs := sampleJobs()
+	jobs[1].Carbon = 5 // total 15 vs base 30
+	rel := sampleResult(jobs...).CompareTo(base)
 	if math.Abs(rel.Carbon-0.5) > 1e-12 {
 		t.Errorf("rel carbon = %v", rel.Carbon)
 	}
@@ -149,11 +153,10 @@ func TestCompareTo(t *testing.T) {
 }
 
 func TestCompareToZeroWaitBaseline(t *testing.T) {
-	base := sampleResult()
-	base.Jobs[1].Waiting = 0
-	r := sampleResult()
-	r.Jobs[1].Waiting = 4 * simtime.Hour
-	rel := r.CompareTo(base)
+	baseJobs, jobs := sampleJobs(), sampleJobs()
+	baseJobs[1].Waiting = 0
+	jobs[1].Waiting = 4 * simtime.Hour
+	rel := sampleResult(jobs...).CompareTo(sampleResult(baseJobs...))
 	// Baseline never waits: report raw hours instead of a ratio.
 	if math.Abs(rel.Waiting-2) > 1e-12 { // mean of 0 and 4 h
 		t.Errorf("rel waiting = %v", rel.Waiting)
@@ -161,15 +164,15 @@ func TestCompareToZeroWaitBaseline(t *testing.T) {
 }
 
 func TestUsageSeries(t *testing.T) {
-	r := &Result{Jobs: []JobResult{
-		{Segments: []Segment{
+	r := accumulated(&Result{},
+		JobResult{JobID: 0, Segments: []Segment{
 			{Interval: simtime.Interval{Start: 0, End: 60}, Reserved: 2},
 			{Interval: simtime.Interval{Start: 60, End: 120}, OnDemand: 1, Spot: 1},
 		}},
-		{Segments: []Segment{
+		JobResult{JobID: 1, Segments: []Segment{
 			{Interval: simtime.Interval{Start: 30, End: 90}, OnDemand: 3},
 		}},
-	}}
+	)
 	s := r.UsageSeries(2 * simtime.Hour)
 	if s[cloud.Reserved][0] != 2 || s[cloud.Reserved][1] != 0 {
 		t.Errorf("reserved series = %v", s[cloud.Reserved])
@@ -193,11 +196,11 @@ func TestUsageSeries(t *testing.T) {
 }
 
 func TestSavingsByLengthCDF(t *testing.T) {
-	r := &Result{Jobs: []JobResult{
-		{Length: 60, Carbon: 5, BaselineCarbon: 10},   // saving 5 at 1 h
-		{Length: 600, Carbon: 10, BaselineCarbon: 25}, // saving 15 at 10 h
-		{Length: 60, Carbon: 10, BaselineCarbon: 5},   // negative saving, skipped
-	}}
+	r := accumulated(&Result{},
+		JobResult{JobID: 0, Length: 60, Carbon: 5, BaselineCarbon: 10},   // saving 5 at 1 h
+		JobResult{JobID: 1, Length: 600, Carbon: 10, BaselineCarbon: 25}, // saving 15 at 10 h
+		JobResult{JobID: 2, Length: 60, Carbon: 10, BaselineCarbon: 5},   // negative saving, skipped
+	)
 	cdf := r.SavingsByLengthCDF()
 	if cdf.Total() != 20 {
 		t.Errorf("total savings = %v", cdf.Total())

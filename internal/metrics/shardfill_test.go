@@ -155,19 +155,28 @@ func TestGrowUsageMatchesOnDemandGrowth(t *testing.T) {
 }
 
 // TestMemBytesCountsCapacity: MemBytes counts what the columns and bins
-// occupy, so bins that grew past their horizon count at their capacity.
+// occupy, so bins that AddUsage grew past their horizon count at their
+// capacity, until GrowUsage trims them to their length.
 func TestMemBytesCountsCapacity(t *testing.T) {
 	a := NewAccumulator(5, 3*simtime.Hour)
 	if got, want := a.MemBytes(), 5*(8*5+1)+3*3*8; got != want {
 		t.Fatalf("MemBytes = %d, want %d", got, want)
 	}
-	a.GrowUsage(simtime.Time(4 * simtime.Hour))
+	a.AddUsage(simtime.Interval{Start: 0, End: simtime.Time(4 * simtime.Hour)}, 1, 0, 0)
 	want := 5 * (8*5 + 1)
 	for _, u := range a.usage {
 		want += 8 * cap(u)
 	}
-	if got := a.MemBytes(); got != want {
-		t.Fatalf("grown bins: MemBytes = %d, want %d", got, want)
+	if got := a.MemBytes(); got != want || cap(a.usage[0]) == len(a.usage[0]) {
+		t.Fatalf("grown bins: MemBytes = %d, want %d over spare capacity", got, want)
+	}
+	bins := append([]int64(nil), a.usage[0]...)
+	a.GrowUsage(0)
+	if got, want := a.MemBytes(), 5*(8*5+1)+3*4*8; got != want {
+		t.Fatalf("trimmed bins: MemBytes = %d, want %d", got, want)
+	}
+	if !reflect.DeepEqual(a.usage[0], bins) {
+		t.Fatalf("trimming changed the bins: %v, want %v", a.usage[0], bins)
 	}
 }
 

@@ -10,44 +10,36 @@ import (
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
-// streamedResult rebuilds a retained result as its streaming twin: the
-// same jobs folded into an accumulator (segments binned as usage), no
-// per-job records kept.
-func streamedResult(r *Result) *Result {
-	s := &Result{
-		Label:    r.Label,
-		Region:   r.Region,
-		Workload: r.Workload,
-		Reserved: r.Reserved,
-		Horizon:  r.Horizon,
-		Pricing:  r.Pricing,
-	}
-	acc := NewAccumulator(len(r.Jobs), r.Horizon)
-	for i := range r.Jobs {
-		j := &r.Jobs[i]
+// accumulated builds r the way core.NewResult does: jobs are folded into a
+// fresh accumulator over r's horizon (AddJob, plus AddUsage per execution
+// segment) and kept as r's retained records.
+func accumulated(r *Result, jobs ...JobResult) *Result {
+	acc := NewAccumulator(len(jobs), r.Horizon)
+	for i := range jobs {
+		j := &jobs[i]
 		acc.AddJob(j)
 		for _, seg := range j.Segments {
 			acc.AddUsage(seg.Interval, seg.Reserved, seg.OnDemand, seg.Spot)
 		}
 	}
-	s.AttachAccumulator(acc)
-	return s
+	r.Jobs = jobs
+	r.AttachAccumulator(acc)
+	return r
 }
 
 // Division-by-zero audit: the ratio metrics must answer 0, not NaN or a
-// panic, on degenerate runs — in both retained and streaming modes.
+// panic, on degenerate runs.
 func TestDegenerateRunsYieldZeros(t *testing.T) {
-	emptyAgg := &Result{Horizon: 10 * simtime.Hour}
-	emptyAgg.AttachAccumulator(NewAccumulator(0, 10*simtime.Hour))
 	cases := []struct {
 		name string
 		r    *Result
 	}{
-		{"zero-value", &Result{}},
-		{"empty-retained", &Result{Jobs: []JobResult{}, Horizon: simtime.Hour}},
-		{"empty-streaming", emptyAgg},
-		{"no-reserved", &Result{Jobs: []JobResult{{Length: simtime.Hour}}, Horizon: simtime.Hour}},
-		{"zero-horizon", &Result{Reserved: 4}},
+		{"empty-retained", accumulated(&Result{Horizon: simtime.Hour}, []JobResult{}...)},
+		{"empty-streaming", accumulated(&Result{Horizon: 10 * simtime.Hour})},
+		// One zero-length job: completion is Waiting + Length, so a job
+		// with any length would make MeanCompletion nonzero.
+		{"no-reserved", accumulated(&Result{Horizon: simtime.Hour}, JobResult{})},
+		{"zero-horizon", accumulated(&Result{Reserved: 4})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,25 +64,22 @@ func TestDegenerateRunsYieldZeros(t *testing.T) {
 
 // CarbonSavingsFraction must stay finite when only the baseline is zero.
 func TestSavingsFractionZeroBaseline(t *testing.T) {
-	r := &Result{Jobs: []JobResult{{Carbon: 5, BaselineCarbon: 0}}}
+	r := accumulated(&Result{}, JobResult{Carbon: 5, BaselineCarbon: 0})
 	if got := r.CarbonSavingsFraction(); got != 0 {
 		t.Errorf("savings with zero baseline = %v, want 0", got)
-	}
-	if got := streamedResult(r).CarbonSavingsFraction(); got != 0 {
-		t.Errorf("streaming savings with zero baseline = %v, want 0", got)
 	}
 }
 
 func waitingResult(waits ...simtime.Duration) *Result {
-	r := &Result{Horizon: simtime.Hour}
+	jobs := make([]JobResult, len(waits))
 	for i, w := range waits {
-		r.Jobs = append(r.Jobs, JobResult{JobID: i, Waiting: w, Length: simtime.Hour})
+		jobs[i] = JobResult{JobID: i, Waiting: w, Length: simtime.Hour}
 	}
-	return r
+	return accumulated(&Result{Horizon: simtime.Hour}, jobs...)
 }
 
-// WaitingPercentile edge cases, exercised in both modes: empty result,
-// rank clamping at both ends, NaN rank, and the single-job degenerate.
+// WaitingPercentile edge cases: empty result, rank clamping at both ends,
+// NaN rank, and the single-job degenerate.
 func TestWaitingPercentileEdges(t *testing.T) {
 	cases := []struct {
 		name string
@@ -110,34 +99,48 @@ func TestWaitingPercentileEdges(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := tc.r.WaitingPercentile(tc.p); got != tc.want {
-				t.Errorf("retained: percentile(%v) = %v, want %v", tc.p, got, tc.want)
-			}
-			s := streamedResult(tc.r)
-			if got := s.WaitingPercentile(tc.p); got != tc.want {
-				t.Errorf("streaming: percentile(%v) = %v, want %v", tc.p, got, tc.want)
+				t.Errorf("percentile(%v) = %v, want %v", tc.p, got, tc.want)
 			}
 			// Memoized second query must agree with the first.
-			if got := s.WaitingPercentile(tc.p); got != tc.want {
-				t.Errorf("streaming memoized: percentile(%v) = %v, want %v", tc.p, got, tc.want)
+			if got := tc.r.WaitingPercentile(tc.p); got != tc.want {
+				t.Errorf("memoized: percentile(%v) = %v, want %v", tc.p, got, tc.want)
 			}
 		})
 	}
 }
 
-// usageResult builds a retained result with one job holding the given
-// execution segments.
-func usageResult(horizon simtime.Duration, segs ...Segment) *Result {
-	return &Result{
-		Horizon: horizon,
-		Jobs: []JobResult{{
-			JobID: 0, Length: simtime.Hour, Segments: segs,
-		}},
+// replayUsage is the reference the usage bins are checked against: every
+// segment replayed minute by minute over [0, horizon), each minute adding
+// the segment's units to its hour, and each hour's sum divided by 60.
+func replayUsage(horizon simtime.Duration, segs []Segment) [3][]float64 {
+	slots := int(horizon / simtime.Hour)
+	var out [3][]float64
+	if slots <= 0 {
+		return out
 	}
+	for o := range out {
+		out[o] = make([]float64, slots)
+	}
+	for _, seg := range segs {
+		units := [3]int{cloud.Reserved: seg.Reserved, cloud.OnDemand: seg.OnDemand, cloud.Spot: seg.Spot}
+		for m := max(seg.Interval.Start, 0); m < seg.Interval.End && int(m) < slots*60; m++ {
+			for o, u := range units {
+				out[o][m/60] += float64(u)
+			}
+		}
+	}
+	for o := range out {
+		for h := range out[o] {
+			out[o][h] /= 60
+		}
+	}
+	return out
 }
 
 // UsageSeries bin boundaries: segments straddling hour edges must split
 // their minutes across bins, segments past the horizon must truncate, and
-// the streaming bins must agree with the retained segment replay exactly.
+// the binned series must equal a minute-level replay of the segments
+// exactly.
 func TestUsageSeriesBinBoundaries(t *testing.T) {
 	seg := func(startMin, endMin simtime.Duration, res, od, spot int) Segment {
 		return Segment{
@@ -191,13 +194,12 @@ func TestUsageSeriesBinBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := usageResult(tc.horizon, tc.segs...)
-			retained := r.UsageSeries(tc.horizon)
-			streaming := streamedResult(r).UsageSeries(tc.horizon)
-			if !reflect.DeepEqual(retained, streaming) {
-				t.Fatalf("modes disagree:\nretained  %v\nstreaming %v", retained, streaming)
+			r := accumulated(&Result{Horizon: tc.horizon}, JobResult{Length: simtime.Hour, Segments: tc.segs})
+			binned := r.UsageSeries(tc.horizon)
+			if replayed := replayUsage(tc.horizon, tc.segs); !reflect.DeepEqual(binned, replayed) {
+				t.Fatalf("bins disagree with the segment replay:\nbinned   %v\nreplayed %v", binned, replayed)
 			}
-			if got := retained[cloud.OnDemand]; !reflect.DeepEqual(got, tc.wantOnDemand) {
+			if got := binned[cloud.OnDemand]; !reflect.DeepEqual(got, tc.wantOnDemand) {
 				t.Errorf("on-demand series = %v, want %v", got, tc.wantOnDemand)
 			}
 		})

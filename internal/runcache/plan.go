@@ -3,7 +3,6 @@ package runcache
 import (
 	"context"
 	"encoding/hex"
-	"errors"
 
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/metrics"
@@ -30,7 +29,10 @@ import (
 // phase from the plan tier when the configuration has a decision
 // projection. The returned Outcome is Computed when the cell decided for
 // itself (including priming the plan tier), PlanHit/PlanDiskHit when a
-// cached plan served the decide phase and only the replay ran.
+// cached plan served the decide phase and only the replay ran. A config
+// with a decision projection is direct-eligible, so its decide phase
+// either yields a plan or fails as core.Run would; there is no engine
+// re-run to fall back to.
 func (c *Cache) computePlanned(ctx context.Context, canon core.Config, jobs *workload.Trace) (*metrics.Result, Outcome, error) {
 	dfp, ok := canon.DecisionFingerprint(jobs)
 	if !ok {
@@ -39,12 +41,6 @@ func (c *Cache) computePlanned(ctx context.Context, canon core.Config, jobs *wor
 	}
 	plan, served, err := c.planFor(ctx, dfp, canon, jobs)
 	if err != nil {
-		if errors.Is(err, core.ErrNoPlan) {
-			// The decide phase dynamically fell back (the policy returned a
-			// suspend-resume plan); run the full engine path.
-			res, rerr := core.RunContext(ctx, canon, jobs)
-			return res, Computed, rerr
-		}
 		// A decide-phase failure is exactly the error core.Run would
 		// return for this cell; surface it (its failed plan flight was
 		// retired, so it is never cached).

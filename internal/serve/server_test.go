@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -496,4 +497,46 @@ func TestMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/advise status = %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestAdviseTableMemoBounded: /v1/advise takes a job's length estimate
+// from the client, and each distinct estimate makes the region trace's
+// oracle build a table set, so 2000 requests with distinct
+// avg_length_minutes must leave the post-GC heap within the memo bound's
+// worth of table sets (64, carbon's maxQueueTables), not 2000 sets'.
+func TestAdviseTableMemoBounded(t *testing.T) {
+	const traceDays = 14 // gaia-serve's default advisory horizon
+	s := newTestServer(t, Config{TraceDays: traceDays})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	advise := func(avgLength int) {
+		body := fmt.Sprintf(`{"policy":"carbon-time","region":"SA-AU","length_minutes":120,"avg_length_minutes":%d}`, avgLength)
+		if resp, b := postJSON(t, ts.URL+"/v1/advise", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("advise: status %d, body %s", resp.StatusCode, b)
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// Fill the memo to its bound first, so only growth past it counts.
+	for i := 0; i < 64; i++ {
+		advise(1 + i)
+	}
+	before := liveHeap()
+	for i := 0; i < 2000; i++ {
+		advise(100 + i)
+	}
+	growth := liveHeap() - before
+	// A table set is two float64 columns over the trace's hours, its
+	// slack days and a few padding slots.
+	perSet := int64(2 * 8 * ((traceDays+simulateSlackDays)*24 + 16))
+	if limit := 64*perSet + 1<<20; growth > limit {
+		t.Errorf("2000 distinct length estimates grew the post-GC heap by %d B, want at most %d (about %d B per table set)",
+			growth, limit, perSet)
+	}
+	t.Logf("post-GC heap growth over 2000 distinct estimates: %d B (%d B per table set)", growth, perSet)
 }

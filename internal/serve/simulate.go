@@ -206,10 +206,11 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 // the same 3-day slack gaia-sim applies.
 const simulateSlackDays = 3
 
-// carbonKey / workloadKey index the server's trace memos. Memoization
-// matters beyond speed: runcache fingerprints fold in per-instance
-// memoized trace hashes, so handing the same *Trace instance to every
-// identical request is what makes repeated cells cache hits.
+// carbonKey / workloadKey index the server's trace memos. The memos save
+// only generation and hashing: both trace fingerprints hash the trace's
+// contents (memoized in the instance), so an identical trace generated
+// again keys the same run-cache cell, and repeated cells are cache hits
+// with or without the memo.
 type carbonKey struct {
 	region string
 	days   int
@@ -244,8 +245,8 @@ func (s *Server) carbonTrace(region string, days int) *carbon.Trace {
 
 // workloadTrace returns the memoized workload for its generation inputs.
 // The memo is bounded: seeds are client-controlled, so at capacity it is
-// simply cleared — correctness never depends on it (see carbonKey docs),
-// only cache hit rates do.
+// simply cleared — neither correctness nor cache hits depend on it (see
+// carbonKey docs), only the cost of generating and hashing a trace does.
 func (s *Server) workloadTrace(family string, jobs, days int, seed int64) *workload.Trace {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()

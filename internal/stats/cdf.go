@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // ECDF is an empirical cumulative distribution function over a sample.
 type ECDF struct {
@@ -102,80 +98,4 @@ func (c *WeightedCDF) At(x float64) float64 {
 		return 0
 	}
 	return c.cumsum[i-1] / c.totalW
-}
-
-// Histogram counts samples into fixed bins defined by ascending edges:
-// bin i covers [Edges[i], Edges[i+1]).
-type Histogram struct {
-	Edges  []float64
-	Counts []int64
-	Under  int64 // samples below Edges[0]
-	Over   int64 // samples at or above Edges[len-1]
-}
-
-// NewHistogram creates a histogram with the given strictly ascending edges.
-// It panics with fewer than two edges or non-ascending edges.
-func NewHistogram(edges []float64) *Histogram {
-	if len(edges) < 2 {
-		panic("stats: histogram needs at least two edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			panic("stats: histogram edges must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		Edges:  append([]float64(nil), edges...),
-		Counts: make([]int64, len(edges)-1),
-	}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	if x < h.Edges[0] {
-		h.Under++
-		return
-	}
-	if x >= h.Edges[len(h.Edges)-1] {
-		h.Over++
-		return
-	}
-	// Last edge index with Edges[i] <= x.
-	i := sort.SearchFloat64s(h.Edges, x)
-	if i == len(h.Edges) || h.Edges[i] > x {
-		i--
-	}
-	h.Counts[i]++
-}
-
-// Total returns the number of in-range samples.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// Fractions returns per-bin fractions of the in-range total (zeros when
-// empty).
-func (h *Histogram) Fractions() []float64 {
-	t := h.Total()
-	fr := make([]float64, len(h.Counts))
-	if t == 0 {
-		return fr
-	}
-	for i, c := range h.Counts {
-		fr[i] = float64(c) / float64(t)
-	}
-	return fr
-}
-
-// String renders the histogram as a compact text table.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	for i, c := range h.Counts {
-		fmt.Fprintf(&b, "[%g,%g): %d\n", h.Edges[i], h.Edges[i+1], c)
-	}
-	return b.String()
 }

@@ -113,70 +113,6 @@ func TestWeightedCDFPanicsOnMismatch(t *testing.T) {
 	NewWeightedCDF([]float64{1}, []float64{1, 2})
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 10, 20, 30})
-	for _, x := range []float64{-5, 0, 5, 10, 15, 25, 30, 99} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d", h.Over)
-	}
-	want := []int64{2, 2, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("Counts[%d] = %d, want %d", i, c, want[i])
-		}
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	fr := h.Fractions()
-	if !almostEq(fr[0], 0.4, 1e-12) {
-		t.Errorf("Fractions[0] = %v", fr[0])
-	}
-	if h.String() == "" {
-		t.Error("String should be non-empty")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, edges := range [][]float64{{1}, {1, 1}, {2, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("edges %v: expected panic", edges)
-				}
-			}()
-			NewHistogram(edges)
-		}()
-	}
-}
-
-func TestHistogramEmptyFractions(t *testing.T) {
-	h := NewHistogram([]float64{0, 1})
-	fr := h.Fractions()
-	if len(fr) != 1 || fr[0] != 0 {
-		t.Errorf("empty fractions = %v", fr)
-	}
-}
-
-// Property: histogram conserves samples (under + over + total == adds).
-func TestHistogramConservation(t *testing.T) {
-	f := func(raw []int16) bool {
-		h := NewHistogram([]float64{-100, 0, 100})
-		for _, v := range raw {
-			h.Add(float64(v))
-		}
-		return h.Under+h.Over+h.Total() == int64(len(raw))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: weighted CDF is monotone and ends at 1 for positive totals.
 func TestWeightedCDFMonotone(t *testing.T) {
 	f := func(raw []uint8) bool {

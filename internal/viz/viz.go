@@ -1,6 +1,6 @@
-// Package viz renders tiny terminal visualizations — sparklines and
-// horizontal bars — so the experiment CLIs can show the *shape* of a
-// series (diurnal carbon curves, monthly trends) alongside its numbers.
+// Package viz renders tiny terminal visualizations — sparklines — so the
+// experiment CLIs can show the *shape* of a series (diurnal carbon
+// curves, monthly trends) alongside its numbers.
 package viz
 
 import "strings"
@@ -62,23 +62,4 @@ func Downsample(values []float64, width int) []float64 {
 		out[i] = sum / float64(hi-lo)
 	}
 	return out
-}
-
-// Bar renders value on a [0, max] scale as a width-character bar like
-// "████████··" — for quick magnitude comparison in tables.
-func Bar(value, max float64, width int) string {
-	if width <= 0 {
-		return ""
-	}
-	filled := 0
-	if max > 0 {
-		filled = int(value/max*float64(width) + 0.5)
-	}
-	if filled < 0 {
-		filled = 0
-	}
-	if filled > width {
-		filled = width
-	}
-	return strings.Repeat("█", filled) + strings.Repeat("·", width-filled)
 }

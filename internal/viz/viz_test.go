@@ -90,21 +90,3 @@ func TestDownsample(t *testing.T) {
 		t.Errorf("width 0 = %v", got)
 	}
 }
-
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "█████·····" {
-		t.Errorf("Bar = %q", got)
-	}
-	if got := Bar(0, 10, 4); got != "····" {
-		t.Errorf("empty bar = %q", got)
-	}
-	if got := Bar(20, 10, 4); got != "████" {
-		t.Errorf("clamped bar = %q", got)
-	}
-	if got := Bar(5, 0, 4); got != "····" {
-		t.Errorf("zero max = %q", got)
-	}
-	if Bar(1, 1, 0) != "" {
-		t.Error("zero width should be empty")
-	}
-}

@@ -295,12 +295,6 @@ func MustangHPC() Family {
 	}
 }
 
-// Families returns the three production-trace stand-ins in the paper's
-// order (Mustang, Alibaba, Azure).
-func Families() []Family {
-	return []Family{MustangHPC(), AlibabaPAI(), AzureVM()}
-}
-
 // PoissonSpec is the Section-3 illustrative workload: exponential
 // interarrivals, exponential lengths, fixed CPU count.
 type PoissonSpec struct {

@@ -109,7 +109,7 @@ func TestDemandCVContrast(t *testing.T) {
 
 func TestGenerateByDemandHitsTarget(t *testing.T) {
 	horizon := 60 * simtime.Day
-	for _, fam := range Families() {
+	for _, fam := range []Family{MustangHPC(), AlibabaPAI(), AzureVM()} {
 		tr := fam.GenerateByDemand(rand.New(rand.NewSource(7)), 100, horizon)
 		got := tr.MeanDemand(horizon)
 		if math.Abs(got-100)/100 > 0.2 {
@@ -137,19 +137,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 	for i := range a.Jobs {
 		if a.Jobs[i] != b.Jobs[i] {
 			t.Fatal("same seed must generate identical traces")
-		}
-	}
-}
-
-func TestFamiliesList(t *testing.T) {
-	fams := Families()
-	if len(fams) != 3 {
-		t.Fatalf("Families = %d entries", len(fams))
-	}
-	want := []string{"mustang", "alibaba", "azure"}
-	for i, f := range fams {
-		if f.Name != want[i] {
-			t.Errorf("family %d = %q, want %q", i, f.Name, want[i])
 		}
 	}
 }
