@@ -63,7 +63,9 @@ bench-check:
 # that exists to execute the wheel, heap, direct and plan-replay paths,
 # the engine's suspend-resume and spot paths (Fig08Policies runs
 # WaitAwhile and Ecovisor plans, Fig12SpotReserved Spot-First and
-# Spot-RES) and the node-level prototype runtime under bench conditions
+# Spot-RES), the node-level prototype runtime and million-job trace
+# construction (GenerateTrace: generation and NewTrace over a shuffled
+# trace) under bench conditions
 # (and catch gross regressions or panics; PrototypeScale takes seconds
 # per op if node acquisition falls back to fleet scans), not to produce stable
 # numbers — those come from the committed BENCH_PR*.json snapshots. The
@@ -99,7 +101,7 @@ bench-quick:
 		echo "$$listed" | grep -q -- "$$name" || { \
 			echo "bench-quick: -run entry $$name matches no test in $(BENCH_QUICK_PKGS)" >&2; exit 1; }; \
 	done
-	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved|GenerateTrace' -benchtime=0.1s -benchmem .
 	$(GO) test -race -cpu 4 -run '$(BENCH_QUICK_RACE)' $(BENCH_QUICK_PKGS)
 
 # The benchmark (benchmark/) is a module of its own that imports this one

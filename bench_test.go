@@ -305,6 +305,44 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	b.ReportMetric(float64(jobs.Len()), "jobs/op")
 }
 
+// BenchmarkGenerateTrace measures building the million-job year that
+// BenchmarkMillionJobRun and the year workloads start from. "generate" is
+// GenerateByCount of 1M AlibabaPAI jobs over 350 days: the random draws
+// plus normalization. "normalize-shuffled" is NewTrace over a shuffled
+// copy of that trace, so it pays the whole stable arrival order and the
+// gather, with no draws.
+func BenchmarkGenerateTrace(b *testing.B) {
+	const nJobs = 1_000_000
+	fam := workload.AlibabaPAI()
+	generate := func() *workload.Trace {
+		return fam.GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 350*simtime.Day)
+	}
+	b.Run("generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tr := generate(); tr.Len() != nJobs {
+				b.Fatalf("generated %d jobs", tr.Len())
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/nJobs, "ns/job")
+	})
+	b.Run("normalize-shuffled", func(b *testing.B) {
+		tr := generate()
+		shuffled := append([]workload.Job(nil), tr.Jobs...)
+		rand.New(rand.NewSource(2)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := workload.NewTrace(tr.Name, shuffled); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N)/nJobs, "ns/job")
+	})
+}
+
 // BenchmarkMillionJobRun is the scaling benchmark of the streaming
 // metrics engine: one simulated year, one million jobs, in both retention
 // modes. The sub-benchmark bytes/op is the headline number — streaming

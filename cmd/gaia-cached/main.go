@@ -4,7 +4,7 @@
 // GET /v1/cache/stats), with nothing else — no simulator, no oracle
 // tables, no admission gate. Entries are held in memory under the
 // -max-bytes budget, oldest evicted first; with -dir each is also written
-// as <fingerprint>.c1.s1.gacc, the file gaia-serve's -cache-dir and
+// as <fingerprint>.c2.s1.gacc, the file gaia-serve's -cache-dir and
 // gaia-exp's -cache use, so an entry evicted from memory is still served.
 //
 // Use it to give a gaia-serve fleet cache capacity that survives replica

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -273,14 +272,14 @@ func (k columnsKey) equal(o columnsKey) bool {
 // which must already have length len(starts). cnt is a reusable
 // sort-bucket buffer.
 func (m *replayMemo) fill(cnt *[]int32, starts []simtime.Time) {
-	m.startOrd = timeOrderInto(m.startOrd, cnt, starts)
+	m.startOrd = simtime.OrderInto(m.startOrd, cnt, starts)
 	for r, id := range m.startOrd {
 		j := &m.trace.Jobs[id]
 		m.stR[r] = starts[id]
 		m.enR[r] = starts[id].Add(j.Length)
 		m.cpuR[r] = int32(j.CPUs)
 	}
-	m.finOrd = timeOrderInto(m.finOrd, cnt, m.enR)
+	m.finOrd = simtime.OrderInto(m.finOrd, cnt, m.enR)
 }
 
 // replayDirect is phases 2-3: given the decided start column (freshly
@@ -480,95 +479,4 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	res := NewResult(cfg, trace, acc)
 	res.Jobs = results
 	return res, nil
-}
-
-// timeOrder returns 0..len(keys)-1 stably sorted ascending by key; see
-// timeOrderInto for the algorithm.
-func timeOrder(keys []simtime.Time) []int32 {
-	return timeOrderInto(make([]int32, len(keys)), new([]int32), keys)
-}
-
-// timeOrderInto fills ord (len(ord) == len(keys)) with 0..len(keys)-1
-// stably sorted ascending by key, so ties keep input order — exactly the
-// (time, index) lexicographic order the sweep needs. It is an LSD radix
-// sort over the offsets key − min: each pass is a stable counting sort on
-// one digit, so the passes compose into one stable sort. When one bucket
-// per offset is affordable — simulation endpoints cluster into at most a
-// horizon's worth of minutes — the whole offset is the digit and the sort
-// is one counting pass. Sparser keys (a few thousand jobs spread over
-// months) take digits of about log2(n) bits, so every pass is O(n). cnt
-// is the reusable bucket buffer (resliced and cleared here, grown when
-// needed); a multi-pass sort also keeps its second order column in it.
-func timeOrderInto(ord []int32, cnt *[]int32, keys []simtime.Time) []int32 {
-	n := len(keys)
-	ord = ord[:n]
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	if n < 2 {
-		return ord
-	}
-	lo, hi := keys[0], keys[0]
-	for _, k := range keys[1:] {
-		if k < lo {
-			lo = k
-		} else if k > hi {
-			hi = k
-		}
-	}
-	// key − lo is exact in uint64 for any two int64 keys.
-	maxOff := uint64(hi) - uint64(lo)
-	if maxOff < uint64(8*n) || maxOff < 1<<16 {
-		buckets := growCleared(cnt, int(maxOff)+2)
-		for _, k := range keys {
-			buckets[uint64(k)-uint64(lo)+1]++
-		}
-		for b := 1; b < len(buckets); b++ {
-			buckets[b] += buckets[b-1]
-		}
-		for i, k := range keys {
-			b := uint64(k) - uint64(lo)
-			ord[buckets[b]] = int32(i)
-			buckets[b]++
-		}
-		return ord
-	}
-	offBits := bits.Len64(maxOff)
-	passes := (offBits + bits.Len(uint(n)) - 1) / bits.Len(uint(n))
-	width := (offBits + passes - 1) / passes
-	nb := 1 << width
-	mask := uint64(nb - 1)
-	buf := growCleared(cnt, nb+1+n)
-	buckets, src, dst := buf[:nb+1], ord, buf[nb+1:]
-	for shift := 0; shift < offBits; shift += width {
-		clear(buckets)
-		for _, k := range keys {
-			buckets[(uint64(k)-uint64(lo))>>shift&mask+1]++
-		}
-		for b := 1; b < len(buckets); b++ {
-			buckets[b] += buckets[b-1]
-		}
-		for _, id := range src {
-			d := (uint64(keys[id]) - uint64(lo)) >> shift & mask
-			dst[buckets[d]] = id
-			buckets[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &ord[0] {
-		copy(ord, src)
-	}
-	return ord
-}
-
-// growCleared reslices *buf to n zeroed entries, reallocating only when
-// its capacity is short.
-func growCleared(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	} else {
-		*buf = (*buf)[:n]
-		clear(*buf)
-	}
-	return *buf
 }

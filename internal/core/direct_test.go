@@ -2,11 +2,8 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
-	"math/bits"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -269,58 +266,6 @@ func FuzzDirectVsEngine(f *testing.F) {
 	})
 }
 
-// TestTimeOrder pins the sort the sweep is built on: a stable ascending
-// order, on the one-pass counting sort of dense keys and the multi-pass
-// radix sort of sparse ones alike, equal to a stable comparison sort.
-func TestTimeOrder(t *testing.T) {
-	keys := []simtime.Time{50, 10, 50, 10, 0, 99, 50, 10}
-	want := []int32{4, 1, 3, 7, 0, 2, 6, 5}
-	if got := timeOrder(keys); !reflect.DeepEqual(got, want) {
-		t.Errorf("timeOrder(%v) = %v, want %v", keys, got, want)
-	}
-	if got := timeOrder(nil); len(got) != 0 {
-		t.Errorf("timeOrder(nil) = %v", got)
-	}
-	if got := timeOrder([]simtime.Time{7}); !reflect.DeepEqual(got, []int32{0}) {
-		t.Errorf("single-key order = %v", got)
-	}
-
-	// Random keys over spans from 2^10 (one counting pass) through 2^17
-	// (just past it) to 2^62, half of the trials drawing from a few
-	// distinct values so ties are common, and some based below zero. One
-	// bucket buffer serves every trial, as the replay scratch does.
-	rnd := newRand(9)
-	var cnt []int32
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + rnd.Intn(600)
-		span := int64(1) << (10 + rnd.Intn(53))
-		base := simtime.Time(0)
-		if trial%5 == 0 {
-			base = -simtime.Time(span / 2)
-		}
-		pool := make([]simtime.Time, n)
-		if trial%2 == 1 {
-			pool = pool[:1+rnd.Intn(8)]
-		}
-		for i := range pool {
-			pool[i] = base + simtime.Time(rnd.Int63n(span))
-		}
-		keys := make([]simtime.Time, n)
-		for i := range keys {
-			keys[i] = pool[rnd.Intn(len(pool))]
-		}
-		want := make([]int32, n)
-		for i := range want {
-			want[i] = int32(i)
-		}
-		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
-		if got := timeOrderInto(make([]int32, n), &cnt, keys); !slices.Equal(got, want) {
-			t.Fatalf("trial %d (n=%d, span 2^%d): radix order differs from a stable sort",
-				trial, n, bits.Len64(uint64(span))-1)
-		}
-	}
-}
-
 // TestDecideDirectRejectsPlans: the direct path replays start decisions
 // only, so a suspend-resume plan from the policy it runs fails the run
 // with an error naming the policy instead of re-running it on the engine.
@@ -336,7 +281,7 @@ func TestDecideDirectRejectsPlans(t *testing.T) {
 // accumulatorFixedBytes is what an encoded accumulator holds beyond one
 // copy of each column and usage bin: magic, codec version, job count,
 // the scalar totals, the three bin counts and the checksum.
-const accumulatorFixedBytes = 108
+const accumulatorFixedBytes = 92
 
 // TestFinishedRunsHoldNoSpareBins: a finished run's usage bins have no
 // spare capacity, so the memory it is charged (MemBytes) is exactly the

@@ -53,14 +53,14 @@ func goldenCases() []goldenCase {
 	return []goldenCase{
 		{
 			name:  "WaitAwhile",
-			acc:   "d5474213cc62ee85989147a97b0b0e9ca17478e291aa4b801c8d07ee920cc12e",
+			acc:   "f074a4dab97e613fc329c342f71f9b1f348e1732c10a1414d085c33247a4e8f1",
 			jobs:  "051c4feca0fc7fc8d90ac59a382ac337d0230a130bc3060d104a961fdab035d3",
 			cfg:   func(tr *carbon.Trace) Config { return base(tr, policy.WaitAwhile{}) },
 			check: minSegments(2),
 		},
 		{
 			name: "WaitAwhile-Est",
-			acc:  "6894862d19ac3a4a11e46870386a48a069da41d8efb8948ac05b5ab696327d95",
+			acc:  "c363355b75160181c6f1d4c980f5d0dde7c5678cbb9acdf6275421dad3fd5768",
 			jobs: "1adc5348c8543e6a89758164f55af3edcdf0268d995e1e3d25338eff287b106e",
 			cfg: func(tr *carbon.Trace) Config {
 				cfg := base(tr, policy.WaitAwhileEst{})
@@ -71,7 +71,7 @@ func goldenCases() []goldenCase {
 		},
 		{
 			name: "Ecovisor",
-			acc:  "ddcb8798e450a42e84c846981b1eb813aef479356d895e9397684ab44ae35bf0",
+			acc:  "2399729ac13c311c6d8dbb4751ceaae16de13725c82737c2c0a979e8bee16a08",
 			jobs: "a1efd7109388f12ea01d8c1661b5b38e64c7ddd0347057459acbad6eabb04741",
 			cfg: func(tr *carbon.Trace) Config {
 				cfg := base(tr, policy.Ecovisor{})
@@ -82,21 +82,21 @@ func goldenCases() []goldenCase {
 		},
 		{
 			name:  "WaitAwhile-spot-evicted-mid-plan",
-			acc:   "57741251a475340b12bcfd304613c8784e14d356fb770a998c24cad9ee9d0d63",
+			acc:   "f8aacd7ee1e3069f6ec5133f1c95bd791ddc1333730cea0b0fd1d0e555d2e405",
 			jobs:  "41f485aa9edf9ae986d21fac0d9c77f2768ec61d84893bcec88ce69c0c3864d2",
 			cfg:   spot(policy.WaitAwhile{}, 24*simtime.Hour, 0.2),
 			check: evictedAfterSegments(2),
 		},
 		{
 			name:  "Spot-First",
-			acc:   "59699124a22e279667e6b23aeac80c10228635e06896ff44293a11f114f2cbea",
+			acc:   "92fe579acecf0540ece79fc96f66d8a6aef408fdeac4451bce96282894b05b37",
 			jobs:  "d738a0884eb1deaf7bb6e3c6e28ff6d82a73f03e8a81b7b46fd1b1be8fda93d1",
 			cfg:   spot(policy.CarbonTime{}, 2*simtime.Hour, 0.1),
 			check: evictedAfterSegments(1),
 		},
 		{
 			name: "Spot-RES",
-			acc:  "452617f80ace5e4e804efe5fc58f5fdca1ee0195617536f754a473f868ab19f5",
+			acc:  "9c5cd18589b9a2b33a923809ceda3ab7cbba8de766d5413ec5725194be5e76da",
 			jobs: "54d9075b6976af05022b7a2df42cd4e8058ba105e76306ff75858f53a13c0cfe",
 			cfg: func(tr *carbon.Trace) Config {
 				cfg := spot(policy.CarbonTime{}, 2*simtime.Hour, 0.1)(tr)
@@ -108,7 +108,7 @@ func goldenCases() []goldenCase {
 		},
 		{
 			name: "checkpointed-spot",
-			acc:  "a0640a738d518002d22830bc3512360ffebf07e16da660c96c72eac75cb0ed2a",
+			acc:  "b6765173479062e2c238f0ab1799668b0e532ec5b217fc777e0a0226217e56cb",
 			jobs: "37ff1536861a3cac58e8c9f41d41cc4db4b7e041e4e1ee236e1e0992921c9d5d",
 			cfg: func(tr *carbon.Trace) Config {
 				cfg := spot(policy.CarbonTime{}, 12*simtime.Hour, 0.2)(tr)

@@ -33,9 +33,9 @@ type Accumulator struct {
 	sched ScheduleColumns
 	costs []float64
 
-	cpuHours                              [3]float64
-	evictions                             int
-	wastedCPUHours, wastedCarbon, wastedC float64
+	cpuHours       [3]float64
+	evictions      int
+	wastedCPUHours float64
 
 	// usage[option][hour] holds CPU·minutes of allocation in that hour.
 	// The bins grow on demand past the initial horizon so execution
@@ -127,8 +127,6 @@ func (a *Accumulator) AddJob(rec *JobResult) {
 	}
 	a.evictions += rec.Evictions
 	a.wastedCPUHours += rec.WastedCPUHours
-	a.wastedCarbon += rec.WastedCarbon
-	a.wastedC += rec.WastedCost
 }
 
 // The sharded-fill API below decomposes AddJob for producers that compute

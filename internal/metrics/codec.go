@@ -11,7 +11,7 @@ import (
 // is part of every on-disk cache key: bump it whenever the Accumulator
 // gains, loses or reorders state, and old entries simply miss instead of
 // decoding into garbage.
-const CodecVersion = 1
+const CodecVersion = 2
 
 // accumulatorMagic opens every encoded accumulator. The trailing byte is
 // a format generation separate from CodecVersion so a future incompatible
@@ -25,8 +25,7 @@ var accumulatorMagic = [8]byte{'G', 'A', 'I', 'A', 'A', 'C', 'C', 1}
 //	| waitings, lengths (u64 LE each)
 //	| carbons, baselines, costs (Float64bits LE each)
 //	| queues (1 byte each)
-//	| cpuHours [3]f64 | evictions u64 | wastedCPUHours, wastedCarbon,
-//	  wastedCost f64
+//	| cpuHours [3]f64 | evictions u64 | wastedCPUHours f64
 //	| 3 × (len u64 | usage bins u64 LE each)
 //	| crc32-IEEE of everything above (u32 LE)
 //
@@ -37,7 +36,7 @@ func EncodeAccumulator(a *Accumulator) []byte {
 	n := len(a.sched.waitings)
 	size := 8 + 8 + 8 + // magic, version, nJobs
 		n*8*2 + n*8*3 + n + // duration, float columns, queues
-		3*8 + 8 + 3*8 + // cpuHours, evictions, wasted
+		3*8 + 8 + 8 + // cpuHours, evictions, wastedCPUHours
 		3*8 + 8*(len(a.usage[0])+len(a.usage[1])+len(a.usage[2])) +
 		4 // crc
 	buf := make([]byte, 0, size)
@@ -67,8 +66,6 @@ func EncodeAccumulator(a *Accumulator) []byte {
 	}
 	buf = le.AppendUint64(buf, uint64(a.evictions))
 	buf = le.AppendUint64(buf, math.Float64bits(a.wastedCPUHours))
-	buf = le.AppendUint64(buf, math.Float64bits(a.wastedCarbon))
-	buf = le.AppendUint64(buf, math.Float64bits(a.wastedC))
 	for o := range a.usage {
 		buf = le.AppendUint64(buf, uint64(len(a.usage[o])))
 		for _, v := range a.usage[o] {
@@ -184,8 +181,6 @@ func DecodeAccumulator(data []byte) (*Accumulator, error) {
 	}
 	a.evictions = int(d.u64())
 	a.wastedCPUHours = d.f64()
-	a.wastedCarbon = d.f64()
-	a.wastedC = d.f64()
 	for o := range a.usage {
 		a.usage[o] = make([]int64, d.length(8))
 		decodeInts(d, a.usage[o])

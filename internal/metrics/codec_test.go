@@ -206,8 +206,6 @@ func referenceDecode(data []byte) (*Accumulator, error) {
 	}
 	a.evictions = int(d.u64())
 	a.wastedCPUHours = d.f64()
-	a.wastedCarbon = d.f64()
-	a.wastedC = d.f64()
 	for o := range a.usage {
 		m := d.length(8)
 		a.usage[o] = make([]int64, m)
@@ -222,19 +220,26 @@ func referenceDecode(data []byte) (*Accumulator, error) {
 }
 
 // codecSeeds returns encoded fixtures covering each shape the codec
-// carries: no jobs, one job, every field set, and usage bins grown past
-// the sized horizon.
+// carries: no jobs, one job, every field set, usage bins grown past the
+// sized horizon, and jobs with no usage bins at all.
 func codecSeeds() [][]byte {
 	one := NewAccumulator(1, simtime.Hour)
 	one.AddJob(&JobResult{JobID: 0, Waiting: 3, Length: 60, Carbon: 1.5, BaselineCarbon: 2, UsageCost: 0.25})
 	one.AddUsage(simtime.Interval{Start: 3, End: 63}, 1, 0, 0)
 	grown := NewAccumulator(2, simtime.Hour)
 	grown.AddUsage(simtime.Interval{Start: 0, End: 5 * 60}, 0, 2, 1)
+	binless := NewAccumulator(3, 0)
+	for i := 0; i < 3; i++ {
+		binless.AddJob(&JobResult{JobID: i, Waiting: simtime.Duration(i), Length: 30, Carbon: 0.5,
+			BaselineCarbon: 0.75, UsageCost: 0.1, CPUHours: [3]float64{0, 0, 0.5},
+			Evictions: i, WastedCPUHours: 0.25 * float64(i)})
+	}
 	return [][]byte{
 		EncodeAccumulator(NewAccumulator(0, 0)),
 		EncodeAccumulator(one),
 		EncodeAccumulator(codecFixture()),
 		EncodeAccumulator(grown),
+		EncodeAccumulator(binless),
 	}
 }
 

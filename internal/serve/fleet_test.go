@@ -150,7 +150,7 @@ func TestFleetSelfOwnerKeepsOneCopy(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	for _, pattern := range []string{"*.c1.s1.gacc", "*.gplan"} {
+	for _, pattern := range []string{"*.c2.s1.gacc", "*.gplan"} {
 		if m, _ := filepath.Glob(filepath.Join(dir, pattern)); len(m) != 1 {
 			t.Errorf("want one %s in the cache directory, have %v", pattern, names)
 		}

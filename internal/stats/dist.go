@@ -93,44 +93,49 @@ func (l *LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 // BoundedPareto samples a Pareto(alpha) law truncated to [L, H]
 // via inverse-CDF. It is the classic heavy-tailed job-size model.
 type BoundedPareto struct {
-	rng   *rand.Rand
-	Alpha float64
-	L, H  float64
+	rng     *rand.Rand
+	alpha   float64
+	l, h    float64
+	la, ha  float64 // L^alpha and H^alpha
+	negInvA float64 // −1/alpha, the inverse CDF's exponent
 }
 
 // NewBoundedPareto returns a bounded Pareto distribution on [l, h] with
-// shape alpha. It panics unless 0 < l < h and alpha > 0.
+// shape alpha. It panics unless 0 < l < h and alpha > 0. The powers of
+// the bounds and the inverse CDF's exponent are computed here once, so a
+// draw costs one math.Pow.
 func NewBoundedPareto(rng *rand.Rand, alpha, l, h float64) *BoundedPareto {
 	if l <= 0 || h <= l || alpha <= 0 {
 		panic("stats: bounded pareto requires 0 < L < H and alpha > 0")
 	}
-	return &BoundedPareto{rng: rng, Alpha: alpha, L: l, H: h}
+	return &BoundedPareto{
+		rng: rng, alpha: alpha, l: l, h: h,
+		la: math.Pow(l, alpha), ha: math.Pow(h, alpha), negInvA: -1 / alpha,
+	}
 }
 
 // Sample draws one variate via inverse transform sampling.
 func (p *BoundedPareto) Sample() float64 {
 	u := p.rng.Float64()
-	la := math.Pow(p.L, p.Alpha)
-	ha := math.Pow(p.H, p.Alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/p.Alpha)
-	if x < p.L {
-		x = p.L
+	la, ha := p.la, p.ha
+	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), p.negInvA)
+	if x < p.l {
+		x = p.l
 	}
-	if x > p.H {
-		x = p.H
+	if x > p.h {
+		x = p.h
 	}
 	return x
 }
 
 // Mean returns the theoretical bounded-Pareto mean.
 func (p *BoundedPareto) Mean() float64 {
-	a := p.Alpha
+	a := p.alpha
 	if a == 1 {
-		return p.L * p.H / (p.H - p.L) * math.Log(p.H/p.L)
+		return p.l * p.h / (p.h - p.l) * math.Log(p.h/p.l)
 	}
-	la := math.Pow(p.L, a)
-	ha := math.Pow(p.H, a)
-	return la / (1 - la/ha) * (a / (a - 1)) * (1/math.Pow(p.L, a-1) - 1/math.Pow(p.H, a-1))
+	la, ha := p.la, p.ha
+	return la / (1 - la/ha) * (a / (a - 1)) * (1/math.Pow(p.l, a-1) - 1/math.Pow(p.h, a-1))
 }
 
 // Mixture draws from one of several component distributions with the given

@@ -1,12 +1,8 @@
 package workload
 
 import (
-	"cmp"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -166,17 +162,12 @@ func NewElasticTrace(name string, jobs []Job, specs []ElasticSpec, edges []Edge)
 	}
 	n := len(jobs)
 
-	// Stable arrival sort via an index permutation so specs and edge
-	// endpoints can be remapped onto the new numbering.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(jobs[a].Arrival, jobs[b].Arrival) })
+	// Renumber in stable arrival order, gathering specs alongside; newID
+	// remaps edge endpoints onto the new numbering.
 	newID := make([]int, n) // old position → new ID
 	js := make([]Job, n)
 	sp := make([]ElasticSpec, n)
-	for newPos, oldPos := range order {
+	for newPos, oldPos := range arrivalOrder(jobs) {
 		newID[oldPos] = newPos
 		js[newPos] = jobs[oldPos]
 		js[newPos].ID = newPos
@@ -475,31 +466,26 @@ func (et *ElasticTrace) Fingerprint() [32]byte {
 	if fp := et.fp.Load(); fp != nil {
 		return *fp
 	}
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	u64 := func(v uint64) {
-		le.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
+	w := newFingerprintWriter()
 	jfp := et.Jobs.Fingerprint()
-	h.Write(jfp[:])
-	u64(uint64(len(et.Specs)))
+	w.buf = append(w.buf, jfp[:]...)
+	w.u64(uint64(len(et.Specs)))
 	for _, s := range et.Specs {
-		u64(uint64(s.MinReplicas))
-		u64(uint64(s.MaxReplicas))
-		u64(uint64(len(s.Curve)))
+		w.u64(uint64(s.MinReplicas))
+		w.u64(uint64(s.MaxReplicas))
+		w.u64(uint64(len(s.Curve)))
 		for _, m := range s.Curve {
-			u64(math.Float64bits(m))
+			w.u64(math.Float64bits(m))
 		}
+		w.flushFull()
 	}
-	u64(uint64(len(et.Edges)))
+	w.u64(uint64(len(et.Edges)))
 	for _, e := range et.Edges {
-		u64(uint64(e.Src))
-		u64(uint64(e.Dst))
+		w.u64(uint64(e.Src))
+		w.u64(uint64(e.Dst))
+		w.flushFull()
 	}
-	fp := new([32]byte)
-	h.Sum(fp[:0])
+	fp := w.sum()
 	et.fp.Store(fp)
 	return *fp
 }

@@ -33,26 +33,42 @@ type Family struct {
 	Users int
 }
 
-// sampleUser draws a user ID with a Zipf-like law over f.Users accounts.
-func (f Family) sampleUser(rng *rand.Rand) string {
+// userTable draws user IDs with a Zipf-like law over a family's
+// accounts: P(rank k) ∝ 1/k, by inverse CDF over the harmonic weights.
+// A generation builds it once; the running sums and names are what every
+// draw reads.
+type userTable struct {
+	cum   []float64 // cum[k-1] = 1 + 1/2 + … + 1/k, summed in rank order
+	names []string  // names[k-1] = "u%02d" of rank k
+}
+
+func (f Family) newUserTable() userTable {
 	if f.Users <= 0 {
-		return ""
+		return userTable{}
 	}
-	// P(rank k) ∝ 1/k via inverse-CDF on the harmonic weights.
-	u := rng.Float64()
-	var hTotal float64
-	for k := 1; k <= f.Users; k++ {
-		hTotal += 1 / float64(k)
-	}
-	target := u * hTotal
+	t := userTable{cum: make([]float64, f.Users), names: make([]string, f.Users)}
 	var run float64
 	for k := 1; k <= f.Users; k++ {
 		run += 1 / float64(k)
-		if target <= run {
-			return fmt.Sprintf("u%02d", k)
+		t.cum[k-1] = run
+		t.names[k-1] = fmt.Sprintf("u%02d", k)
+	}
+	return t
+}
+
+// sample draws one user ID, or returns "" without a draw when the family
+// has no users.
+func (t userTable) sample(rng *rand.Rand) string {
+	if len(t.cum) == 0 {
+		return ""
+	}
+	target := rng.Float64() * t.cum[len(t.cum)-1]
+	for k, c := range t.cum {
+		if target <= c {
+			return t.names[k]
 		}
 	}
-	return fmt.Sprintf("u%02d", f.Users)
+	return t.names[len(t.names)-1]
 }
 
 // sampleJob draws a single (length, cpus) pair honouring the family's
@@ -84,10 +100,11 @@ func (f Family) GenerateByCount(rng *rand.Rand, n int, horizon simtime.Duration)
 	}
 	length := f.NewLength(rng)
 	cpus := f.NewCPUs(rng)
+	users := f.newUserTable()
 	jobs := make([]Job, 0, n)
 	for _, arrival := range f.arrivals(rng, n, horizon) {
 		l, c := f.sampleJob(length, cpus)
-		jobs = append(jobs, Job{Arrival: arrival, Length: l, CPUs: c, User: f.sampleUser(rng)})
+		jobs = append(jobs, Job{Arrival: arrival, Length: l, CPUs: c, User: users.sample(rng)})
 	}
 	return MustTrace(f.Name, jobs)
 }
@@ -119,18 +136,10 @@ func (f Family) arrivals(rng *rand.Rand, n int, horizon simtime.Duration) []simt
 	if total <= 0 {
 		return f.arrivalsUniform(rng, n, horizon)
 	}
+	guide := newHourGuide(cum)
 	for i := 0; i < n; i++ {
 		u := rng.Float64() * total
-		// Find the hour slot containing cumulative mass u.
-		lo, hi := 0, len(rates)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid+1] <= u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+		lo := guide.hour(u)
 		frac := 0.0
 		if w := cum[lo+1] - cum[lo]; w > 0 {
 			frac = (u - cum[lo]) / w
@@ -139,6 +148,53 @@ func (f Family) arrivals(rng *rand.Rand, n int, horizon simtime.Duration) []simt
 		out = append(out, simtime.Time(at))
 	}
 	return out
+}
+
+// hourGuide finds the hour slot that holds a cumulative rate mass in
+// expected O(1): a guide table of one bucket per hour, each pointing at
+// the hour holding its lowest mass, from which a short walk reaches the
+// answer. cum[h] is the mass before hour h (cum[0] = 0, non-decreasing,
+// positive total).
+type hourGuide struct {
+	cum   []float64
+	start []int32 // start[b]: the hour holding mass b/scale
+	scale float64 // buckets per unit of mass
+}
+
+func newHourGuide(cum []float64) hourGuide {
+	hours := len(cum) - 1
+	g := hourGuide{cum: cum, start: make([]int32, hours), scale: float64(hours) / cum[hours]}
+	h := 0
+	for b := range g.start {
+		m := float64(b) / g.scale
+		for h < hours-1 && cum[h+1] <= m {
+			h++
+		}
+		g.start[b] = int32(h)
+	}
+	return g
+}
+
+// hour returns the slot holding mass u: the first hour h with
+// cum[h+1] > u, or the last hour when there is none — exactly what a
+// binary search over cum returns. The walk goes both ways from the
+// bucket's start, so a start off by rounding still ends on that hour.
+func (g hourGuide) hour(u float64) int {
+	last := len(g.start) - 1
+	b := int(u * g.scale)
+	if b < 0 {
+		b = 0
+	} else if b > last {
+		b = last
+	}
+	h := int(g.start[b])
+	for h > 0 && g.cum[h] > u {
+		h--
+	}
+	for h < last && g.cum[h+1] <= u {
+		h++
+	}
+	return h
 }
 
 func (f Family) arrivalsUniform(rng *rand.Rand, n int, horizon simtime.Duration) []simtime.Time {

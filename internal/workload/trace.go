@@ -1,12 +1,11 @@
 package workload
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -38,46 +37,91 @@ func (t *Trace) Fingerprint() [32]byte {
 	if fp := t.fp.Load(); fp != nil {
 		return *fp
 	}
-	h := sha256.New()
-	var buf [8]byte
-	le := binary.LittleEndian
-	le.PutUint64(buf[:], uint64(len(t.Name)))
-	h.Write(buf[:])
-	h.Write([]byte(t.Name))
-	le.PutUint64(buf[:], uint64(len(t.Jobs)))
-	h.Write(buf[:])
+	w := newFingerprintWriter()
+	w.str(t.Name)
+	w.u64(uint64(len(t.Jobs)))
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
-		le.PutUint64(buf[:], uint64(j.ID))
-		h.Write(buf[:])
-		le.PutUint64(buf[:], uint64(j.Arrival))
-		h.Write(buf[:])
-		le.PutUint64(buf[:], uint64(j.Length))
-		h.Write(buf[:])
-		le.PutUint64(buf[:], uint64(j.CPUs))
-		h.Write(buf[:])
-		le.PutUint64(buf[:], uint64(len(j.User)))
-		h.Write(buf[:])
-		h.Write([]byte(j.User))
+		w.u64(uint64(j.ID))
+		w.u64(uint64(j.Arrival))
+		w.u64(uint64(j.Length))
+		w.u64(uint64(j.CPUs))
+		w.str(j.User)
+		w.flushFull()
 	}
-	fp := new([32]byte)
-	h.Sum(fp[:0])
+	fp := w.sum()
 	t.fp.Store(fp)
 	return *fp
 }
 
-// NewTrace builds a trace, sorting jobs by arrival and re-numbering IDs in
-// arrival order. It returns an error if any job is malformed.
+// fingerprintBlock is how many encoded bytes a fingerprintWriter gathers
+// before it hashes them.
+const fingerprintBlock = 16 << 10
+
+// fingerprintWriter encodes a fingerprint's fields into one reused buffer
+// and hashes it a block at a time, rather than with one hash write per
+// field. The digest is that of the concatenated encoding either way.
+type fingerprintWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newFingerprintWriter() *fingerprintWriter {
+	// Twice a block: the record that fills a block still fits.
+	return &fingerprintWriter{h: sha256.New(), buf: make([]byte, 0, 2*fingerprintBlock)}
+}
+
+// u64 appends v little-endian.
+func (w *fingerprintWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+
+// str appends s's length, then its bytes.
+func (w *fingerprintWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+// flushFull hashes the buffer once it holds a block; callers call it
+// between records.
+func (w *fingerprintWriter) flushFull() {
+	if len(w.buf) >= fingerprintBlock {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+// sum hashes what is buffered and returns the digest.
+func (w *fingerprintWriter) sum() *[32]byte {
+	w.h.Write(w.buf)
+	fp := new([32]byte)
+	w.h.Sum(fp[:0])
+	return fp
+}
+
+// NewTrace builds a trace, stably sorting jobs by arrival and re-numbering
+// IDs in arrival order. It returns an error naming the first malformed job
+// in that order.
 func NewTrace(name string, jobs []Job) (*Trace, error) {
-	js := append([]Job(nil), jobs...)
-	slices.SortStableFunc(js, func(a, b Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
-	for i := range js {
+	js := make([]Job, len(jobs))
+	for i, id := range arrivalOrder(jobs) {
+		js[i] = jobs[id]
 		js[i].ID = i
 		if err := js[i].Validate(); err != nil {
 			return nil, err
 		}
 	}
 	return &Trace{Name: name, Jobs: js}, nil
+}
+
+// arrivalOrder returns the positions of jobs stably sorted by arrival —
+// the order NewTrace and NewElasticTrace number jobs in. It is the radix
+// order the direct path's sweep uses (simtime.Order), so normalizing a
+// trace costs a gather, not a comparison sort of the jobs themselves.
+func arrivalOrder(jobs []Job) []int32 {
+	keys := make([]simtime.Time, len(jobs))
+	for i := range jobs {
+		keys[i] = jobs[i].Arrival
+	}
+	return simtime.Order(keys)
 }
 
 // MustTrace is NewTrace that panics on error.
