@@ -65,7 +65,8 @@ bench-check:
 # WaitAwhile and Ecovisor plans, Fig12SpotReserved Spot-First and
 # Spot-RES), the node-level prototype runtime and million-job trace
 # construction (GenerateTrace: generation and NewTrace over a shuffled
-# trace) under bench conditions
+# trace) and the year-engine WaitAwhile cell (WaitAwhileYear: rolling rank
+# window, borrowed plans, allocs/job) under bench conditions
 # (and catch gross regressions or panics; PrototypeScale takes seconds
 # per op if node acquisition falls back to fleet scans), not to produce stable
 # numbers — those come from the committed BENCH_PR*.json snapshots. The
@@ -101,7 +102,7 @@ bench-quick:
 		echo "$$listed" | grep -q -- "$$name" || { \
 			echo "bench-quick: -run entry $$name matches no test in $(BENCH_QUICK_PKGS)" >&2; exit 1; }; \
 	done
-	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved|GenerateTrace' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved|GenerateTrace|WaitAwhileYear' -benchtime=0.1s -benchmem .
 	$(GO) test -race -cpu 4 -run '$(BENCH_QUICK_RACE)' $(BENCH_QUICK_PKGS)
 
 # The benchmark (benchmark/) is a module of its own that imports this one

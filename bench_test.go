@@ -500,6 +500,32 @@ func BenchmarkWaitAwhilePlan(b *testing.B) {
 	}
 }
 
+// BenchmarkWaitAwhileYear runs the year-engine WaitAwhile cell: 100k
+// AlibabaPAI jobs over 350 days of SA-AU carbon, every job a
+// suspend-resume plan executed on the event engine. Each decision walks
+// the Context's rolling rank window and returns a borrowed plan that the
+// job's pooled record normalizes into its own buffer, so allocs/job stays
+// near zero (core.TestEnginePathAllocs pins it on a 20k-job year).
+func BenchmarkWaitAwhileYear(b *testing.B) {
+	const nJobs = 100_000
+	tr := carbon.RegionSAAU.GenerateYear(1)
+	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(1)), nJobs, 350*simtime.Day)
+	cfg := core.Config{Policy: policy.WaitAwhile{}, Carbon: tr}
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, jobs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/nJobs, "allocs/job")
+	b.ReportMetric(float64(b.Elapsed())/float64(b.N)/nJobs, "ns/job")
+}
+
 // newBenchServer builds a small advisory service for the HTTP-layer
 // benchmarks and returns its base URL.
 func newBenchServer(b *testing.B) string {

@@ -1,13 +1,16 @@
 package batch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/policy/policytest"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -381,5 +384,49 @@ func TestJobStateString(t *testing.T) {
 	}
 	if JobState(9).String() != "STATE(9)" {
 		t.Error("unknown state")
+	}
+}
+
+// TestBorrowedPlansNotRetained holds the frontend to the borrowed-plan
+// contract of policy.Decision: its plan segments outlive the Decide that
+// returned them, so every suspend-resume policy wrapped in
+// policytest.Clobbering (which overwrites each plan it returned once its
+// Context decides again) must run the prototype exactly as the bare
+// policy does, spot segments included.
+func TestBorrowedPlansNotRetained(t *testing.T) {
+	tr := carbon.RegionSAAU.Generate(24*12, 3)
+	jobs := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(5)), 150, simtime.Week)
+	summary := func(res *Result) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "cost %v carbon %v launched %v\n", res.Cost, res.CarbonG, res.NodesLaunched)
+		for _, j := range res.Jobs {
+			fmt.Fprintf(&b, "%+v %v %v %v %v %v %v %v\n", j.Spec, j.State, j.Submit, j.Start, j.End, j.Attempts, j.Interruptions, j.ReservedBusyCarbon)
+		}
+		return b.String()
+	}
+	for _, p := range []policy.Policy{policy.WaitAwhile{}, policy.WaitAwhileEst{}, policy.Ecovisor{}} {
+		cfg := protoConfig(p, tr)
+		cfg.ReservedNodes = 6
+		cfg.SpotMaxLen = 2 * simtime.Hour
+		cfg.EvictionRate = 0.1
+		want, err := Run(cfg, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segmented := false
+		for _, j := range want.Jobs {
+			segmented = segmented || j.Attempts-j.Interruptions >= 2
+		}
+		if !segmented {
+			t.Fatalf("%s: no job ran in more than one plan segment", p.Name())
+		}
+		cfg.Policy = policytest.Clobber(p)
+		got, err := Run(cfg, jobs)
+		if err != nil {
+			t.Fatalf("%s through Clobbering: %v", p.Name(), err)
+		}
+		if a, b := summary(got), summary(want); a != b {
+			t.Errorf("%s: prototype runs differently through Clobbering:\n got  %.300s\n want %.300s", p.Name(), a, b)
+		}
 	}
 }

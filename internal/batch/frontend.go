@@ -158,8 +158,10 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 				// Suspend-resume on the node runtime: each plan segment
 				// is released separately (Slurm suspend/resume driven by
 				// GAIA). Segments chain via onSuspend so boot delays
-				// never overlap consecutive segments.
-				plan := policy.NormalizePlan(d.Plan, spec.Length)
+				// never overlap consecutive segments. The policy's plan is
+				// borrowed and the segments outlive this Decide, so they
+				// are normalized into a slice of the job's own.
+				plan := policy.NormalizePlan(nil, d.Plan, spec.Length)
 				prefs := []cloud.Option{cloud.Reserved, cloud.OnDemand}
 				launch := cloud.OnDemand
 				if spotEligible {

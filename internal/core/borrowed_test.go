@@ -1,0 +1,57 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/policy/policytest"
+	"github.com/carbonsched/gaia/internal/simtime"
+)
+
+// TestBorrowedPlansNotRetained holds the scheduler to the borrowed-plan
+// contract of policy.Decision. Each suspend-resume policy runs bare and
+// through policytest.Clobbering, which overwrites every plan it returned
+// once its Context decides again: plain runs and spot runs with
+// evictions, retained and streaming, must encode the same accumulator
+// and the same job records either way. A scheduler that kept a policy's
+// plan instead of normalizing it into the job's own buffer would execute
+// later windows as invalid ones (or, on a fast path, as a later job's).
+func TestBorrowedPlansNotRetained(t *testing.T) {
+	tr, jobs := goldenInstance()
+	for _, p := range []policy.Policy{policy.WaitAwhile{}, policy.WaitAwhileEst{}, policy.Ecovisor{}} {
+		for _, spot := range []bool{false, true} {
+			for _, retain := range []bool{true, false} {
+				cfg := baseConfig(tr, p)
+				cfg.Mechanism = MechanismEngine
+				cfg.Reserved = 40
+				cfg.RetainJobs = retain
+				check := minSegments(2)
+				if spot {
+					cfg.SpotMaxLen, cfg.EvictionRate, cfg.Seed = 24*simtime.Hour, 0.2, 17
+					check = evictedAfterSegments(2)
+				}
+				want, err := Run(cfg, jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Policy = policytest.Clobber(p)
+				got, err := Run(cfg, jobs)
+				if err != nil {
+					t.Fatalf("%s (spot %v, retain %v) through Clobbering: %v", p.Name(), spot, retain, err)
+				}
+				if a, b := accDigest(got), accDigest(want); a != b {
+					t.Errorf("%s (spot %v, retain %v): accumulator %s through Clobbering, %s bare", p.Name(), spot, retain, a, b)
+				}
+				if !retain {
+					continue
+				}
+				if err := check(want); err != nil {
+					t.Fatalf("%s (spot %v): fixture no longer covers its path: %v", p.Name(), spot, err)
+				}
+				if a, b := jobRecordsDigest(got.Jobs), jobRecordsDigest(want.Jobs); a != b {
+					t.Errorf("%s (spot %v): job records %s through Clobbering, %s bare", p.Name(), spot, a, b)
+				}
+			}
+		}
+	}
+}

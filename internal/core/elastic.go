@@ -36,8 +36,10 @@ type elasticState struct {
 
 	// tickSet tracks whether the hourly reallocation tick is pending; the
 	// tick reschedules itself while any managed job is in flight and lapses
-	// otherwise, so an idle tail of the trace costs no events.
+	// otherwise, so an idle tail of the trace costs no events. tickFn is
+	// the tick method bound once, so scheduling it allocates no closure.
 	tickSet bool
+	tickFn  func()
 
 	// Scratch reused across ticks.
 	ids   []int
@@ -104,6 +106,7 @@ func newElasticState(s *scheduler, et *workload.ElasticTrace) *elasticState {
 	for id := 0; id < et.Len(); id++ {
 		el.preds[id] = int32(et.PredCount(id))
 	}
+	el.tickFn = el.tick
 	return el
 }
 
@@ -245,7 +248,7 @@ func (el *elasticState) ensureTick(now simtime.Time) {
 	}
 	el.tickSet = true
 	boundary := simtime.Time(now.HourIndex()+1) * simtime.Time(simtime.Hour)
-	el.s.engine.Schedule(boundary, sim.PriorityLow, el.tick)
+	el.s.engine.Schedule(boundary, sim.PriorityLow, el.tickFn)
 }
 
 // tick is the hourly reallocation boundary: every running managed job's

@@ -275,11 +275,11 @@ type jobState struct {
 	plannedStart simtime.Time
 	startEvent   sim.Handle
 	index        int
-	// plan is the execution windows of a suspend-resume or spot run;
-	// one backs it for a single-window spot run, so a start decision
-	// routed to spot allocates nothing.
+	// plan is the execution windows of a suspend-resume or spot run. Its
+	// backing array survives the record's trips through scheduler.free, so
+	// a pooled record copies a borrowed policy plan (see policy.Decision)
+	// without allocating.
 	plan []simtime.Interval
-	one  [1]simtime.Interval
 	// remaining is the length an evicted spot run restarts with.
 	remaining simtime.Duration
 }
@@ -322,7 +322,7 @@ func (s *scheduler) newJobState(job workload.Job) *jobState {
 		js = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*js = jobState{s: s, job: job}
+		*js = jobState{s: s, job: job, plan: js.plan[:0]}
 	} else {
 		js = &jobState{s: s, job: job}
 	}
@@ -423,9 +423,11 @@ func (s *scheduler) startJob(js *jobState) {
 
 // schedulePlan executes a suspend-resume plan: each window independently
 // claims reserved-first capacity at its start and releases it at its end.
-// Every window's start is scheduled now, on the job's own record.
+// Every window's start is scheduled now, on the job's own record. The
+// policy's plan is borrowed, so its normalized windows go to the record's
+// own buffer.
 func (s *scheduler) schedulePlan(js *jobState, plan []simtime.Interval) {
-	plan = policy.NormalizePlan(plan, js.job.Length)
+	plan = policy.NormalizePlan(js.plan[:0], plan, js.job.Length)
 	js.rec.Start = plan[0].Start
 	js.plan, js.next, js.phase = plan, 0, phaseWindowStart
 	for _, iv := range plan {
@@ -466,13 +468,12 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 	if err := d.Validate(job, now); err != nil {
 		panic(fmt.Sprintf("policy %s: %v", s.cfg.Policy.Name(), err))
 	}
-	plan := d.Plan
-	if !d.IsPlan() {
-		js.one[0] = simtime.Interval{Start: d.Start, End: d.Start.Add(job.Length)}
-		plan = js.one[:]
+	if d.IsPlan() {
+		js.plan = policy.NormalizePlan(js.plan[:0], d.Plan, job.Length)
 	} else {
-		plan = policy.NormalizePlan(plan, job.Length)
+		js.plan = append(js.plan[:0], simtime.Interval{Start: d.Start, End: d.Start.Add(job.Length)})
 	}
+	plan := js.plan
 
 	if s.cfg.CheckpointInterval > 0 && len(plan) == 1 {
 		s.scheduleCheckpointedSpot(js, plan[0].Start)
@@ -490,7 +491,7 @@ func (s *scheduler) scheduleSpot(js *jobState) {
 	}
 
 	js.rec.Start = plan[0].Start
-	js.plan, js.next = plan, 0
+	js.next = 0
 	if evictAt < 0 {
 		// Clean spot execution.
 		js.phase = phaseSpotWindow

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -392,25 +393,41 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestNormalizePlan(t *testing.T) {
 	plan := []simtime.Interval{{Start: 60, End: 120}, {Start: 180, End: 240}}
+	orig := slices.Clone(plan)
+	// Every case reuses one buffer, as the scheduler's pooled records do.
+	var buf []simtime.Interval
 	// Truncation: 90 min job uses all of window 1 and half of window 2.
-	got := policy.NormalizePlan(plan, 90*simtime.Minute)
+	got := policy.NormalizePlan(buf[:0], plan, 90*simtime.Minute)
 	if len(got) != 2 || got[1] != (simtime.Interval{Start: 180, End: 210}) {
 		t.Errorf("truncated plan = %v", got)
 	}
+	buf = got
 	// Exact: unchanged.
-	got = policy.NormalizePlan(plan, 2*simtime.Hour)
+	got = policy.NormalizePlan(buf[:0], plan, 2*simtime.Hour)
 	if len(got) != 2 || got[0] != plan[0] || got[1] != plan[1] {
 		t.Errorf("exact plan = %v", got)
 	}
 	// Extension: a 3h job runs 1h past the final window.
-	got = policy.NormalizePlan(plan, 3*simtime.Hour)
+	got = policy.NormalizePlan(buf[:0], plan, 3*simtime.Hour)
 	if len(got) != 2 || got[1] != (simtime.Interval{Start: 180, End: 300}) {
 		t.Errorf("extended plan = %v", got)
 	}
 	// Sub-window job: only the first window, truncated.
-	got = policy.NormalizePlan(plan, 10*simtime.Minute)
+	got = policy.NormalizePlan(buf[:0], plan, 10*simtime.Minute)
 	if len(got) != 1 || got[0] != (simtime.Interval{Start: 60, End: 70}) {
 		t.Errorf("tiny plan = %v", got)
+	}
+	if &got[0] != &buf[0] {
+		t.Error("a normalization that fits the buffer reallocated it")
+	}
+	// Append semantics: what dst already holds stays in front.
+	head := []simtime.Interval{{Start: 0, End: 5}}
+	got = policy.NormalizePlan(head, plan, 3*simtime.Hour)
+	if want := []simtime.Interval{{Start: 0, End: 5}, {Start: 60, End: 120}, {Start: 180, End: 300}}; !slices.Equal(got, want) {
+		t.Errorf("appended plan = %v, want %v", got, want)
+	}
+	if !slices.Equal(plan, orig) {
+		t.Errorf("input plan modified: %v", plan)
 	}
 }
 

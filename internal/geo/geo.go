@@ -125,7 +125,9 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 	}
 
 	// Spatial placement: the region whose temporal decision forecasts
-	// the least carbon for this job wins it.
+	// the least carbon for this job wins it. A decision's plan is
+	// borrowed from its Context, so it is read here, before that Context
+	// decides again.
 	assignments := make(map[int]int, trace.Len())
 	perRegionJobs := make([][]workload.Job, len(cfg.Regions))
 	for _, job := range trace.Jobs {

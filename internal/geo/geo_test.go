@@ -1,12 +1,16 @@
 package geo
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
+	"github.com/carbonsched/gaia/internal/policy/policytest"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -124,5 +128,39 @@ func TestEmptyWorkload(t *testing.T) {
 	}
 	if s := res.JobShare(); s[0] != 0 {
 		t.Errorf("shares = %v", s)
+	}
+}
+
+// TestBorrowedPlansNotRetained holds placement to the borrowed-plan
+// contract of policy.Decision: every suspend-resume policy, wrapped in
+// policytest.Clobbering (which overwrites each plan it returned once its
+// Context decides again), must place every job and simulate every region
+// byte for byte as the bare policy does.
+func TestBorrowedPlansNotRetained(t *testing.T) {
+	regions := []*carbon.Trace{
+		carbon.RegionSAAU.Generate(24*12, 1),
+		carbon.RegionONCA.Generate(24*12, 2),
+		carbon.RegionKYUS.Generate(24*12, 3),
+	}
+	jobs := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(4)), 300, simtime.Week)
+	for _, p := range []policy.Policy{policy.WaitAwhile{}, policy.WaitAwhileEst{}, policy.Ecovisor{}} {
+		want, err := Run(Config{Policy: p, Regions: regions}, jobs, core.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(Config{Policy: policytest.Clobber(p), Regions: regions}, jobs, core.Run)
+		if err != nil {
+			t.Fatalf("%s through Clobbering: %v", p.Name(), err)
+		}
+		if !reflect.DeepEqual(got.Assignments, want.Assignments) {
+			t.Errorf("%s: placements differ through Clobbering", p.Name())
+		}
+		for i := range regions {
+			a := metrics.EncodeAccumulator(got.PerRegion[i].Accumulator())
+			b := metrics.EncodeAccumulator(want.PerRegion[i].Accumulator())
+			if !bytes.Equal(a, b) {
+				t.Errorf("%s: region %s simulates differently through Clobbering", p.Name(), regions[i].Region())
+			}
+		}
 	}
 }

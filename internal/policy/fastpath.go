@@ -12,7 +12,7 @@ import (
 // Lowest-Window, Carbon-Time) and WaitAwhile to the precomputed oracle
 // tables of the Context's current CIS (see carbon.Oracle). It first drops
 // whatever an earlier call bound — tables, trace, slot ranking and
-// WaitAwhile's rank buckets — and then binds only a perfect-knowledge
+// WaitAwhile's rank window — and then binds only a perfect-knowledge
 // service: the one case where a forecast is a pure function of (trace,
 // interval), making precomputation sound. For any other CIS (noisy,
 // trained forecasters) every Decide afterwards takes the reference path.
@@ -22,8 +22,7 @@ import (
 // make, and the differential tests in this package pin that equivalence.
 // The Queues map must not be mutated afterwards.
 func (c *Context) EnableFastPaths() {
-	c.fast, c.ftrace, c.slots = nil, nil, nil
-	clear(c.ranks)
+	c.fast, c.ftrace, c.slots, c.win = nil, nil, nil, c.win[:0]
 	ps, ok := c.CIS.(*carbon.PerfectService)
 	if !ok {
 		return
@@ -49,9 +48,6 @@ func (c *Context) EnableFastPaths() {
 	}
 	c.ftrace = tr
 	c.fast = fast
-	if c.ranks == nil {
-		c.ranks = make(map[int]hourRank)
-	}
 }
 
 // FastPathHits returns how many decisions were answered from the oracle
@@ -165,23 +161,24 @@ func (c *Context) fastCarbonTime(t *carbon.QueueTables, now simtime.Time) (Decis
 	return Decision{Start: best}, true
 }
 
-// hourRank is the CI-sorted ordering of hourly slots [hour, iDmax],
-// computed once per arrival-hour bucket and reused by every WaitAwhile
-// decision whose deadline falls inside it. Keys are (CI, index) — a
-// strict total order — so filtering the superset to any shorter deadline
-// preserves exactly the order a per-job stable sort would produce.
-type hourRank struct {
-	iDmax int
-	order []int32
+// rankedSlot is one entry of WaitAwhile's rank window: a slot and its
+// SlotRanking key, kept together so neither the walk nor the merge looks
+// one up from the other.
+type rankedSlot struct {
+	key  uint64
+	slot int32
 }
 
-// fastWaitAwhile answers WaitAwhile from the per-hour CI rank: greedily
-// take the cheapest slots up to the deadline (earliest first within equal
-// CI), trim the final slot to the exact length, then emit the merged plan
-// in time order. Slot boundaries, trims and merges mirror the reference
-// implementation value for value.
+// fastWaitAwhile answers WaitAwhile from the rolling rank window. It walks
+// the slots of [i0, iD] cheapest first (earliest first within equal CI)
+// only as far as the threshold slot, the one that completes the length,
+// and then writes the plan in time order: every slot ranked before the
+// threshold whole, the threshold slot trimmed to what is still needed,
+// touching windows merged as they are written. Slot boundaries, trims and
+// merges mirror the reference implementation value for value. The plan is
+// the Context's scratch (see Decision).
 func (c *Context) fastWaitAwhile(job workload.Job, now simtime.Time) (Decision, bool) {
-	if now < 0 {
+	if now < 0 || job.Length <= 0 {
 		return Decision{}, false
 	}
 	w := c.Queue(job.Queue).MaxWait
@@ -195,118 +192,118 @@ func (c *Context) fastWaitAwhile(job workload.Job, now simtime.Time) (Decision, 
 	c.fastHits++
 	i0 := now.HourIndex()
 	iD := (deadline - 1).HourIndex()
-	order := c.rankOrder(i0, iD)
 
-	picked := c.picked[:0]
-	var total simtime.Duration
-	for _, idx := range order {
-		if total >= job.Length {
-			break
-		}
-		i := int(idx)
+	// [i0, iD] holds length + w >= length minutes, so the walk always
+	// reaches a threshold.
+	var total, need simtime.Duration
+	var thKey uint64
+	th, first, last := -1, iD, i0
+	for _, r := range c.rankWindow(i0, iD) {
+		i := int(r.slot)
 		if i > iD {
 			continue
 		}
-		s := simtime.Interval{Start: hourStart(i), End: hourStart(i + 1)}
-		if i == i0 {
-			s.Start = now
+		first, last = min(first, i), max(last, i)
+		l := waitSlot(i, now, deadline).Len()
+		if total+l >= job.Length {
+			th, thKey, need = i, r.key, job.Length-total
+			break
 		}
-		if deadline < s.End {
-			s.End = deadline
-		}
-		if need := job.Length - total; s.Len() > need {
-			s.End = s.Start.Add(need)
-		}
-		picked = append(picked, s)
-		total += s.Len()
+		total += l
 	}
-	c.picked = picked
-	sortIntervalsByStart(picked)
-	return Decision{Plan: mergedCopy(picked)}, true
+
+	plan := c.picked[:0]
+	for i := first; i <= last; i++ {
+		var iv simtime.Interval
+		switch {
+		case i == th:
+			// Trim: CI is constant within the slot, so the earliest
+			// portion minimizes completion time.
+			iv = waitSlot(i, now, deadline)
+			iv.End = iv.Start.Add(need)
+		case c.slots.Key(i) < thKey:
+			iv = waitSlot(i, now, deadline)
+		default:
+			continue
+		}
+		plan = appendWindow(plan, iv)
+	}
+	c.picked = plan
+	return Decision{Plan: plan}, true
 }
 
-// rankOrder returns slot indices [i0, >=iD] sorted by (CI, index). A
-// bucket is built, and extended when a later deadline needs more slots,
-// from the trace's slot ranking: only the new slots' integer keys are
-// sorted, then merged from the back into the cached order.
-func (c *Context) rankOrder(i0, iD int) []int32 {
-	r, ok := c.ranks[i0]
-	if ok && iD <= r.iDmax {
-		return r.order
+// waitSlot is hourly slot i of a WaitAwhile window [now, deadline); the
+// first and last slots may be partial.
+func waitSlot(i int, now, deadline simtime.Time) simtime.Interval {
+	s := simtime.Interval{Start: hourStart(i), End: hourStart(i + 1)}
+	if s.Start < now {
+		s.Start = now
 	}
+	if deadline < s.End {
+		s.End = deadline
+	}
+	return s
+}
+
+// rankWindow returns the rank window after moving it to [i0, >=iD]. An
+// arrival hour past the window's start drops the slots before it in
+// place, keeping their order; an arrival before the window or past its
+// end empties it. A deadline past the window's end then extends it
+// through extendWindow, which also builds an emptied window.
+func (c *Context) rankWindow(i0, iD int) []rankedSlot {
+	switch {
+	case len(c.win) == 0 || i0 < c.winLo || i0 > c.winHi:
+		c.win, c.winLo, c.winHi = c.win[:0], i0, i0-1
+	case i0 > c.winLo:
+		kept := c.win[:0]
+		for _, r := range c.win {
+			if int(r.slot) >= i0 {
+				kept = append(kept, r)
+			}
+		}
+		c.win, c.winLo = kept, i0
+	}
+	if iD > c.winHi {
+		c.extendWindow(iD)
+	}
+	return c.win
+}
+
+// extendWindow adds slots (winHi, iD] to the rank window: only the new
+// slots' integer keys are sorted, then merged from the back into the
+// window's order.
+func (c *Context) extendWindow(iD int) {
 	if c.slots == nil {
 		c.slots = c.ftrace.Oracle().Ranking()
 	}
-	from := i0
-	if ok {
-		from = r.iDmax + 1
-	}
 	keys := c.rankKeys[:0]
-	for j := from; j <= iD; j++ {
+	for j := c.winHi + 1; j <= iD; j++ {
 		keys = append(keys, c.slots.Key(j))
 	}
 	slices.Sort(keys)
 	c.rankKeys = keys
 
-	old := len(r.order)
-	order := slices.Grow(r.order, len(keys))[:old+len(keys)]
+	old := len(c.win)
+	win := slices.Grow(c.win, len(keys))[:old+len(keys)]
 	a, b := old-1, len(keys)-1
-	var ka uint64
-	if a >= 0 {
-		ka = c.slots.Key(int(order[a]))
-	}
-	for w := len(order) - 1; b >= 0; w-- {
-		if a >= 0 && ka > keys[b] {
-			order[w] = order[a]
-			if a--; a >= 0 {
-				ka = c.slots.Key(int(order[a]))
-			}
+	for w := len(win) - 1; b >= 0; w-- {
+		if a >= 0 && win[a].key > keys[b] {
+			win[w] = win[a]
+			a--
 		} else {
-			order[w] = int32(c.slots.Slot(keys[b]))
+			win[w] = rankedSlot{key: keys[b], slot: int32(c.slots.Slot(keys[b]))}
 			b--
 		}
 	}
-	c.ranks[i0] = hourRank{iDmax: iD, order: order}
-	return order
+	c.win, c.winHi = win, iD
 }
 
-// sortIntervalsByStart orders a small plan by start time. Starts are
-// unique (slots are disjoint), so insertion sort matches any comparison
-// sort; it avoids sort.Slice's closure allocation on the hot path.
-func sortIntervalsByStart(ivs []simtime.Interval) {
-	for i := 1; i < len(ivs); i++ {
-		iv := ivs[i]
-		j := i - 1
-		for j >= 0 && ivs[j].Start > iv.Start {
-			ivs[j+1] = ivs[j]
-			j--
-		}
-		ivs[j+1] = iv
+// appendWindow appends iv to an ascending plan, extending the last window
+// instead when iv starts where it ends.
+func appendWindow(plan []simtime.Interval, iv simtime.Interval) []simtime.Interval {
+	if n := len(plan); n > 0 && plan[n-1].End == iv.Start {
+		plan[n-1].End = iv.End
+		return plan
 	}
-}
-
-// mergedCopy is mergeAdjacent that never aliases its (scratch) input: it
-// counts the coalesced runs first and returns an exact-size fresh slice —
-// the single allocation a plan-producing decision keeps.
-func mergedCopy(ivs []simtime.Interval) []simtime.Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	runs := 1
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Start != ivs[i-1].End {
-			runs++
-		}
-	}
-	out := make([]simtime.Interval, 0, runs)
-	out = append(out, ivs[0])
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.Start == last.End {
-			last.End = iv.End
-		} else {
-			out = append(out, iv)
-		}
-	}
-	return out
+	return append(plan, iv)
 }

@@ -53,15 +53,18 @@ type Context struct {
 
 	// Oracle fast-path state (EnableFastPaths). fast is indexed by queue;
 	// ftrace is the perfect-knowledge trace the tables were derived from,
-	// slots its slot ranking (bound on WaitAwhile's first bucket) and
-	// ranks WaitAwhile's per-arrival-hour buckets.
-	fast     []*carbon.QueueTables
-	ftrace   *carbon.Trace
-	slots    *carbon.SlotRanking
-	ranks    map[int]hourRank
-	fastHits int64
+	// slots its slot ranking (bound on WaitAwhile's first decision) and
+	// win WaitAwhile's rolling rank window: slots [winLo, winHi] in
+	// (CI, index) order.
+	fast         []*carbon.QueueTables
+	ftrace       *carbon.Trace
+	slots        *carbon.SlotRanking
+	win          []rankedSlot
+	winLo, winHi int
+	fastHits     int64
 
-	// Scratch buffers reused across Decide calls on this Context.
+	// Scratch buffers reused across Decide calls on this Context. picked
+	// backs the plans WaitAwhile and Ecovisor return (see Decision).
 	starts   []simtime.Time
 	picked   []simtime.Interval
 	rankKeys []uint64
@@ -79,6 +82,12 @@ func (c *Context) Queue(q workload.Queue) QueueInfo { return c.Queues[q] }
 // *estimate*) the job keeps running past the final window to completion.
 // Length-exact policies (Wait Awhile) emit plans totalling exactly J, so
 // they execute as given.
+//
+// A plan is borrowed: Plan may alias scratch storage of the Context it
+// was decided on (WaitAwhile, WaitAwhile-Est and Ecovisor return theirs),
+// and it is valid only until the next Decide on that Context. A caller
+// that keeps a plan past that point copies it first, typically through
+// NormalizePlan into storage of its own.
 type Decision struct {
 	Start simtime.Time
 	Plan  []simtime.Interval
@@ -128,27 +137,29 @@ func (d Decision) ExactCoverage(length simtime.Duration) bool {
 	return total == length
 }
 
-// NormalizePlan fits a plan's execution windows to a job's true length:
-// windows are consumed until the length is done (truncating the last
-// one), and if the windows run out first — a plan built from a length
-// estimate — the final window is extended so the job runs to completion.
-// The input plan must be non-empty and valid.
-func NormalizePlan(plan []simtime.Interval, length simtime.Duration) []simtime.Interval {
-	out := make([]simtime.Interval, 0, len(plan))
+// NormalizePlan fits a plan's execution windows to a job's true length
+// and appends them to dst, returning the extended slice: windows are
+// consumed until the length is done (truncating the last one), and if the
+// windows run out first — a plan built from a length estimate — the final
+// window is extended so the job runs to completion. The input plan must
+// be non-empty and valid. It is only read, so a borrowed Decision.Plan
+// normalized into storage the caller owns (dst = buf[:0]) outlives the
+// next Decide.
+func NormalizePlan(dst, plan []simtime.Interval, length simtime.Duration) []simtime.Interval {
 	remaining := length
 	for _, iv := range plan {
 		if iv.Len() >= remaining {
-			out = append(out, simtime.Interval{Start: iv.Start, End: iv.Start.Add(remaining)})
+			dst = append(dst, simtime.Interval{Start: iv.Start, End: iv.Start.Add(remaining)})
 			remaining = 0
 			break
 		}
-		out = append(out, iv)
+		dst = append(dst, iv)
 		remaining -= iv.Len()
 	}
 	if remaining > 0 {
-		out[len(out)-1].End = out[len(out)-1].End.Add(remaining)
+		dst[len(dst)-1].End = dst[len(dst)-1].End.Add(remaining)
 	}
-	return out
+	return dst
 }
 
 // Policy chooses when a job runs. Implementations must return decisions

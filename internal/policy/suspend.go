@@ -18,9 +18,10 @@ type WaitAwhile struct{}
 func (WaitAwhile) Name() string { return "WaitAwhile" }
 
 // Decide implements Policy. With oracle fast paths enabled the CI rank
-// of the deadline's slots comes from a per-arrival-hour bucket, built and
-// extended from the trace's slot ranking (see carbon.SlotRanking) rather
-// than sorted per job; otherwise it falls back to the reference per-job
+// of the deadline's slots comes from the Context's rolling rank window,
+// built and extended from the trace's slot ranking (see
+// carbon.SlotRanking) rather than sorted per job, and the plan is the
+// Context's scratch; otherwise it falls back to the reference per-job
 // sort.
 func (p WaitAwhile) Decide(job workload.Job, now simtime.Time, ctx *Context) Decision {
 	if ctx.ftrace != nil {
@@ -78,7 +79,8 @@ type Ecovisor struct {
 // Name implements Policy.
 func (Ecovisor) Name() string { return "Ecovisor" }
 
-// Decide implements Policy.
+// Decide implements Policy. The plan is the Context's scratch (see
+// Decision).
 func (e Ecovisor) Decide(job workload.Job, now simtime.Time, ctx *Context) Decision {
 	pct := e.ThresholdPercentile
 	if pct <= 0 {
@@ -105,7 +107,7 @@ func (e Ecovisor) Decide(job workload.Job, now simtime.Time, ctx *Context) Decis
 		slotEnd := simtime.Time((cur.HourIndex() + 1) * int(simtime.Hour))
 		if ctx.CIS.Intensity(cur) < threshold {
 			run := simtime.Min(slotEnd.Sub(cur), remaining)
-			plan = append(plan, simtime.Interval{Start: cur, End: cur.Add(run)})
+			plan = appendWindow(plan, simtime.Interval{Start: cur, End: cur.Add(run)})
 			remaining -= run
 			cur = cur.Add(run)
 			continue
@@ -115,7 +117,7 @@ func (e Ecovisor) Decide(job workload.Job, now simtime.Time, ctx *Context) Decis
 			// Waiting allowance exhausted mid-pause: start at the
 			// allowance boundary and run to completion.
 			start := cur.Add(w - paused)
-			plan = append(plan, simtime.Interval{Start: start, End: start.Add(remaining)})
+			plan = appendWindow(plan, simtime.Interval{Start: start, End: start.Add(remaining)})
 			remaining = 0
 			break
 		}
@@ -123,7 +125,7 @@ func (e Ecovisor) Decide(job workload.Job, now simtime.Time, ctx *Context) Decis
 		cur = slotEnd
 	}
 	ctx.picked = plan
-	return Decision{Plan: mergedCopy(plan)}
+	return Decision{Plan: plan}
 }
 
 // WaitAwhileEst is this implementation's realization of the paper's

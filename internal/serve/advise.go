@@ -279,9 +279,11 @@ func adviseInto(t *adviseTarget, req *AdviseJob, sc *adviseScratch) (*AdviseResp
 
 	// Execution windows: a plan is normalized against the true length the
 	// same way the simulator consumes it; a plain start is one window.
+	// Either way they land in sc.windows: the policy's plan is borrowed
+	// from pctx.
 	var windows []simtime.Interval
 	if dec.IsPlan() {
-		windows = policy.NormalizePlan(dec.Plan, length)
+		windows = policy.NormalizePlan(sc.windows[:0], dec.Plan, length)
 	} else {
 		windows = append(sc.windows[:0], simtime.Interval{Start: dec.Start, End: dec.Start.Add(length)})
 	}

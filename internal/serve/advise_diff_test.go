@@ -58,7 +58,7 @@ func offlineResponse(tr *carbon.Trace, req AdviseRequest, dec policy.Decision) A
 	now := simtime.Time(req.ArrivalMinute)
 	var windows []simtime.Interval
 	if dec.IsPlan() {
-		windows = policy.NormalizePlan(dec.Plan, length)
+		windows = policy.NormalizePlan(nil, dec.Plan, length)
 	} else {
 		windows = []simtime.Interval{{Start: dec.Start, End: dec.Start.Add(length)}}
 	}
