@@ -68,7 +68,7 @@ func run(args []string) error {
 		workCons   = fs.Bool("work-conserving", false, "enable RES-First work conservation")
 		spotMax    = fs.Float64("spot-max", 0, "max job hours routed to spot (0 = no spot)")
 		eviction   = fs.Float64("eviction", 0, "hourly spot eviction probability")
-		waits      = fs.String("w", "6x24", "max waiting hours as SHORTxLONG, e.g. 6x24 (0 allowed)")
+		waits      = fs.String("w", "6x24", "max waiting hours of the short (jobs up to 2h) and long queues as SHORTxLONG, e.g. 6x24; 0 means no waiting, e.g. 0x24")
 		seed       = fs.Int64("seed", 1, "random seed (workload generation and evictions)")
 		out        = fs.String("out", "", "output file prefix: writes <out>-summary.csv and <out>-details.csv")
 		dbPath     = fs.String("db", "", "append job records to this accounting CSV (query with gaiactl)")
@@ -92,7 +92,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	wShort, wLong, err := parseWaits(*waits)
+	queues, err := parseWaits(*waits)
 	if err != nil {
 		return err
 	}
@@ -153,8 +153,7 @@ func run(args []string) error {
 			ReservedNodes: *reserved,
 			SpotMaxLen:    simtime.HoursDur(*spotMax),
 			EvictionRate:  *eviction,
-			WaitShort:     wShort,
-			WaitLong:      wLong,
+			Queues:        queues,
 			Horizon:       horizon,
 			Seed:          *seed,
 		}, jobsTr)
@@ -171,8 +170,7 @@ func run(args []string) error {
 		SpotMaxLen:         simtime.HoursDur(*spotMax),
 		EvictionRate:       *eviction,
 		CheckpointInterval: simtime.HoursDur(*checkpoint),
-		WaitShort:          wShort,
-		WaitLong:           wLong,
+		Queues:             queues,
 		Horizon:            horizon,
 		Seed:               *seed,
 		// Per-job records are only needed when they are exported; plain
@@ -261,23 +259,18 @@ func policyByName(name string) (policy.Policy, error) {
 	return policy.ByName(name)
 }
 
-func parseWaits(s string) (short, long simtime.Duration, err error) {
+// parseWaits reads SHORTxLONG waiting hours into the paper's two queues.
+func parseWaits(s string) (workload.QueueLadder, error) {
 	parts := strings.SplitN(strings.ToLower(s), "x", 2)
 	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
+		return nil, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
 	}
 	sh, err1 := strconv.ParseFloat(parts[0], 64)
 	lo, err2 := strconv.ParseFloat(parts[1], 64)
 	if err1 != nil || err2 != nil || sh < 0 || lo < 0 {
-		return 0, 0, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
+		return nil, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
 	}
-	conv := func(h float64) simtime.Duration {
-		if h == 0 {
-			return -1 // explicit zero wait
-		}
-		return simtime.HoursDur(h)
-	}
-	return conv(sh), conv(lo), nil
+	return workload.PaperQueues(simtime.HoursDur(sh), simtime.HoursDur(lo)), nil
 }
 
 func loadCarbon(file, format, region string, days int) (*carbon.Trace, error) {
@@ -315,18 +308,15 @@ func loadWorkload(file, family string, jobs, days int, seed int64) (*workload.Tr
 	}
 	span := simtime.Duration(days) * simtime.Day
 	rng := rand.New(rand.NewSource(seed))
-	switch strings.ToLower(family) {
-	case "alibaba":
-		return workload.AlibabaPAI().GenerateByCount(rng, jobs, span), nil
-	case "azure":
-		return workload.AzureVM().GenerateByCount(rng, jobs, span), nil
-	case "mustang":
-		return workload.MustangHPC().GenerateByCount(rng, jobs, span), nil
-	case "poisson":
+	name := strings.ToLower(family)
+	if name == "poisson" {
 		return workload.SectionThreeWorkload().Generate(rng, span), nil
-	default:
+	}
+	fam, ok := workload.FamilyByName(name)
+	if !ok {
 		return nil, fmt.Errorf("unknown workload family %q", family)
 	}
+	return fam.GenerateByCount(rng, jobs, span), nil
 }
 
 // loadElastic reads a malleable workload CSV plus an optional precedence

@@ -3,7 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -109,15 +113,16 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestParseWaits(t *testing.T) {
-	s, l, err := parseWaits("6x24")
-	if err != nil || s.Hours() != 6 || l.Hours() != 24 {
-		t.Errorf("parseWaits = %v, %v, %v", s, l, err)
+	q, err := parseWaits("6x24")
+	if err != nil || !slices.Equal(q, workload.PaperQueues(6*simtime.Hour, 24*simtime.Hour)) {
+		t.Errorf("parseWaits = %v, %v", q, err)
 	}
-	s, l, err = parseWaits("0x12")
-	if err != nil || s != -1 || l.Hours() != 12 {
-		t.Errorf("explicit zero = %v, %v, %v", s, l, err)
+	// 0 is no waiting, not the default.
+	q, err = parseWaits("0x12")
+	if err != nil || !slices.Equal(q, workload.PaperQueues(0, 12*simtime.Hour)) {
+		t.Errorf("zero wait = %v, %v", q, err)
 	}
-	if _, _, err := parseWaits("xx"); err == nil {
+	if _, err := parseWaits("xx"); err == nil {
 		t.Error("malformed waits should error")
 	}
 }

@@ -47,6 +47,18 @@ func TestRunPrototypeSuspendResumePolicies(t *testing.T) {
 	}
 }
 
+// A zero wait means no waiting on either runtime; suspend-resume plans
+// must then run at once instead of failing plan validation.
+func TestRunPrototypeZeroWaits(t *testing.T) {
+	for _, w := range []string{"0x24", "0x0"} {
+		err := run([]string{"-runtime", "prototype", "-policy", "ecovisor", "-w", w,
+			"-jobs", "40", "-days", "2", "-reserved", "3"})
+		if err != nil {
+			t.Errorf("-w %s on prototype: %v", w, err)
+		}
+	}
+}
+
 func TestRunPrototypeRejectsUnsupportedFlags(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/carbonsched/gaia/internal/accountdb"
@@ -30,16 +34,16 @@ import (
 //	  ]
 //	}
 type Scenario struct {
-	Region     string `json:"region"`
-	CarbonFile string `json:"carbon_file"`
-	Family     string `json:"family"`
-	Workload   string `json:"workload_file"`
-	Jobs       int    `json:"jobs"`
-	Days       int    `json:"days"`
-	Seed       int64  `json:"seed"`
-	Waits      string `json:"waits"` // "6x24"
-	DB         string `json:"db"`    // optional accounting CSV to append to
-	Runs       []ScenarioRun
+	Region     string        `json:"region"`
+	CarbonFile string        `json:"carbon_file"`
+	Family     string        `json:"family"`
+	Workload   string        `json:"workload_file"`
+	Jobs       int           `json:"jobs"`
+	Days       int           `json:"days"`
+	Seed       int64         `json:"seed"`
+	Waits      string        `json:"waits"` // "6x24"
+	DB         string        `json:"db"`    // optional accounting CSV to append to
+	Runs       []ScenarioRun `json:"runs"`
 }
 
 // ScenarioRun is one configuration inside a scenario.
@@ -59,9 +63,15 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
+	// A misspelled field is an error naming it, not a silent default.
 	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return fmt.Errorf("scenario %s: %w", path, err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("scenario %s: trailing data after the scenario object", path)
 	}
 	if len(sc.Runs) == 0 {
 		return fmt.Errorf("scenario %s: no runs", path)
@@ -85,7 +95,7 @@ func runScenario(path string) error {
 	if sc.Waits == "" {
 		sc.Waits = "6x24"
 	}
-	wShort, wLong, err := parseWaits(sc.Waits)
+	queues, err := parseWaits(sc.Waits)
 	if err != nil {
 		return err
 	}
@@ -115,14 +125,13 @@ func runScenario(path string) error {
 			SpotMaxLen:         simtime.HoursDur(r.SpotMaxHours),
 			EvictionRate:       r.Eviction,
 			CheckpointInterval: simtime.HoursDur(r.CheckpointH),
-			WaitShort:          wShort,
-			WaitLong:           wLong,
+			Queues:             queues,
 			Horizon:            simtime.Duration(sc.Days+3) * simtime.Day,
 			Seed:               sc.Seed,
 		}
 		res, err := core.Run(cfg, jobsTr)
 		if err != nil {
-			return fmt.Errorf("run %d (%s): %w", i, res.Label, err)
+			return fmt.Errorf("run %d (%s): %w", i, cmp.Or(r.Name, r.Policy), err)
 		}
 		if i == 0 {
 			base = res

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -45,17 +46,27 @@ func TestScenarioDefaults(t *testing.T) {
 }
 
 func TestScenarioErrors(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"runs": []}`,
-		`{"runs": [{"policy": "bogus"}]}`,
-		`{"waits": "xx", "runs": [{"policy": "nowait"}]}`,
-		`{"region": "XX", "runs": [{"policy": "nowait"}]}`,
+	cases := []struct {
+		body string
+		want string // a fragment the error must contain; "" checks only that it fails
+	}{
+		{`not json`, ""},
+		{`{"runs": []}`, ""},
+		{`{"runs": [{"policy": "bogus"}]}`, ""},
+		{`{"waits": "xx", "runs": [{"policy": "nowait"}]}`, ""},
+		{`{"region": "XX", "runs": [{"policy": "nowait"}]}`, ""},
+		// A run core.Run rejects names its index and name.
+		{`{"region":"SA-AU","jobs":50,"days":2,"runs":[{"policy":"nowait"},{"name":"bad","policy":"carbon-time","reserved":-3}]}`,
+			"run 1 (bad)"},
+		// A misspelled field is an error naming it, never a silent default.
+		{`{"jobs":30,"days":2,"runs":[{"policy":"carbon-time","reserverd":18}]}`, `"reserverd"`},
+		{`{"jobs":30,"days":2,"runs":[{"policy":"nowait"}]} {}`, "trailing data"},
 	}
 	for i, c := range cases {
-		path := writeScenario(t, c)
-		if err := run([]string{"-scenario", path}); err == nil {
-			t.Errorf("case %d: expected error", i)
+		path := writeScenario(t, c.body)
+		err := run([]string{"-scenario", path})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want an error containing %q", i, err, c.want)
 		}
 	}
 	if err := run([]string{"-scenario", "/nonexistent.json"}); err == nil {

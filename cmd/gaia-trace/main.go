@@ -81,16 +81,11 @@ func run(args []string) error {
 		span := simtime.Duration(*days) * simtime.Day
 		rng := rand.New(rand.NewSource(*seed))
 		var tr *workload.Trace
-		switch strings.ToLower(*family) {
-		case "alibaba":
-			tr = workload.AlibabaPAI().GenerateByCount(rng, *jobs, span)
-		case "azure":
-			tr = workload.AzureVM().GenerateByCount(rng, *jobs, span)
-		case "mustang":
-			tr = workload.MustangHPC().GenerateByCount(rng, *jobs, span)
-		case "poisson":
+		if name := strings.ToLower(*family); name == "poisson" {
 			tr = workload.SectionThreeWorkload().Generate(rng, span)
-		default:
+		} else if fam, ok := workload.FamilyByName(name); ok {
+			tr = fam.GenerateByCount(rng, *jobs, span)
+		} else {
 			return fmt.Errorf("unknown family %q", *family)
 		}
 		tr.AssignQueues(workload.DefaultShortMax)

@@ -371,6 +371,36 @@ func TestPrototypeValidation(t *testing.T) {
 	if _, err := Run(Config{Policy: policy.NoWait{}}, jobs); err == nil {
 		t.Error("missing carbon should error")
 	}
+	// The queue ladder goes through the validation core.Run applies.
+	cfg := protoConfig(policy.NoWait{}, tr)
+	cfg.Queues = workload.PaperQueues(6*simtime.Hour, -simtime.Hour)
+	if _, err := Run(cfg, jobs); err == nil || !strings.Contains(err.Error(), "queue long has negative wait") {
+		t.Errorf("negative wait: err = %v, want one naming the long queue", err)
+	}
+}
+
+// A zero wait means no waiting: plan policies start at once instead of
+// failing plan validation, and the wait-bounded AllWait never holds a job.
+func TestPrototypeZeroWaits(t *testing.T) {
+	tr := carbon.RegionSAAU.Generate(24*10, 9)
+	jobs := workload.AlibabaPAIWeek().GenerateByCount(rand.New(rand.NewSource(10)), 60, simtime.Week)
+	for _, p := range []policy.Policy{policy.Ecovisor{}, policy.WaitAwhile{}, policy.CarbonTime{}, policy.AllWait{}} {
+		for _, queues := range []workload.QueueLadder{workload.PaperQueues(0, 24*simtime.Hour), workload.PaperQueues(0, 0)} {
+			cfg := protoConfig(p, tr)
+			cfg.ReservedNodes = 3
+			cfg.Queues = queues
+			res, err := Run(cfg, jobs)
+			if err != nil {
+				t.Errorf("%s %v: %v", p.Name(), queues, err)
+				continue
+			}
+			for _, j := range res.Jobs {
+				if j.State != Completed {
+					t.Fatalf("%s %v: job %d state %v", p.Name(), queues, j.Spec.ID, j.State)
+				}
+			}
+		}
+	}
 }
 
 func TestJobStateString(t *testing.T) {

@@ -35,10 +35,9 @@ type Config struct {
 	BootDelay, IdleTimeout simtime.Duration
 	Pricing                cloud.Pricing
 	Power                  cloud.Power
-	// WaitShort / WaitLong are the queues' waiting-time guarantees
-	// (defaults workload.DefaultWaitShort / DefaultWaitLong); jobs up to
-	// workload.DefaultShortMax long go to the short queue.
-	WaitShort, WaitLong simtime.Duration
+	// Queues is the job-length queue ladder, as in core.Config: nil means
+	// the paper's two queues, and a MaxWait of 0 means no waiting.
+	Queues workload.QueueLadder
 	// Horizon is the accounting horizon (0 = carbon trace horizon).
 	Horizon simtime.Duration
 	Seed    int64
@@ -98,11 +97,8 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 	if cfg.Power == (cloud.Power{}) {
 		cfg.Power = cloud.DefaultPower()
 	}
-	if cfg.WaitShort == 0 {
-		cfg.WaitShort = workload.DefaultWaitShort
-	}
-	if cfg.WaitLong == 0 {
-		cfg.WaitLong = workload.DefaultWaitLong
+	if err := cfg.Queues.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = cfg.Carbon.Horizon()
@@ -112,9 +108,6 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("batch: run failed: %v", r)
 		}
 	}()
-
-	trace := workload.MustTrace(jobs.Name, jobs.Jobs)
-	trace.AssignQueues(workload.DefaultShortMax)
 
 	engine := sim.NewEngine()
 	mgr, err := cluster.NewManager(cluster.Config{
@@ -133,19 +126,14 @@ func Run(cfg Config, jobs *workload.Trace) (res *Result, err error) {
 	}
 	sys := NewSystem(engine, mgr, cfg.Power, cfg.Carbon.Integral)
 
-	ctx := &policy.Context{
-		CIS: cfg.CIS,
-		Queues: map[workload.Queue]policy.QueueInfo{
-			workload.QueueShort: {MaxWait: cfg.WaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
-			workload.QueueLong:  {MaxWait: cfg.WaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
-		},
-	}
+	ctx := &policy.Context{CIS: cfg.CIS, Queues: policy.QueueTable(cfg.Queues, jobs, nil)}
 	// No-op unless the CIS is perfect-knowledge; decisions are
 	// bit-identical either way (see policy.Context.EnableFastPaths).
 	ctx.EnableFastPaths()
 
-	for _, spec := range trace.Jobs {
-		spec := spec
+	bounds := cfg.Queues.Bounds()
+	for _, spec := range jobs.Jobs {
+		spec.Queue = workload.ClassifyLength(spec.Length, bounds)
 		engine.Schedule(spec.Arrival, sim.PriorityArrival, func() {
 			j := sys.Submit(spec)
 			now := engine.Now()

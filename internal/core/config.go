@@ -78,22 +78,11 @@ type Config struct {
 	// Power is the energy model; zero value uses cloud.DefaultPower.
 	Power cloud.Power
 
-	// ShortMax is the short queue's maximum job length (default
-	// workload.DefaultShortMax, 2 h).
-	ShortMax simtime.Duration
-
-	// WaitShort / WaitLong are the queues' maximum waiting times
-	// (defaults workload.DefaultWaitShort / DefaultWaitLong, the paper's
-	// 6 h / 24 h). A negative value means an explicit zero wait (0
-	// selects the default).
-	WaitShort, WaitLong simtime.Duration
-
-	// Queues optionally replaces the two-queue configuration above with
-	// an arbitrary ascending ladder of length classes (§4.2: "our
-	// policies can be extended to an arbitrary number of queues"). The
-	// last entry's MaxLength may be 0 (unbounded). When set, ShortMax,
-	// WaitShort and WaitLong are ignored.
-	Queues []QueueSpec
+	// Queues is the job-length queue ladder every arriving job is
+	// classified by (workload.QueueLadder). Nil means the paper's two
+	// queues (jobs up to 2 h wait at most 6 h, longer ones 24 h), and a
+	// MaxWait of 0 means no waiting.
+	Queues workload.QueueLadder
 
 	// Horizon is the accounting horizon; reserved capacity is paid for
 	// all of it. Zero uses the carbon trace's horizon.
@@ -222,18 +211,6 @@ func (c Config) directEligible() bool {
 	}
 }
 
-// QueueSpec configures one job-length queue: the inclusive length bound
-// that routes jobs into it and the maximum waiting time W the scheduler
-// guarantees for it.
-type QueueSpec struct {
-	// MaxLength is the queue's inclusive job-length bound; 0 on the last
-	// queue means unbounded.
-	MaxLength simtime.Duration
-	// MaxWait is the queue's waiting-time guarantee. Like the top-level
-	// wait fields, a negative value means an explicit zero.
-	MaxWait simtime.Duration
-}
-
 // withDefaults returns a copy with zero values filled in.
 func (c Config) withDefaults() Config {
 	if c.CIS == nil && c.Carbon != nil {
@@ -245,35 +222,7 @@ func (c Config) withDefaults() Config {
 	if c.Power == (cloud.Power{}) {
 		c.Power = cloud.DefaultPower()
 	}
-	if c.ShortMax == 0 {
-		c.ShortMax = workload.DefaultShortMax
-	}
-	switch {
-	case c.WaitShort == 0:
-		c.WaitShort = workload.DefaultWaitShort
-	case c.WaitShort < 0:
-		c.WaitShort = 0
-	}
-	switch {
-	case c.WaitLong == 0:
-		c.WaitLong = workload.DefaultWaitLong
-	case c.WaitLong < 0:
-		c.WaitLong = 0
-	}
-	if len(c.Queues) == 0 {
-		c.Queues = []QueueSpec{
-			{MaxLength: c.ShortMax, MaxWait: c.WaitShort},
-			{MaxLength: 0, MaxWait: c.WaitLong},
-		}
-	} else {
-		qs := append([]QueueSpec(nil), c.Queues...)
-		for i := range qs {
-			if qs[i].MaxWait < 0 {
-				qs[i].MaxWait = 0
-			}
-		}
-		c.Queues = qs
-	}
+	c.Queues = c.Queues.OrDefault()
 	if c.Horizon == 0 && c.Carbon != nil {
 		c.Horizon = c.Carbon.Horizon()
 	}
@@ -333,21 +282,8 @@ func (c Config) validate() error {
 	if c.CheckpointInterval < 0 || c.CheckpointOverhead < 0 {
 		return fmt.Errorf("core: checkpoint configuration must be non-negative")
 	}
-	if c.ShortMax <= 0 || c.WaitShort < 0 || c.WaitLong < 0 {
-		return fmt.Errorf("core: invalid queue configuration")
-	}
-	for i, q := range c.Queues {
-		if q.MaxWait < 0 {
-			return fmt.Errorf("core: queue %d has negative wait %v", i, q.MaxWait)
-		}
-		if i < len(c.Queues)-1 {
-			if q.MaxLength <= 0 {
-				return fmt.Errorf("core: queue %d needs a positive length bound", i)
-			}
-			if next := c.Queues[i+1].MaxLength; next != 0 && next <= q.MaxLength {
-				return fmt.Errorf("core: queue bounds must ascend (queue %d: %v >= %v)", i, q.MaxLength, next)
-			}
-		}
+	if err := c.Queues.Validate(); err != nil {
+		return err
 	}
 	if c.Horizon <= 0 {
 		return fmt.Errorf("core: horizon %v must be positive", c.Horizon)
@@ -377,39 +313,4 @@ func (c Config) validate() error {
 		}
 	}
 	return nil
-}
-
-// policyContext builds the knowledge handed to policies: per-queue maximum
-// waits and historical average lengths computed from the trace. Averages
-// are derived from the classification bounds directly so the shared trace
-// never needs its Queue fields rewritten.
-//
-// Fast paths are enabled unconditionally: with the default perfect CIS
-// the context answers decisions from the trace's oracle tables (shared
-// across every concurrent Run over that trace), and with any other CIS
-// the call is a no-op and decisions take the reference path.
-func (c Config) policyContext(jobs *workload.Trace) *policy.Context {
-	means := jobs.MeanLengthsByBounds(c.queueBounds())
-	queues := make(map[workload.Queue]policy.QueueInfo, len(c.Queues))
-	for i, spec := range c.Queues {
-		q := workload.Queue(i)
-		avg := means[i]
-		if v, ok := c.AvgLengthOverride[q]; ok {
-			avg = v
-		}
-		queues[q] = policy.QueueInfo{MaxWait: spec.MaxWait, AvgLength: avg}
-	}
-	ctx := &policy.Context{CIS: c.CIS, Queues: queues}
-	ctx.EnableFastPaths()
-	return ctx
-}
-
-// queueBounds returns the classification bounds for ClassifyQueues: the
-// MaxLength of every queue but the last.
-func (c Config) queueBounds() []simtime.Duration {
-	bounds := make([]simtime.Duration, 0, len(c.Queues)-1)
-	for _, q := range c.Queues[:len(c.Queues)-1] {
-		bounds = append(bounds, q.MaxLength)
-	}
-	return bounds
 }

@@ -117,13 +117,13 @@ func runDirect(ctx context.Context, cfg Config, trace *workload.Trace) (*metrics
 // and shared to avoid per-worker O(n) mean-length scans.
 func decideDirect(ctx context.Context, cfg Config, trace *workload.Trace) ([]simtime.Time, error) {
 	n := len(trace.Jobs)
-	bounds := cfg.queueBounds()
-	base := cfg.policyContext(trace)
+	bounds := cfg.Queues.Bounds()
+	queues := policy.QueueTable(cfg.Queues, trace, cfg.AvgLengthOverride)
 	starts := make([]simtime.Time, n)
 	done := ctx.Done()
 	shards := par.Shards(directWorkers(n), n)
 	if err := par.ForEach(len(shards), shards, func(_ int, sh par.Range) error {
-		pctx := &policy.Context{CIS: cfg.CIS, Queues: base.Queues}
+		pctx := &policy.Context{CIS: cfg.CIS, Queues: queues}
 		pctx.EnableFastPaths()
 		for i := sh.Lo; i < sh.Hi; i++ {
 			if done != nil && (i-sh.Lo)%interruptStride == 0 {
@@ -292,7 +292,7 @@ func (m *replayMemo) fill(cnt *[]int32, starts []simtime.Time) {
 // computes every column.
 func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts []simtime.Time, plan *DecisionPlan) (*metrics.Result, error) {
 	n := len(trace.Jobs)
-	bounds := cfg.queueBounds()
+	bounds := cfg.Queues.Bounds()
 	key := columnsKey{carbon: cfg.Carbon, power: cfg.Power, bounds: bounds}
 	carbonOf := func(iv simtime.Interval, cpus int) float64 {
 		return cfg.Power.Carbon(cfg.Carbon.Integral(iv), cpus)

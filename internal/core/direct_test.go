@@ -257,8 +257,7 @@ func FuzzDirectVsEngine(f *testing.F) {
 		cfg := baseConfig(tr, policies[policyIdx])
 		cfg.Reserved = reserved
 		cfg.RetainJobs = retain
-		cfg.WaitShort = simtime.Duration(wait) * simtime.Hour
-		cfg.WaitLong = simtime.Duration(wait) * 4 * simtime.Hour
+		cfg.Queues = workload.PaperQueues(simtime.Duration(wait)*simtime.Hour, simtime.Duration(wait)*4*simtime.Hour)
 		directWorkersOverride.Store(int32(seed%4 + 1))
 		defer directWorkersOverride.Store(0)
 		d, e := runBothPaths(t, cfg, jobs)

@@ -130,7 +130,7 @@ func TestZeroWaitEverywhereDegeneratesToNoWait(t *testing.T) {
 	tr := carbon.RegionSAAU.Generate(24*10, 5)
 	jobs := workload.AlibabaPAIWeek().GenerateByCount(newRand(6), 100, simtime.Week)
 	cfg := baseConfig(tr, policy.CarbonTime{})
-	cfg.WaitShort, cfg.WaitLong = -1, -1
+	cfg.Queues = workload.PaperQueues(0, 0)
 	a, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func TestElasticSuspensionDeadline(t *testing.T) {
 		{MinReplicas: 0, MaxReplicas: 1, Curve: workload.ScaleCurve{1}},
 	}, nil)
 	cfg := elasticConfig(tr, policy.NoWait{}, et, grantAll(0))
-	cfg.WaitShort = 2 * simtime.Hour
+	cfg.Queues = workload.PaperQueues(2*simtime.Hour, workload.DefaultWaitLong)
 	res, err := Run(cfg, et.Jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +164,7 @@ func TestElasticSuspensionDeadline(t *testing.T) {
 		{MinReplicas: 0, MaxReplicas: 1, Curve: workload.ScaleCurve{1}},
 	}, nil)
 	cfg2 := elasticConfig(tr, policy.NoWait{}, et2, grantAll(0))
-	cfg2.WaitShort = 2 * simtime.Hour
+	cfg2.Queues = workload.PaperQueues(2*simtime.Hour, workload.DefaultWaitLong)
 	res2, err := Run(cfg2, et2.Jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -285,7 +285,7 @@ func (k keyBuf) digest(d [32]byte) keyBuf { return append(k, d[:]...) }
 
 // queues appends the queue ladder: its length, then each queue's length
 // bound and wait guarantee.
-func (k keyBuf) queues(qs []QueueSpec) keyBuf {
+func (k keyBuf) queues(qs workload.QueueLadder) keyBuf {
 	k = k.u64(uint64(len(qs)))
 	for _, q := range qs {
 		k = k.u64(uint64(q.MaxLength)).u64(uint64(q.MaxWait))

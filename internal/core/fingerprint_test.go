@@ -46,10 +46,10 @@ func TestFingerprintCanonicalization(t *testing.T) {
 		"explicit CIS": {Policy: policy.CarbonTime{}, Carbon: tr,
 			CIS: carbon.NewPerfectService(tr)},
 		"explicit defaults": {Policy: policy.CarbonTime{}, Carbon: tr,
-			ShortMax: 2 * simtime.Hour, WaitShort: 6 * simtime.Hour, WaitLong: 24 * simtime.Hour,
+			Queues:  workload.PaperQueues(workload.DefaultWaitShort, workload.DefaultWaitLong),
 			Horizon: tr.Horizon()},
 		"explicit queue ladder": {Policy: policy.CarbonTime{}, Carbon: tr,
-			Queues: []QueueSpec{
+			Queues: workload.QueueLadder{
 				{MaxLength: 2 * simtime.Hour, MaxWait: 6 * simtime.Hour},
 				{MaxLength: 0, MaxWait: 24 * simtime.Hour},
 			}},
@@ -167,12 +167,16 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		"Pricing": {set: func(c *Config) {
 			c.Pricing = cloud.Pricing{OnDemandHourly: 9.9, ReservedFraction: 0.5, SpotFraction: 0.1}
 		}, full: splits, decision: same},
-		"Power":     {set: func(c *Config) { c.Power = cloud.Power{KWPerCPU: 0.5} }, full: splits, decision: same},
-		"ShortMax":  {set: func(c *Config) { c.ShortMax = 4 * simtime.Hour }, full: splits, decision: splits},
-		"WaitShort": {set: func(c *Config) { c.WaitShort = 12 * simtime.Hour }, full: splits, decision: splits},
-		"WaitLong":  {set: func(c *Config) { c.WaitLong = 12 * simtime.Hour }, full: splits, decision: splits},
+		"Power": {set: func(c *Config) { c.Power = cloud.Power{KWPerCPU: 0.5} }, full: splits, decision: same},
+		"Queues/short bound": {set: func(c *Config) {
+			c.Queues = workload.QueueLadder{{MaxLength: 4 * simtime.Hour, MaxWait: 6 * simtime.Hour}, {MaxWait: 24 * simtime.Hour}}
+		}, full: splits, decision: splits},
+		"Queues/short wait": {set: func(c *Config) { c.Queues = workload.PaperQueues(12*simtime.Hour, 24*simtime.Hour) },
+			full: splits, decision: splits},
+		"Queues/long wait": {set: func(c *Config) { c.Queues = workload.PaperQueues(6*simtime.Hour, 12*simtime.Hour) },
+			full: splits, decision: splits},
 		"Queues": {set: func(c *Config) {
-			c.Queues = []QueueSpec{
+			c.Queues = workload.QueueLadder{
 				{MaxLength: simtime.Hour, MaxWait: 3 * simtime.Hour},
 				{MaxLength: 4 * simtime.Hour, MaxWait: 6 * simtime.Hour},
 				{MaxLength: 0, MaxWait: 24 * simtime.Hour},
@@ -310,7 +314,7 @@ func TestDecisionFingerprintEquivalence(t *testing.T) {
 		"realized carbon trace": {Policy: policy.CarbonTime{}, Carbon: tr2,
 			CIS: carbon.NewPerfectService(tr)},
 		"explicit defaults": {Policy: policy.CarbonTime{}, Carbon: tr,
-			ShortMax: 2 * simtime.Hour, WaitShort: 6 * simtime.Hour, WaitLong: 24 * simtime.Hour},
+			Queues: workload.PaperQueues(workload.DefaultWaitShort, workload.DefaultWaitLong)},
 		"override for queue out of range": {Policy: policy.CarbonTime{}, Carbon: tr,
 			AvgLengthOverride: map[workload.Queue]simtime.Duration{7: simtime.Hour}},
 	}
@@ -338,9 +342,9 @@ func TestDecisionFingerprintDistinguishes(t *testing.T) {
 		"cis trace": {Config{Policy: policy.CarbonTime{}, Carbon: tr, CIS: carbon.NewPerfectService(tr2)}, jobs},
 		"workload":  {base, jobs2},
 		"wait bound": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			WaitShort: 12 * simtime.Hour}, jobs},
+			Queues: workload.PaperQueues(12*simtime.Hour, workload.DefaultWaitLong)}, jobs},
 		"queue ladder": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
-			ShortMax: 4 * simtime.Hour}, jobs},
+			Queues: workload.QueueLadder{{MaxLength: 4 * simtime.Hour, MaxWait: 6 * simtime.Hour}, {MaxWait: 24 * simtime.Hour}}}, jobs},
 		"avg-length override": {Config{Policy: policy.CarbonTime{}, Carbon: tr,
 			AvgLengthOverride: map[workload.Queue]simtime.Duration{
 				workload.QueueLong: 7 * simtime.Hour,

@@ -47,9 +47,9 @@ func TestWiderWindowNeverHurtsWaitAwhile(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		tr, jobs := randomInstance(seed)
 		prev := math.Inf(1)
-		for _, w := range []simtime.Duration{-1, 6 * simtime.Hour, 24 * simtime.Hour, 48 * simtime.Hour} {
+		for _, w := range []simtime.Duration{0, 6 * simtime.Hour, 24 * simtime.Hour, 48 * simtime.Hour} {
 			cfg := baseConfig(tr, policy.WaitAwhile{})
-			cfg.WaitShort, cfg.WaitLong = w, w
+			cfg.Queues = workload.PaperQueues(w, w)
 			res, err := Run(cfg, jobs)
 			if err != nil {
 				t.Fatal(err)

@@ -195,7 +195,7 @@ func TestPlanReplayMatchesDirect(t *testing.T) {
 	// One wait and one length estimate for both queues: where the bound
 	// between them sits then changes jobs' queue tags but no decision, so
 	// the plan replays under other queue bounds too.
-	decided.WaitShort, decided.WaitLong = 12*simtime.Hour, 12*simtime.Hour
+	decided.Queues = workload.PaperQueues(12*simtime.Hour, 12*simtime.Hour)
 	decided.AvgLengthOverride = map[workload.Queue]simtime.Duration{0: 3 * simtime.Hour, 1: 3 * simtime.Hour}
 	plan := mustDecidePlan(t, decided, jobs)
 
@@ -222,7 +222,9 @@ func TestPlanReplayMatchesDirect(t *testing.T) {
 			c.Carbon = tr2
 			c.CIS = decided.Canonical().CIS
 		}, ownKey: true},
-		{name: "queue-bounds", mutate: func(c *Config) { c.ShortMax = 5 * simtime.Hour }, ownKey: true},
+		{name: "queue-bounds", mutate: func(c *Config) {
+			c.Queues = workload.QueueLadder{{MaxLength: 5 * simtime.Hour, MaxWait: 12 * simtime.Hour}, {MaxWait: 12 * simtime.Hour}}
+		}, ownKey: true},
 		{name: "retained", mutate: func(c *Config) { c.RetainJobs = true }},
 	}
 	for _, v := range variants {
@@ -308,8 +310,7 @@ func FuzzPlanReplayVsDirect(f *testing.F) {
 		realized, _ := randomInstance((seed+1)%64 + 1)
 		base := baseConfig(tr, policies[policyIdx])
 		base.RetainJobs = false
-		base.WaitShort = simtime.Duration(wait) * simtime.Hour
-		base.WaitLong = simtime.Duration(wait) * 4 * simtime.Hour
+		base.Queues = workload.PaperQueues(simtime.Duration(wait)*simtime.Hour, simtime.Duration(wait)*4*simtime.Hour)
 		directWorkersOverride.Store(int32(seed%4 + 1))
 		defer directWorkersOverride.Store(0)
 

@@ -77,7 +77,7 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 		return runDirect(ctx, cfg, trace)
 	}
 
-	bounds := cfg.queueBounds()
+	bounds := cfg.Queues.Bounds()
 
 	pool, err := cloud.NewReservedPool(cfg.Reserved)
 	if err != nil {
@@ -89,12 +89,16 @@ func RunContext(ctx context.Context, cfg Config, jobs *workload.Trace) (res *met
 	}
 	s := &scheduler{
 		cfg:    cfg,
-		ctx:    cfg.policyContext(trace),
+		ctx:    &policy.Context{CIS: cfg.CIS, Queues: policy.QueueTable(cfg.Queues, trace, cfg.AvgLengthOverride)},
 		engine: sim.NewEngine(),
 		pool:   pool,
 		evict:  evict,
 		acc:    metrics.NewAccumulator(len(trace.Jobs), cfg.Horizon),
 	}
+	// With the default perfect CIS, decisions come from the trace's oracle
+	// tables, shared by every concurrent Run over that trace; with any
+	// other CIS this is a no-op and decisions take the reference path.
+	s.ctx.EnableFastPaths()
 	if cfg.RetainJobs {
 		// A normalized trace numbers jobs 0..n-1, so each job's record
 		// lives at results[job.ID]: no append growth, no final sort.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
@@ -508,7 +509,7 @@ func TestLabelDerivation(t *testing.T) {
 func TestMultiQueueLadder(t *testing.T) {
 	tr := flatTrace(24*8, 100)
 	cfg := baseConfig(tr, policy.AllWait{})
-	cfg.Queues = []QueueSpec{
+	cfg.Queues = workload.QueueLadder{
 		{MaxLength: simtime.Hour, MaxWait: 2 * simtime.Hour},
 		{MaxLength: 6 * simtime.Hour, MaxWait: 8 * simtime.Hour},
 		{MaxLength: 0, MaxWait: 30 * simtime.Hour},
@@ -537,20 +538,25 @@ func TestMultiQueueLadder(t *testing.T) {
 func TestQueueLadderValidation(t *testing.T) {
 	tr := flatTrace(10, 100)
 	jobs := oneJob(simtime.Hour, 1)
-	bad := [][]QueueSpec{
-		{{MaxLength: 0, MaxWait: simtime.Hour}, {MaxLength: 0, MaxWait: simtime.Hour}},                           // non-last unbounded
-		{{MaxLength: 2 * simtime.Hour, MaxWait: simtime.Hour}, {MaxLength: simtime.Hour, MaxWait: simtime.Hour}}, // descending
+	bad := []struct {
+		queues workload.QueueLadder
+		want   string // the error names the offending queue
+	}{
+		{workload.QueueLadder{{MaxLength: 0, MaxWait: simtime.Hour}, {MaxLength: 0, MaxWait: simtime.Hour}}, "queue short is unbounded"},
+		{workload.QueueLadder{{MaxLength: 2 * simtime.Hour, MaxWait: simtime.Hour}, {MaxLength: simtime.Hour, MaxWait: simtime.Hour}}, "queue short"},
+		{workload.QueueLadder{{MaxLength: 2 * simtime.Hour, MaxWait: simtime.Hour}, {MaxLength: 0, MaxWait: -1}}, "queue long has negative wait"},
+		{workload.QueueLadder{{MaxLength: 0, MaxWait: -1}}, "queue short has negative wait"},
 	}
-	for i, qs := range bad {
+	for i, c := range bad {
 		cfg := baseConfig(tr, policy.NoWait{})
-		cfg.Queues = qs
-		if _, err := Run(cfg, jobs); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+		cfg.Queues = c.queues
+		if _, err := Run(cfg, jobs); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: err = %v, want an error containing %q", i, err, c.want)
 		}
 	}
-	// Explicit zero wait on a ladder queue.
+	// A zero wait is no waiting, not the default.
 	cfg := baseConfig(tr, policy.AllWait{})
-	cfg.Queues = []QueueSpec{{MaxLength: 0, MaxWait: -1}}
+	cfg.Queues = workload.QueueLadder{{MaxLength: 0, MaxWait: 0}}
 	res, err := Run(cfg, jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,15 @@ package experiments
 // Shape guards for the extension results, mirroring shapes_test.go.
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/carbon"
 	"github.com/carbonsched/gaia/internal/cloud"
 	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/scaling"
 	"github.com/carbonsched/gaia/internal/simtime"
@@ -111,6 +114,29 @@ func TestShapeScalingDominatesNarrow(t *testing.T) {
 		}
 		if wide.Carbon(tr, pw) > narrow.Carbon(tr, pw)+1e-9 {
 			t.Errorf("arrival %v: wide plan dirtier than narrow", job.Arrival)
+		}
+	}
+}
+
+// x02's ×1 row plans with the true queue averages, so each of its cells
+// must return exactly what the same config returns with no override.
+func TestX02TrueScaleMatchesNoOverride(t *testing.T) {
+	cells := x02Cells(Quick)
+	i := slices.Index(x02Scales, 1)
+	for _, c := range cells[1+2*i : 3+2*i] {
+		plain := c.cfg
+		plain.AvgLengthOverride = nil
+		got, err := core.Run(c.cfg, c.jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Run(plain, c.jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(metrics.EncodeAccumulator(got.Accumulator()), metrics.EncodeAccumulator(want.Accumulator())) {
+			t.Errorf("%s ×1: carbon %.1f g, waiting %v; with no override %.1f g, %v",
+				got.Label, got.TotalCarbon(), got.MeanWaiting(), want.TotalCarbon(), want.MeanWaiting())
 		}
 	}
 }

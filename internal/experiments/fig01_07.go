@@ -122,8 +122,7 @@ func runFig02(Scale) (fmt.Stringer, error) {
 				Carbon:   rc.trace,
 				Reserved: 5,
 				// The example uses a 24 h maximum wait for all jobs.
-				WaitShort: 24 * simtime.Hour,
-				WaitLong:  24 * simtime.Hour,
+				Queues: workload.PaperQueues(24*simtime.Hour, 24*simtime.Hour),
 				// Reserved capacity is paid over the experiment span
 				// (3 days of arrivals plus the scheduling tail).
 				Horizon: 5 * simtime.Day,

@@ -8,6 +8,7 @@ import (
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func init() {
@@ -108,19 +109,12 @@ func runFig13(scale Scale) (fmt.Stringer, error) {
 func runFig14(scale Scale) (fmt.Stringer, error) {
 	carbonTr := regionTrace("SA-AU")
 	jobs := yearTrace("alibaba", scale)
-	asCfg := func(w simtime.Duration) simtime.Duration {
-		if w == 0 {
-			return -1 // explicit zero (0 would select the default)
-		}
-		return w
-	}
 	mk := func(p policy.Policy, wShort, wLong simtime.Duration) cell {
 		return cell{core.Config{
-			Policy:    p,
-			Carbon:    carbonTr,
-			Horizon:   horizon(scale),
-			WaitShort: asCfg(wShort),
-			WaitLong:  asCfg(wLong),
+			Policy:  p,
+			Carbon:  carbonTr,
+			Horizon: horizon(scale),
+			Queues:  workload.PaperQueues(wShort, wLong),
 		}, jobs}
 	}
 

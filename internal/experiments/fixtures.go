@@ -73,6 +73,9 @@ var (
 	workloadTraces = map[workloadKey]*workload.Trace{}
 )
 
+// familySeedOffset gives each workload family its own generation seed.
+var familySeedOffset = map[string]int64{"mustang": 1, "alibaba": 2, "azure": 3}
+
 // yearTrace returns the cached demand-calibrated workload for a family at
 // the given scale ("mustang", "alibaba", "azure").
 func yearTrace(family string, s Scale) *workload.Trace {
@@ -82,19 +85,11 @@ func yearTrace(family string, s Scale) *workload.Trace {
 	if tr, ok := workloadTraces[key]; ok {
 		return tr
 	}
-	var fam workload.Family
-	var seedOff int64
-	switch family {
-	case "mustang":
-		fam, seedOff = workload.MustangHPC(), 1
-	case "alibaba":
-		fam, seedOff = workload.AlibabaPAI(), 2
-	case "azure":
-		fam, seedOff = workload.AzureVM(), 3
-	default:
+	fam, ok := workload.FamilyByName(family)
+	if !ok {
 		panic("experiments: unknown workload family " + family)
 	}
-	rng := rand.New(rand.NewSource(seedWorkload + seedOff))
+	rng := rand.New(rand.NewSource(seedWorkload + familySeedOffset[family]))
 	tr := fam.GenerateByDemand(rng, meanDemand(family, s), horizon(s))
 	workloadTraces[key] = tr
 	return tr

@@ -13,6 +13,7 @@ import (
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 func mustRun(t *testing.T, cfg core.Config) *metrics.Result {
@@ -135,10 +136,10 @@ func TestShapeSpotTradeoffs(t *testing.T) {
 func TestShapeFig14DiminishingReturns(t *testing.T) {
 	carbonAt := func(wLong simtime.Duration) float64 {
 		cfg := weekCfg(t, policy.LowestWindow{})
-		cfg.WaitLong = wLong
+		cfg.Queues = workload.PaperQueues(workload.DefaultWaitShort, wLong)
 		return mustRun(t, cfg).TotalCarbon()
 	}
-	base := carbonAt(-1) // zero wait
+	base := carbonAt(0) // no waiting in the long queue
 	at24 := carbonAt(24 * simtime.Hour)
 	at96 := carbonAt(96 * simtime.Hour)
 	firstGain := base - at24

@@ -106,13 +106,7 @@ func dagPipelineTrace(s Scale) *workload.ElasticTrace {
 		arrival := simtime.Time(rng.Int63n(int64(span)))
 		user := fmt.Sprintf("pipe-%02d", i%97)
 		add := func(length simtime.Duration, cpus int) {
-			q := workload.QueueShort
-			if length > 2*simtime.Hour {
-				q = workload.QueueLong
-			}
-			jobs = append(jobs, workload.Job{
-				Arrival: arrival, Length: length, CPUs: cpus, Queue: q, User: user,
-			})
+			jobs = append(jobs, workload.Job{Arrival: arrival, Length: length, CPUs: cpus, User: user})
 		}
 		// The diamond is deliberately unbalanced: a narrow 8-12 h training
 		// branch sets the critical path while two wide 1-3 h evaluation

@@ -25,7 +25,7 @@ import (
 
 // Config describes a multi-region deployment. Per-region cluster knobs
 // (pricing, horizon) follow core.Config defaults, and the queues are the
-// paper's (workload.DefaultShortMax, DefaultWaitShort, DefaultWaitLong).
+// paper's two with their default waits.
 type Config struct {
 	// Policy is the temporal policy applied inside every region.
 	Policy policy.Policy
@@ -105,20 +105,14 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 		return nil, errors.New("geo: config needs at least one region")
 	}
 
-	trace := workload.MustTrace(jobs.Name, jobs.Jobs)
-	trace.AssignQueues(workload.DefaultShortMax)
-
 	// Per-region policy contexts (queue averages come from the full
 	// trace: the per-queue length statistics are region-independent).
+	var queues workload.QueueLadder // the paper's two queues
+	table := policy.QueueTable(queues, jobs, nil)
+	bounds := queues.Bounds()
 	contexts := make([]*policy.Context, len(cfg.Regions))
 	for i, tr := range cfg.Regions {
-		contexts[i] = &policy.Context{
-			CIS: carbon.NewPerfectService(tr),
-			Queues: map[workload.Queue]policy.QueueInfo{
-				workload.QueueShort: {MaxWait: workload.DefaultWaitShort, AvgLength: trace.MeanLengthByQueue(workload.QueueShort)},
-				workload.QueueLong:  {MaxWait: workload.DefaultWaitLong, AvgLength: trace.MeanLengthByQueue(workload.QueueLong)},
-			},
-		}
+		contexts[i] = &policy.Context{CIS: carbon.NewPerfectService(tr), Queues: table}
 		// The placement loop probes every region's context per job;
 		// answering from the oracle tables makes that loop O(regions).
 		contexts[i].EnableFastPaths()
@@ -128,9 +122,10 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 	// the least carbon for this job wins it. A decision's plan is
 	// borrowed from its Context, so it is read here, before that Context
 	// decides again.
-	assignments := make(map[int]int, trace.Len())
+	assignments := make(map[int]int, jobs.Len())
 	perRegionJobs := make([][]workload.Job, len(cfg.Regions))
-	for _, job := range trace.Jobs {
+	for _, job := range jobs.Jobs {
+		job.Queue = workload.ClassifyLength(job.Length, bounds)
 		best, bestCarbon := 0, 0.0
 		for i, ctx := range contexts {
 			d := cfg.Policy.Decide(job, job.Arrival, ctx)
@@ -145,17 +140,15 @@ func Run(cfg Config, jobs *workload.Trace, run func(core.Config, *workload.Trace
 
 	out := &Result{Assignments: assignments, PerRegion: make([]*metrics.Result, len(cfg.Regions))}
 	for i, tr := range cfg.Regions {
-		sub, err := workload.NewTrace(fmt.Sprintf("%s@%s", trace.Name, tr.Region()), perRegionJobs[i])
+		sub, err := workload.NewTrace(fmt.Sprintf("%s@%s", jobs.Name, tr.Region()), perRegionJobs[i])
 		if err != nil {
 			return nil, err
 		}
 		res, err := run(core.Config{
-			Policy:    cfg.Policy,
-			Carbon:    tr,
-			ShortMax:  workload.DefaultShortMax,
-			WaitShort: workload.DefaultWaitShort,
-			WaitLong:  workload.DefaultWaitLong,
-			Horizon:   cfg.Horizon,
+			Policy:  cfg.Policy,
+			Carbon:  tr,
+			Queues:  queues,
+			Horizon: cfg.Horizon,
 		}, sub)
 		if err != nil {
 			return nil, err

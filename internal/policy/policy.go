@@ -31,6 +31,24 @@ type QueueInfo struct {
 	AvgLength simtime.Duration
 }
 
+// QueueTable builds a Context's queue table for a run over jobs under the
+// queue ladder (nil means the paper's two queues): each queue's waiting
+// guarantee, and as its length estimate the mean length of the jobs the
+// ladder classifies into it, unless override names the queue.
+func QueueTable(queues workload.QueueLadder, jobs *workload.Trace, override map[workload.Queue]simtime.Duration) map[workload.Queue]QueueInfo {
+	queues = queues.OrDefault()
+	means := jobs.MeanLengthsByBounds(queues.Bounds())
+	table := make(map[workload.Queue]QueueInfo, len(queues))
+	for i, spec := range queues {
+		info := QueueInfo{MaxWait: spec.MaxWait, AvgLength: means[i]}
+		if v, ok := override[workload.Queue(i)]; ok {
+			info.AvgLength = v
+		}
+		table[workload.Queue(i)] = info
+	}
+	return table
+}
+
 // Context is everything a policy may consult when choosing a schedule.
 // Policies must not use Job.Length unless they are declared
 // length-aware (Table 1) — the simulator passes the true length in the

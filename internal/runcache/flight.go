@@ -89,7 +89,9 @@ func (fs *flights[V]) do(ctx context.Context, key [32]byte, work func(context.Co
 
 // run executes a flight's work and publishes its result. A panic in work
 // becomes the flight's error, so it reaches every caller (and par's
-// containment around figure cells) instead of ending the process.
+// containment around figure cells) instead of ending the process. A kept
+// entry is charged (so maybe evicted) outside fs.mu, which eviction takes,
+// and before its waiters wake, so do returns to a billed budget.
 func (fs *flights[V]) run(ctx context.Context, key [32]byte, f *flight[V], work func(context.Context) (V, Outcome, error)) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -102,12 +104,12 @@ func (fs *flights[V]) run(ctx context.Context, key [32]byte, f *flight[V], work 
 		kept := fs.m[key] == f
 		cancel := f.cancel
 		f.cancel = nil
-		close(f.done)
 		fs.mu.Unlock()
 		cancel()
 		if kept {
 			fs.charge(key, f)
 		}
+		close(f.done)
 	}()
 	f.val, f.outcome, f.err = work(ctx)
 }

@@ -26,13 +26,6 @@ const (
 	maxSimulateJobs = 200_000
 )
 
-// workloadFamilies maps the accepted family tags to their generators.
-var workloadFamilies = map[string]func() workload.Family{
-	"alibaba": workload.AlibabaPAI,
-	"azure":   workload.AzureVM,
-	"mustang": workload.MustangHPC,
-}
-
 // SimulateRequest describes one what-if simulation cell. Zero-valued
 // fields take the documented defaults, so two clients asking for the same
 // cell in different spellings normalize to one request, one memoized trace
@@ -118,7 +111,7 @@ func (s *Server) normalizeSimulate(req *SimulateRequest) error {
 		req.Family = "alibaba"
 	}
 	req.Family = strings.ToLower(req.Family)
-	if _, ok := workloadFamilies[req.Family]; !ok {
+	if _, ok := workload.FamilyByName(req.Family); !ok {
 		return fmt.Errorf("unknown workload family %q (want alibaba, azure or mustang)", req.Family)
 	}
 	if req.Jobs == 0 {
@@ -161,12 +154,14 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 	if err != nil {
 		return nil, err
 	}
-	conv := func(h float64) simtime.Duration {
+	wait := func(h float64, def simtime.Duration) simtime.Duration {
 		if h == 0 {
-			return 0 // keep the config default
+			return def // 0 keeps the paper's default
 		}
 		return simtime.HoursDur(h)
 	}
+	queues := workload.PaperQueues(wait(req.WaitShortHours, workload.DefaultWaitShort),
+		wait(req.WaitLongHours, workload.DefaultWaitLong))
 	cfg := core.Config{
 		Policy:         pol,
 		Carbon:         carbonTr,
@@ -174,8 +169,7 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (*SimulateRe
 		WorkConserving: req.WorkConserving,
 		SpotMaxLen:     simtime.HoursDur(req.SpotMaxHours),
 		EvictionRate:   req.EvictionRate,
-		WaitShort:      conv(req.WaitShortHours),
-		WaitLong:       conv(req.WaitLongHours),
+		Queues:         queues,
 		Horizon:        simtime.Duration(req.Days+simulateSlackDays) * simtime.Day,
 		Seed:           req.Seed,
 	}
@@ -257,9 +251,10 @@ func (s *Server) workloadTrace(family string, jobs, days int, seed int64) *workl
 	if len(s.workloadMemo) >= maxWorkloadMemo {
 		s.workloadMemo = make(map[workloadKey]*workload.Trace)
 	}
-	gen := workloadFamilies[family]
+	// normalizeSimulate already vetted the family.
+	fam, _ := workload.FamilyByName(family)
 	rng := rand.New(rand.NewSource(seed))
-	tr := gen().GenerateByCount(rng, jobs, simtime.Duration(days)*simtime.Day)
+	tr := fam.GenerateByCount(rng, jobs, simtime.Duration(days)*simtime.Day)
 	s.workloadMemo[key] = tr
 	return tr
 }

@@ -351,6 +351,21 @@ func MustangHPC() Family {
 	}
 }
 
+// FamilyByName returns the production-trace family named alibaba, azure
+// or mustang (its Name), so every frontend that generates a family by name
+// generates the same one.
+func FamilyByName(name string) (Family, bool) {
+	switch name {
+	case "alibaba":
+		return AlibabaPAI(), true
+	case "azure":
+		return AzureVM(), true
+	case "mustang":
+		return MustangHPC(), true
+	}
+	return Family{}, false
+}
+
 // PoissonSpec is the Section-3 illustrative workload: exponential
 // interarrivals, exponential lengths, fixed CPU count.
 type PoissonSpec struct {

@@ -11,56 +11,6 @@ import (
 	"github.com/carbonsched/gaia/internal/simtime"
 )
 
-// Queue identifies the job-length queue a job is submitted to (by index).
-// Queues give the scheduler a coarse upper bound on job length without
-// requiring users to declare exact lengths or deadlines (paper §2.2,
-// §4.2). The paper's evaluation uses two queues (short/long); the
-// framework supports any number — see core.Config.Queues.
-type Queue int
-
-// The paper's two-queue configuration.
-const (
-	QueueShort Queue = iota
-	QueueLong
-)
-
-// The paper's queue defaults: jobs up to DefaultShortMax long go to the
-// short queue, and the short and long queues guarantee waits of at most
-// DefaultWaitShort and DefaultWaitLong.
-const (
-	DefaultShortMax  = 2 * simtime.Hour
-	DefaultWaitShort = 6 * simtime.Hour
-	DefaultWaitLong  = 24 * simtime.Hour
-)
-
-// String returns "short"/"long" for the paper's two queues and "qN"
-// otherwise.
-func (q Queue) String() string {
-	switch q {
-	case QueueShort:
-		return "short"
-	case QueueLong:
-		return "long"
-	default:
-		return fmt.Sprintf("q%d", int(q))
-	}
-}
-
-// ParseQueue inverts String.
-func ParseQueue(s string) (Queue, error) {
-	switch s {
-	case "short":
-		return QueueShort, nil
-	case "long":
-		return QueueLong, nil
-	}
-	var n int
-	if _, err := fmt.Sscanf(s, "q%d", &n); err != nil || n < 0 {
-		return 0, fmt.Errorf("workload: unknown queue %q", s)
-	}
-	return Queue(n), nil
-}
-
 // Job is one batch job: it arrives, needs CPUs resource units for Length,
 // and runs to completion once started (suspend-resume baselines may split
 // it across slots). IDs are unique within a trace.
@@ -73,9 +23,11 @@ type Job struct {
 	Length simtime.Duration
 	// CPUs is the number of homogeneous resource units held concurrently.
 	CPUs int
-	// Queue is the length queue the job was submitted to. The paper
-	// assumes users classify their jobs correctly; AssignQueues does so
-	// from the true length.
+	// Queue is the length queue the job belongs to. The paper assumes
+	// users classify their jobs correctly, so every run sets it on its own
+	// copy of each arriving job from its QueueLadder (ClassifyLength) and
+	// never reads a trace's stored value; AssignQueues and the CSV schema
+	// keep it only as a label for exported traces.
 	Queue Queue
 	// User identifies the submitting account for per-user accounting
 	// (queues may also represent "user classes", §4.1). Optional.

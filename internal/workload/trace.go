@@ -24,10 +24,9 @@ type Trace struct {
 
 // Fingerprint returns a content hash of the trace's scheduling-relevant
 // content: the name and every job's ID, arrival, length, CPU demand and
-// user. The Queue tag is deliberately excluded — the core scheduler
-// re-classifies each job from its length and the configured queue bounds,
-// so the tag never influences a simulation result (and AssignQueues may
-// rewrite it on a trace that is otherwise shared immutably).
+// user. The Queue tag is deliberately excluded: every run classifies each
+// job from its own QueueLadder, so the tag never influences a simulation
+// result.
 //
 // The hash is memoized in the trace on first use, so it lives and dies
 // with the trace; callers must not mutate jobs after fingerprinting (the
@@ -165,59 +164,20 @@ func (t *Trace) MeanLength() simtime.Duration {
 	return total / simtime.Duration(len(t.Jobs))
 }
 
-// MeanLengthByQueue returns the mean job length of jobs in queue q — the
-// queue-wide average Javg that Lowest-Window and Carbon-Time use as a
-// coarse length estimate (paper §4.2.1). It returns 0 when the queue is
-// empty.
-func (t *Trace) MeanLengthByQueue(q Queue) simtime.Duration {
-	var total simtime.Duration
-	var n int
-	for _, j := range t.Jobs {
-		if j.Queue == q {
-			total += j.Length
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / simtime.Duration(n)
-}
-
-// AssignQueues sets each job's queue from its true length: jobs with
-// Length <= shortMax go to the short queue, the rest to the long queue.
-// The paper assumes users classify jobs correctly (§6.1).
+// AssignQueues labels each job with its paper queue: jobs with Length <=
+// shortMax are short, the rest long. It labels exported trace CSVs
+// (gaia-trace); no simulation reads the tag (see Job.Queue).
 func (t *Trace) AssignQueues(shortMax simtime.Duration) {
-	t.ClassifyQueues([]simtime.Duration{shortMax})
-}
-
-// ClassifyQueues assigns each job to the first queue whose length bound
-// admits it. bounds[i] is the inclusive maximum length of queue i, in
-// ascending order; jobs longer than every bound land in queue len(bounds)
-// (the unbounded last queue). An empty bounds puts every job in queue 0.
-func (t *Trace) ClassifyQueues(bounds []simtime.Duration) {
+	bounds := []simtime.Duration{shortMax}
 	for i := range t.Jobs {
 		t.Jobs[i].Queue = ClassifyLength(t.Jobs[i].Length, bounds)
 	}
 }
 
-// ClassifyLength returns the queue a job of the given length belongs to
-// under the ascending bounds ladder (see ClassifyQueues). It lets callers
-// classify jobs on the fly without mutating a shared trace.
-func ClassifyLength(length simtime.Duration, bounds []simtime.Duration) Queue {
-	for k, b := range bounds {
-		if length <= b {
-			return Queue(k)
-		}
-	}
-	return Queue(len(bounds))
-}
-
-// MeanLengthsByBounds returns the mean job length of every queue of the
-// bounds ladder (len(bounds)+1 entries, empty queues report 0), computed
-// by classifying each job on the fly. Unlike ClassifyQueues +
-// MeanLengthByQueue it leaves the trace untouched, so concurrent
-// simulations can share one immutable trace.
+// MeanLengthsByBounds returns the mean job length Javg of every queue of
+// the bounds ladder (len(bounds)+1 entries, 0 for an empty queue), the
+// coarse estimate of Lowest-Window and Carbon-Time (paper §4.2.1). It
+// leaves the trace untouched, so concurrent runs can share it.
 func (t *Trace) MeanLengthsByBounds(bounds []simtime.Duration) []simtime.Duration {
 	totals := make([]simtime.Duration, len(bounds)+1)
 	counts := make([]int, len(bounds)+1)

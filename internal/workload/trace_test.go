@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -125,38 +127,83 @@ func TestAssignQueuesAndQueueMeans(t *testing.T) {
 	if tr.Jobs[0].Queue != QueueShort || tr.Jobs[1].Queue != QueueShort || tr.Jobs[2].Queue != QueueLong {
 		t.Fatal("queue assignment broken")
 	}
-	if got := tr.MeanLengthByQueue(QueueShort); got != 90*simtime.Minute {
-		t.Errorf("short mean = %v", got)
+	means := tr.MeanLengthsByBounds([]simtime.Duration{2 * simtime.Hour})
+	if !slices.Equal(means, []simtime.Duration{90 * simtime.Minute, 5 * simtime.Hour}) {
+		t.Errorf("short, long means = %v, want [1h30m 5h]", means)
 	}
-	if got := tr.MeanLengthByQueue(QueueLong); got != 5*simtime.Hour {
-		t.Errorf("long mean = %v", got)
+	// An empty queue's mean is 0.
+	if means := MustTrace("n", nil).MeanLengthsByBounds([]simtime.Duration{2 * simtime.Hour}); !slices.Equal(means, []simtime.Duration{0, 0}) {
+		t.Errorf("empty trace means = %v, want [0 0]", means)
 	}
-	none := MustTrace("n", nil)
-	if none.MeanLengthByQueue(QueueShort) != 0 {
-		t.Error("empty queue mean should be 0")
+	if means := tr.MeanLengthsByBounds([]simtime.Duration{30 * simtime.Minute}); means[0] != 0 {
+		t.Errorf("empty short queue mean = %v, want 0", means[0])
 	}
 }
 
 func TestClassifyQueues(t *testing.T) {
-	tr := MustTrace("t", []Job{
-		mkJob(0, 30*simtime.Minute, 1),
-		mkJob(0, 3*simtime.Hour, 1),
-		mkJob(0, 10*simtime.Hour, 1),
-		mkJob(0, 48*simtime.Hour, 1),
-	})
+	lengths := []simtime.Duration{30 * simtime.Minute, 3 * simtime.Hour, 10 * simtime.Hour, 48 * simtime.Hour}
 	// Four-class ladder: ≤1h, ≤6h, ≤24h, rest.
-	tr.ClassifyQueues([]simtime.Duration{simtime.Hour, 6 * simtime.Hour, 24 * simtime.Hour})
-	want := []Queue{0, 1, 2, 3}
-	for i, j := range tr.Jobs {
-		if j.Queue != want[i] {
-			t.Errorf("job %d in queue %v, want %v", i, j.Queue, want[i])
+	bounds := []simtime.Duration{simtime.Hour, 6 * simtime.Hour, 24 * simtime.Hour}
+	for i, l := range lengths {
+		if q := ClassifyLength(l, bounds); q != Queue(i) {
+			t.Errorf("length %v in queue %v, want %v", l, q, Queue(i))
 		}
 	}
+	// Bounds are inclusive.
+	if q := ClassifyLength(simtime.Hour, bounds); q != 0 {
+		t.Errorf("a job at the bound went to queue %v, want 0", q)
+	}
 	// Empty ladder: everything in queue 0.
-	tr.ClassifyQueues(nil)
-	for _, j := range tr.Jobs {
-		if j.Queue != 0 {
+	for _, l := range lengths {
+		if ClassifyLength(l, nil) != 0 {
 			t.Error("empty ladder should classify all jobs to queue 0")
+		}
+	}
+}
+
+func TestQueueLadder(t *testing.T) {
+	var none QueueLadder
+	if got := none.OrDefault(); !slices.Equal(got, PaperQueues(DefaultWaitShort, DefaultWaitLong)) {
+		t.Errorf("nil ladder defaults to %v", got)
+	}
+	if got := none.Bounds(); !slices.Equal(got, []simtime.Duration{DefaultShortMax}) {
+		t.Errorf("nil ladder bounds = %v, want [2h]", got)
+	}
+	three := QueueLadder{{MaxLength: simtime.Hour}, {MaxLength: 6 * simtime.Hour}, {}}
+	if got := three.Bounds(); !slices.Equal(got, []simtime.Duration{simtime.Hour, 6 * simtime.Hour}) {
+		t.Errorf("bounds = %v, want [1h 6h]", got)
+	}
+	for _, ok := range []QueueLadder{nil, three, PaperQueues(0, 0), {{}}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%v: %v", ok, err)
+		}
+	}
+	bad := []struct {
+		l    QueueLadder
+		want string
+	}{
+		{PaperQueues(-1, 0), "queue short has negative wait"},
+		{QueueLadder{{MaxLength: simtime.Hour}, {MaxLength: 6 * simtime.Hour}, {MaxWait: -simtime.Hour}}, "queue q2 has negative wait"},
+		{QueueLadder{{MaxLength: -simtime.Hour}}, "queue short has negative length bound"},
+		{QueueLadder{{}, {}}, "queue short is unbounded but not the last"},
+		{QueueLadder{{MaxLength: simtime.Hour}, {MaxLength: simtime.Hour}, {}}, "queue short: 1h"},
+	}
+	for _, c := range bad {
+		if err := c.l.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want one containing %q", c.l, err, c.want)
+		}
+	}
+}
+
+func TestFamilyByName(t *testing.T) {
+	for _, name := range []string{"alibaba", "azure", "mustang"} {
+		if f, ok := FamilyByName(name); !ok || f.Name != name {
+			t.Errorf("FamilyByName(%q) = %q, %v", name, f.Name, ok)
+		}
+	}
+	for _, name := range []string{"poisson", "alibaba-week", "Alibaba", ""} {
+		if _, ok := FamilyByName(name); ok {
+			t.Errorf("FamilyByName(%q) found a family", name)
 		}
 	}
 }
