@@ -19,8 +19,8 @@ import (
 )
 
 // elasticYearFixture builds a 20k-job year of alibaba-style work where
-// 60% of the jobs are malleable (half of those preemptible), mirroring
-// the x09 figure's mix at benchmark scale.
+// 60% of the jobs are malleable (a third of those preemptible), near the
+// x09 figure's 40/35/25 rigid/scalable/preemptible mix at benchmark scale.
 func elasticYearFixture() (*carbon.Trace, *workload.ElasticTrace) {
 	tr := carbon.RegionSAAU.GenerateYear(1)
 	jobs := workload.AlibabaPAI().GenerateByCount(rand.New(rand.NewSource(2)), 20_000, 350*simtime.Day)

@@ -87,6 +87,13 @@ func run(args []string) error {
 	if *scenario != "" {
 		return runScenario(*scenario)
 	}
+	// A span or a generated count below 1 would run an empty workload.
+	if *days < 1 {
+		return fmt.Errorf("-days %d must be at least 1", *days)
+	}
+	if *jobs < 1 && *wlFile == "" && *elastic == "" {
+		return fmt.Errorf("-jobs %d must be at least 1", *jobs)
+	}
 
 	pol, err := policyByName(*policyName)
 	if err != nil {

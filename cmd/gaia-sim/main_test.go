@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/carbonsched/gaia/internal/simtime"
@@ -59,7 +60,8 @@ func TestRunCSVRoundTrip(t *testing.T) {
 	// workload/carbon packages would duplicate; instead exercise the
 	// -carbon/-workload file path with files we write here.
 	writeTestTraces(t, ciPath, wlPath)
-	err := run([]string{"-policy", "lowest-window", "-carbon", ciPath, "-workload", wlPath})
+	// -jobs sizes only a generated workload, so 0 beside a file is no error.
+	err := run([]string{"-policy", "lowest-window", "-carbon", ciPath, "-workload", wlPath, "-jobs", "0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +98,28 @@ func TestRunElectricityMapsFormat(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-policy", "bogus"},
-		{"-w", "abc"},
-		{"-region", "XX"},
-		{"-family", "bogus"},
-		{"-carbon", "/nonexistent/ci.csv"},
-		{"-workload", "/nonexistent/wl.csv"},
-		{"-eviction", "1.5", "-spot-max", "1"},
+	cases := []struct {
+		args []string
+		want string // a fragment the error must contain; "" checks only that it fails
+	}{
+		{[]string{"-policy", "bogus"}, ""},
+		{[]string{"-w", "abc"}, ""},
+		{[]string{"-region", "XX"}, ""},
+		{[]string{"-family", "bogus"}, ""},
+		{[]string{"-carbon", "/nonexistent/ci.csv"}, ""},
+		{[]string{"-workload", "/nonexistent/wl.csv"}, ""},
+		{[]string{"-eviction", "1.5", "-spot-max", "1"}, ""},
+		// An empty workload is an error naming the flag, never an empty run.
+		{[]string{"-jobs", "-5"}, "-jobs"},
+		{[]string{"-jobs", "0"}, "-jobs"},
+		{[]string{"-days", "0"}, "-days"},
+		{[]string{"-days", "-1"}, "-days"},
+		{[]string{"-runtime", "prototype", "-jobs", "0"}, "-jobs"},
 	}
-	for i, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("case %d (%v): expected error", i, args)
+	for i, c := range cases {
+		err := run(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d (%v): err = %v, want an error containing %q", i, c.args, err, c.want)
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 
 // Scenario is a JSON-described batch of simulator runs over one shared
 // workload and carbon trace — the artifact-appendix style "experiment
-// customization" file. All runs are compared against the first.
+// customization" file. All runs are compared against the first. A field
+// left out or set to 0 takes its default: region CA-US, family alibaba,
+// 1000 jobs, 7 days, seed 1 and waits 6x24. A negative jobs or days is an
+// error.
 //
 //	{
 //	  "region": "SA-AU",
@@ -75,6 +78,12 @@ func runScenario(path string) error {
 	}
 	if len(sc.Runs) == 0 {
 		return fmt.Errorf("scenario %s: no runs", path)
+	}
+	if sc.Jobs < 0 {
+		return fmt.Errorf("scenario %s: \"jobs\" %d must be positive (0 means the default, 1000)", path, sc.Jobs)
+	}
+	if sc.Days < 0 {
+		return fmt.Errorf("scenario %s: \"days\" %d must be positive (0 means the default, 7)", path, sc.Days)
 	}
 	// Defaults.
 	if sc.Region == "" {

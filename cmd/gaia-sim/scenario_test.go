@@ -39,9 +39,14 @@ func TestScenarioRuns(t *testing.T) {
 }
 
 func TestScenarioDefaults(t *testing.T) {
-	path := writeScenario(t, `{"jobs": 30, "days": 2, "runs": [{"policy": "nowait"}]}`)
-	if err := run([]string{"-scenario", path}); err != nil {
-		t.Fatal(err)
+	// A zero jobs or days means the default (1000 jobs, 7 days).
+	for _, body := range []string{
+		`{"jobs": 30, "days": 2, "runs": [{"policy": "nowait"}]}`,
+		`{"jobs": 0, "days": 0, "runs": [{"policy": "nowait"}]}`,
+	} {
+		if err := run([]string{"-scenario", writeScenario(t, body)}); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
 	}
 }
 
@@ -61,6 +66,9 @@ func TestScenarioErrors(t *testing.T) {
 		// A misspelled field is an error naming it, never a silent default.
 		{`{"jobs":30,"days":2,"runs":[{"policy":"carbon-time","reserverd":18}]}`, `"reserverd"`},
 		{`{"jobs":30,"days":2,"runs":[{"policy":"nowait"}]} {}`, "trailing data"},
+		// A negative size is an error naming the field, never an empty run.
+		{`{"jobs":-5,"days":2,"runs":[{"policy":"nowait"}]}`, `"jobs" -5`},
+		{`{"jobs":30,"days":-2,"runs":[{"policy":"nowait"}]}`, `"days" -2`},
 	}
 	for i, c := range cases {
 		path := writeScenario(t, c.body)

@@ -6,6 +6,7 @@ import (
 	"github.com/carbonsched/gaia/internal/policy"
 	"github.com/carbonsched/gaia/internal/policy/policytest"
 	"github.com/carbonsched/gaia/internal/simtime"
+	"github.com/carbonsched/gaia/internal/workload"
 )
 
 // TestBorrowedPlansNotRetained holds the scheduler to the borrowed-plan
@@ -51,6 +52,56 @@ func TestBorrowedPlansNotRetained(t *testing.T) {
 				if a, b := jobRecordsDigest(got.Jobs), jobRecordsDigest(want.Jobs); a != b {
 					t.Errorf("%s (spot %v): job records %s through Clobbering, %s bare", p.Name(), spot, a, b)
 				}
+			}
+		}
+	}
+}
+
+// TestBorrowedGrantsNotRetained holds the scheduler to the borrowed-grants
+// contract of policy.ElasticAllocator. The x09 mix and a diamond DAG with
+// scalable side branches run under Greedy-Marginal bare and through
+// policytest.ClobberingAllocator, which overwrites every grant it returned
+// once its Context allocates again: retained and streaming runs must
+// encode the same accumulator and the same job records either way. A
+// scheduler that read a tick's grants after the next Allocate would scale
+// jobs the allocator never scaled.
+func TestBorrowedGrantsNotRetained(t *testing.T) {
+	tr, jobs := goldenInstance()
+	scalable := workload.ElasticSpec{MinReplicas: 1, MaxReplicas: 4, Curve: workload.AmdahlCurve(0.9, 4)}
+	for _, c := range []struct {
+		name string
+		pol  policy.Policy
+		et   *workload.ElasticTrace
+	}{
+		{"x09-mix", policy.CarbonTime{}, x09Mix("borrowed-x09", jobs)},
+		{"diamonds", policy.CriticalPathShift{}, diamondDAG(300, scalable)},
+	} {
+		for _, retain := range []bool{true, false} {
+			cfg := baseConfig(tr, c.pol)
+			cfg.Reserved = 60
+			cfg.Elastic = c.et
+			cfg.Allocator = policy.GreedyMarginal{}
+			cfg.RetainJobs = retain
+			want, err := Run(cfg, c.et.Jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Allocator = policytest.ClobberAllocator(cfg.Allocator)
+			got, err := Run(cfg, c.et.Jobs)
+			if err != nil {
+				t.Fatalf("%s (retain %v) through ClobberingAllocator: %v", c.name, retain, err)
+			}
+			if a, b := accDigest(got), accDigest(want); a != b {
+				t.Errorf("%s (retain %v): accumulator %s through ClobberingAllocator, %s bare", c.name, retain, a, b)
+			}
+			if !retain {
+				continue
+			}
+			if err := minSegments(2)(want); err != nil {
+				t.Fatalf("%s: fixture no longer resizes a job: %v", c.name, err)
+			}
+			if a, b := jobRecordsDigest(got.Jobs), jobRecordsDigest(want.Jobs); a != b {
+				t.Errorf("%s: job records %s through ClobberingAllocator, %s bare", c.name, a, b)
 			}
 		}
 	}

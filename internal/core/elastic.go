@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
@@ -25,14 +26,21 @@ type elasticState struct {
 	capacity int
 
 	// running holds started, unfinished managed jobs (replicas 0 =
-	// suspended). parked holds arrived jobs still gated on predecessors;
-	// preds is the mutable remaining-predecessor count, arrived marks
-	// submission so a job releases at max(arrival, last predecessor
-	// finish) whichever event comes second.
-	running map[int]*elasticJob
+	// suspended) in ascending job ID, the order the allocator's views
+	// take; nothing a tick does starts or finishes a job, so the list is
+	// fixed for the tick's duration. parked holds arrived jobs still gated
+	// on predecessors; preds is the mutable remaining-predecessor count,
+	// arrived marks submission so a job releases at max(arrival, last
+	// predecessor finish) whichever event comes second.
+	running []*elasticJob
 	parked  map[int]workload.Job
 	preds   []int32
 	arrived []bool
+	// free pools elasticJob records between finish and the next release,
+	// as scheduler.free pools jobState. A suspended job's canceled finish
+	// event may still sit in the queue when its record is reused; canceled
+	// events never fire.
+	free []*elasticJob
 
 	// tickSet tracks whether the hourly reallocation tick is pending; the
 	// tick reschedules itself while any managed job is in flight and lapses
@@ -41,8 +49,7 @@ type elasticState struct {
 	tickSet bool
 	tickFn  func()
 
-	// Scratch reused across ticks.
-	ids   []int
+	// views is scratch reused across ticks.
 	views []policy.ElasticJobView
 }
 
@@ -98,7 +105,6 @@ func newElasticState(s *scheduler, et *workload.ElasticTrace) *elasticState {
 		et:       et,
 		alloc:    s.cfg.Allocator,
 		capacity: s.cfg.ElasticCapacity,
-		running:  make(map[int]*elasticJob),
 		parked:   make(map[int]workload.Job),
 		preds:    make([]int32, et.Len()),
 		arrived:  make([]bool, et.Len()),
@@ -128,7 +134,13 @@ func (el *elasticState) arrive(job workload.Job) {
 func (el *elasticState) release(job workload.Job) {
 	s := el.s
 	now := s.engine.Now()
-	ej := &elasticJob{el: el, job: job, spec: el.et.Spec(job.ID), ready: now}
+	var ej *elasticJob
+	if n := len(el.free); n > 0 {
+		ej, el.free = el.free[n-1], el.free[:n-1]
+	} else {
+		ej = new(elasticJob)
+	}
+	*ej = elasticJob{el: el, job: job, spec: el.et.Spec(job.ID), ready: now}
 	ej.deadline = now.Add(s.ctx.Queue(job.Queue).MaxWait)
 	if s.results != nil {
 		ej.rec = &s.results[job.ID]
@@ -173,8 +185,17 @@ func (el *elasticState) start(ej *elasticJob) {
 	ej.rec.Start = now
 	ej.phase = elPhaseFinish
 	ej.finish = s.engine.ScheduleAction(now.Add(elasticDur(ej.remaining, ej.rate())), sim.PriorityFinish, ej)
-	el.running[ej.job.ID] = ej
+	i, _ := el.runningIndex(ej.job.ID)
+	el.running = slices.Insert(el.running, i, ej)
 	el.ensureTick(now)
+}
+
+// runningIndex returns the position of job id in the ID-ordered running
+// list, or where it would be inserted, and whether it is there.
+func (el *elasticState) runningIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(el.running, id, func(ej *elasticJob, id int) int {
+		return cmp.Compare(ej.job.ID, id)
+	})
 }
 
 // rate is the job's current serial-equivalent throughput in unit-minutes
@@ -213,7 +234,8 @@ func (el *elasticState) flush(ej *elasticJob, now simtime.Time) {
 }
 
 // finishJob completes a managed job: final segment flushed, capacity
-// released, record folded into the accumulator, successors unblocked.
+// released, record folded into the accumulator, successors unblocked,
+// and the record returned to the pool.
 func (el *elasticState) finishJob(ej *elasticJob) {
 	s := el.s
 	now := s.engine.Now()
@@ -221,7 +243,11 @@ func (el *elasticState) finishJob(ej *elasticJob) {
 	s.pool.Release(ej.reserved)
 	ej.reserved = 0
 	ej.replicas = 0
-	delete(el.running, ej.job.ID)
+	i, ok := el.runningIndex(ej.job.ID)
+	if !ok {
+		panic(fmt.Sprintf("core: finished elastic job %d is not running", ej.job.ID))
+	}
+	el.running = slices.Delete(el.running, i, i+1)
 
 	rec := ej.rec
 	rec.Finish = now
@@ -238,6 +264,7 @@ func (el *elasticState) finishJob(ej *elasticJob) {
 			el.release(job)
 		}
 	}
+	el.free = append(el.free, ej)
 }
 
 // ensureTick schedules the hourly reallocation tick at the next hour
@@ -255,7 +282,8 @@ func (el *elasticState) ensureTick(now simtime.Time) {
 // view goes to the allocator in one call, grants are clamped to the specs'
 // bounds and the waiting-time guarantee, and each change is applied as
 // flush + re-acquire + Reschedule of the finish event. Iteration is in
-// ascending job ID so wheel and heap runs allocate identically.
+// ascending job ID, the running list's order, so wheel and heap runs
+// allocate identically.
 func (el *elasticState) tick() {
 	el.tickSet = false
 	s := el.s
@@ -264,20 +292,13 @@ func (el *elasticState) tick() {
 		return
 	}
 
-	el.ids = el.ids[:0]
-	for id := range el.running {
-		el.ids = append(el.ids, id)
-	}
-	sort.Ints(el.ids)
-
 	el.views = el.views[:0]
-	for _, id := range el.ids {
-		ej := el.running[id]
+	for _, ej := range el.running {
 		// Effective remaining without flushing: the segment stays open so
 		// an unchanged grant costs no accounting split.
 		er := ej.remaining - float64(now.Sub(ej.segStart))*ej.rate()
 		el.views = append(el.views, policy.ElasticJobView{
-			ID:          id,
+			ID:          ej.job.ID,
 			Queue:       ej.job.Queue,
 			CPUs:        ej.job.CPUs,
 			ElasticSpec: ej.spec,
@@ -300,8 +321,8 @@ func (el *elasticState) tick() {
 	if len(grants) != len(el.views) {
 		panic(fmt.Sprintf("allocator %s: %d grants for %d jobs", el.alloc.Name(), len(grants), len(el.views)))
 	}
-	for i, id := range el.ids {
-		el.resize(el.running[id], now, grants[i], el.views[i].Remaining)
+	for i, ej := range el.running {
+		el.resize(ej, now, grants[i])
 	}
 	el.ensureTick(now)
 }
@@ -311,7 +332,7 @@ func (el *elasticState) tick() {
 // preemptible job (Min 0) while its waiting-time guarantee has room; at
 // the deadline a suspended job is forcibly resumed at base width, so
 // progress — and hence termination — is guaranteed past it.
-func (el *elasticState) resize(ej *elasticJob, now simtime.Time, target int, er float64) {
+func (el *elasticState) resize(ej *elasticJob, now simtime.Time, target int) {
 	s := el.s
 	base := ej.spec.MinReplicas
 	if base < 1 {

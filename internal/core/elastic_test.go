@@ -373,6 +373,54 @@ func randomElasticInstance(seed int64, n int) (*carbon.Trace, *workload.ElasticT
 	return tr, workload.MustElasticTrace("elastic-rand", jobs.Jobs, specs, edges)
 }
 
+// x09Mix wraps jobs in an x09-style malleable mix: two in five jobs
+// rigid, two in five scalable to four replicas, one in five preemptible
+// and scalable to two.
+func x09Mix(name string, jobs *workload.Trace) *workload.ElasticTrace {
+	specs := make([]workload.ElasticSpec, jobs.Len())
+	for i := range specs {
+		switch i % 5 {
+		case 0, 1:
+			specs[i] = workload.DegenerateSpec()
+		case 2, 3:
+			specs[i] = workload.ElasticSpec{MinReplicas: 1, MaxReplicas: 4, Curve: workload.AmdahlCurve(0.9, 4)}
+		default:
+			specs[i] = workload.ElasticSpec{MinReplicas: 0, MaxReplicas: 2, Curve: workload.AmdahlCurve(0.85, 2)}
+		}
+	}
+	return workload.MustElasticTrace(name, jobs.Jobs, specs, nil)
+}
+
+// diamondDAG builds n unbalanced diamond pipelines over a year, shaped
+// like x10's: a source fans out to a long narrow branch and two short wide
+// side branches, which join in a sink. The side branches carry the spec
+// branch; every other stage is rigid.
+func diamondDAG(n int, branch workload.ElasticSpec) *workload.ElasticTrace {
+	r := newRand(3)
+	jobs := make([]workload.Job, 0, 5*n)
+	specs := make([]workload.ElasticSpec, 0, 5*n)
+	edges := make([]workload.Edge, 0, 6*n)
+	for i := 0; i < n; i++ {
+		arrival := simtime.Time(r.Int63n(int64(340 * simtime.Day)))
+		for k, st := range []struct{ lo, spread, cpus int }{
+			{30, 60, 2}, {600, 240, 2}, {150, 90, 8}, {150, 90, 8}, {30, 60, 2},
+		} {
+			length := simtime.Duration(st.lo+r.Intn(st.spread)) * simtime.Minute
+			jobs = append(jobs, workload.Job{Arrival: arrival, Length: length, CPUs: st.cpus})
+			spec := workload.DegenerateSpec()
+			if k == 2 || k == 3 {
+				spec = branch
+			}
+			specs = append(specs, spec)
+		}
+		b := 5 * i
+		edges = append(edges,
+			workload.Edge{Src: b, Dst: b + 1}, workload.Edge{Src: b, Dst: b + 2}, workload.Edge{Src: b, Dst: b + 3},
+			workload.Edge{Src: b + 1, Dst: b + 4}, workload.Edge{Src: b + 2, Dst: b + 4}, workload.Edge{Src: b + 3, Dst: b + 4})
+	}
+	return workload.MustElasticTrace("diamonds", jobs, specs, edges)
+}
+
 // stormAlloc is a deterministic pseudo-random allocator: grants depend
 // only on (seed, job ID, now), including over-max and zero grants, so the
 // clamping rules are exercised identically on wheel and heap.

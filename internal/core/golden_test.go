@@ -259,22 +259,24 @@ func TestEnginePathsGolden(t *testing.T) {
 }
 
 // TestEnginePathAllocs pins the per-job allocations of the engine's
-// suspend-resume, spot and elastic paths on a 20k-job year, built like
-// TestReplayAllocs. Every per-job event rides the job's pooled jobState,
-// and policy plans are borrowed: each is normalized into the record's
-// own plan buffer, which survives pooling, and WaitAwhile ranks its slots
-// in one rolling window. What is left is the records and buffers up to
-// the peak in-flight count. Allocations per job on this instance, with
-// one closure per event → pooled actions → borrowed plans: WaitAwhile
-// 7.40 → 2.55 → 0.021, WaitAwhile-Est 6.79 → 2.49 → 0.016, Ecovisor
-// 4.58 → 2.01 → 0.014, WaitAwhile on spot 6.79 → 2.55 → 0.022, Spot-RES
-// 1.29 → 0.005 → 0.008, checkpointed spot 1.96 → 0.005 → 0.008 (a
-// spot start decision now fills the record's plan buffer, allocated once
-// per record). Each of those ceilings, 0.1, sits below what one
-// allocation per plan or per spot job adds back (1 per job). The elastic
-// row is dominated by Greedy-Marginal's per-tick allocations; binding the
-// hourly tick once per run took it from 2.81 to 2.41, and its ceiling
-// sits between the two.
+// suspend-resume, spot, elastic and DAG paths on a 20k-job year (10k
+// jobs for the DAG), built like TestReplayAllocs. Every per-job event
+// rides the job's pooled jobState, and policy plans are borrowed: each is
+// normalized into the record's own plan buffer, which survives pooling,
+// and WaitAwhile ranks its slots in one rolling window. What is left is
+// the records and buffers up to the peak in-flight count. Allocations per
+// job on this instance, with one closure per event → pooled actions →
+// borrowed plans: WaitAwhile 7.40 → 2.55 → 0.021, WaitAwhile-Est 6.79 →
+// 2.49 → 0.016, Ecovisor 4.58 → 2.01 → 0.014, WaitAwhile on spot 6.79 →
+// 2.55 → 0.022, Spot-RES 1.29 → 0.005 → 0.008, checkpointed spot 1.96 →
+// 0.005 → 0.008 (a spot start decision now fills the record's plan
+// buffer, allocated once per record). Managed elastic jobs ride pooled
+// elasticJob records in one ID-ordered running list, and the allocators'
+// grants are borrowed: the elastic row went from 2.81 (a method value per
+// hourly tick) to 2.41 (the tick bound once per run) to 0.008, and the
+// DAG row from 1.81 to 0.012. Each ceiling, 0.1, sits below what one
+// allocation per plan, per spot job or per managed job adds back (1 per
+// job).
 func TestEnginePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -289,22 +291,14 @@ func TestEnginePathAllocs(t *testing.T) {
 	ckSpot := spot
 	ckSpot.Reserved, ckSpot.SpotMaxLen, ckSpot.EvictionRate = 20, 12*simtime.Hour, 0.1
 	ckSpot.CheckpointInterval, ckSpot.CheckpointOverhead = 75*simtime.Minute, 3*simtime.Minute
-	// The elastic row runs the x09 mix (60% of jobs malleable, half of
-	// those preemptible) through Greedy-Marginal's hourly ticks.
-	specs := make([]workload.ElasticSpec, jobs.Len())
-	for i := range specs {
-		switch i % 5 {
-		case 0, 1:
-			specs[i] = workload.DegenerateSpec()
-		case 2, 3:
-			specs[i] = workload.ElasticSpec{MinReplicas: 1, MaxReplicas: 4, Curve: workload.AmdahlCurve(0.9, 4)}
-		default:
-			specs[i] = workload.ElasticSpec{MinReplicas: 0, MaxReplicas: 2, Curve: workload.AmdahlCurve(0.85, 2)}
-		}
-	}
-	et := workload.MustElasticTrace("allocs-elastic", jobs.Jobs, specs, nil)
+	// The elastic row runs the x09 mix through Greedy-Marginal's hourly
+	// ticks; the DAG row releases every diamond stage through predecessor
+	// bookkeeping under the default Static-Min allocator.
+	et := x09Mix("allocs-elastic", jobs)
 	elastic := Config{Policy: policy.CarbonTime{}, Carbon: tr, Reserved: 60, Elastic: et,
 		Allocator: policy.GreedyMarginal{}, Horizon: simtime.Year}
+	dag := diamondDAG(2000, workload.DegenerateSpec())
+	dagCfg := Config{Policy: policy.CriticalPathShift{}, Carbon: tr, Elastic: dag, Horizon: simtime.Year}
 	for _, c := range []struct {
 		name    string
 		cfg     Config
@@ -317,7 +311,8 @@ func TestEnginePathAllocs(t *testing.T) {
 		{"WaitAwhile-spot", waSpot, jobs, 0.1},
 		{"Spot-RES", spotRES, jobs, 0.1},
 		{"checkpointed-spot", ckSpot, jobs, 0.1},
-		{"elastic", elastic, et.Jobs, 2.6},
+		{"elastic", elastic, et.Jobs, 0.1},
+		{"dag", dagCfg, dag.Jobs, 0.1},
 	} {
 		if _, err := Run(c.cfg, c.jobs); err != nil {
 			t.Fatal(err)
@@ -329,7 +324,7 @@ func TestEnginePathAllocs(t *testing.T) {
 		}) / float64(c.jobs.Len())
 		t.Logf("%s: %.3f allocs per job", c.name, perJob)
 		if perJob > c.ceiling {
-			t.Errorf("%s: %.3f allocs per job, ceiling %.2f (a per-event closure or a per-job plan copy back on the engine path?)", c.name, perJob, c.ceiling)
+			t.Errorf("%s: %.3f allocs per job, ceiling %.2f (a per-event closure, a per-job plan copy or a per-tick grant back on the engine path?)", c.name, perJob, c.ceiling)
 		}
 	}
 }

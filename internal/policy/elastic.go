@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
@@ -34,6 +35,11 @@ type ElasticJobView struct {
 // free by construction. A negative capacity (never produced by the
 // scheduler) lifts the bound for direct callers.
 //
+// Grants are borrowed, like the plans of Decision: they are valid only
+// until the next Allocate on the same Context, and a caller that keeps
+// them past that point copies them first. StaticAlloc and GreedyMarginal
+// return grants backed by scratch storage of ctx, which must be non-nil.
+//
 // Implementations must be deterministic pure functions of their arguments
 // — allocations are part of the simulation cache key via the config
 // fingerprint, so hidden state would poison cached results.
@@ -53,8 +59,8 @@ type StaticAlloc struct{}
 func (StaticAlloc) Name() string { return "Static-Min" }
 
 // Allocate implements ElasticAllocator.
-func (StaticAlloc) Allocate(jobs []ElasticJobView, _ simtime.Time, _ int, _ *Context) []int {
-	grants := make([]int, len(jobs))
+func (StaticAlloc) Allocate(jobs []ElasticJobView, _ simtime.Time, _ int, ctx *Context) []int {
+	grants := ctx.grantBuf(len(jobs))
 	for i, v := range jobs {
 		grants[i] = v.MinReplicas
 		if grants[i] < 1 {
@@ -97,13 +103,8 @@ func (a GreedyMarginal) Allocate(jobs []ElasticJobView, now simtime.Time, capaci
 	}
 	g := greenness(ctx, now)
 
-	grants := make([]int, len(jobs))
-	type cand struct {
-		job   int
-		r     int // replica index being added (0-based marginal)
-		value float64
-	}
-	var cands []cand
+	grants := ctx.grantBuf(len(jobs))
+	cands := ctx.cands[:0]
 	for i, v := range jobs {
 		base := v.MinReplicas
 		if base < 1 {
@@ -119,32 +120,53 @@ func (a GreedyMarginal) Allocate(jobs []ElasticJobView, now simtime.Time, capaci
 			if m < thresh*g {
 				break // marginals are non-increasing: later replicas fail too
 			}
-			cands = append(cands, cand{job: i, r: r, value: m / float64(v.CPUs)})
+			cands = append(cands, marginalCand{value: m / float64(v.CPUs), id: v.ID, view: i, r: r})
 		}
 	}
-	// Highest marginal throughput per CPU first; ties by job then replica
-	// index, which also guarantees replica r is granted before r+1.
-	sort.Slice(cands, func(x, y int) bool {
-		if cands[x].value != cands[y].value {
-			return cands[x].value > cands[y].value
-		}
-		if cands[x].job != cands[y].job {
-			return jobs[cands[x].job].ID < jobs[cands[y].job].ID
-		}
-		return cands[x].r < cands[y].r
-	})
+	slices.SortFunc(cands, compareMarginal)
+	ctx.cands = cands
 	budget := capacity
 	for _, c := range cands {
-		w := jobs[c.job].CPUs
+		w := jobs[c.view].CPUs
 		if capacity >= 0 {
 			if budget < w {
 				continue
 			}
 			budget -= w
 		}
-		grants[c.job]++
+		grants[c.view]++
 	}
 	return grants
+}
+
+// marginalCand is one replica Greedy-Marginal may grant: replica r
+// (0-based) of the job at index view, whose ID is id, worth value
+// marginal throughput per CPU.
+type marginalCand struct {
+	value float64
+	id    int
+	view  int
+	r     int
+}
+
+// compareMarginal orders candidates by marginal throughput per CPU,
+// highest first, then by job ID, view index and replica index, which
+// also grants replica r before r+1. Views carry distinct IDs when the
+// scheduler builds them, so the view index decides nothing there; it
+// makes the order a strict total order for any views, so every correct
+// sort yields one order. cmp.Compare orders even a NaN marginal, which
+// workload.ScaleCurve.Validate rejects anyway.
+func compareMarginal(a, b marginalCand) int {
+	if c := cmp.Compare(b.value, a.value); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.view, b.view); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.r, b.r)
 }
 
 // greenness is the hour's forecast carbon integral relative to the

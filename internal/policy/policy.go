@@ -87,6 +87,21 @@ type Context struct {
 	picked   []simtime.Interval
 	rankKeys []uint64
 	next24   [24]float64
+
+	// Scratch reused across Allocate calls: grants backs the grants the
+	// elastic allocators return (see ElasticAllocator), cands holds
+	// Greedy-Marginal's candidate replicas.
+	grants []int
+	cands  []marginalCand
+}
+
+// grantBuf returns the Context's grant buffer resized to n.
+func (c *Context) grantBuf(n int) []int {
+	if cap(c.grants) < n {
+		c.grants = make([]int, n)
+	}
+	c.grants = c.grants[:n]
+	return c.grants
 }
 
 // Queue returns the queue info, or a zero QueueInfo for unknown queues.
