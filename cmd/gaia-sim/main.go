@@ -30,18 +30,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 
 	"github.com/carbonsched/gaia/internal/accountdb"
 	"github.com/carbonsched/gaia/internal/batch"
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cell"
 	"github.com/carbonsched/gaia/internal/core"
 	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/policy"
-	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
 
@@ -52,29 +50,38 @@ func main() {
 	}
 }
 
+// flagNames names the flags not spelled like the cell.Spec field they set.
+var flagNames = map[string]string{"work_conserving": "work-conserving", "spot_max_hours": "spot-max",
+	"checkpoint_hours": "checkpoint", "waits": "w"}
+
+// simulate runs one configuration; tests wrap it to see each run.
+var simulate = core.Run
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("gaia-sim", flag.ContinueOnError)
+	def := cell.Default()
+	spec := def
+	fs.StringVar(&spec.Policy, "policy", def.Policy,
+		"scheduling policy: nowait|allwait|lowest-slot|lowest-window|carbon-time|wait-awhile|wait-awhile-est|ecovisor|critical-path")
+	fs.StringVar(&spec.Region, "region", def.Region, "built-in carbon region (SE|ON-CA|SA-AU|CA-US|NL|KY-US)")
+	fs.StringVar(&spec.Family, "family", def.Family, "synthetic workload family: alibaba|azure|mustang|poisson")
+	fs.IntVar(&spec.Jobs.N, "jobs", def.Jobs.N, "number of synthetic jobs (not with -family poisson, whose count follows -days)")
+	fs.IntVar(&spec.Days, "days", def.Days, "workload span in days")
+	fs.IntVar(&spec.Reserved, "reserved", def.Reserved, "reserved CPU units")
+	fs.BoolVar(&spec.WorkConserving, "work-conserving", def.WorkConserving, "enable RES-First work conservation")
+	fs.Float64Var(&spec.SpotMaxHours, "spot-max", def.SpotMaxHours, "max job hours routed to spot (0 = no spot)")
+	fs.Float64Var(&spec.Eviction, "eviction", def.Eviction, "hourly spot eviction probability")
+	fs.StringVar(&spec.Waits, "w", def.Waits, "max waiting hours of the short (jobs up to 2h) and long queues as SHORTxLONG, e.g. 6x24; 0 means no waiting, e.g. 0x24")
+	fs.Int64Var(&spec.Seed, "seed", def.Seed, "random seed (workload generation and evictions)")
+	fs.Float64Var(&spec.CheckpointHours, "checkpoint", def.CheckpointHours, "spot checkpoint interval in hours (0 = progress lost on eviction)")
 	var (
-		policyName = fs.String("policy", "carbon-time",
-			"scheduling policy: nowait|allwait|lowest-slot|lowest-window|carbon-time|wait-awhile|wait-awhile-est|ecovisor|critical-path")
-		region     = fs.String("region", "CA-US", "built-in carbon region (SE|ON-CA|SA-AU|CA-US|NL|KY-US)")
 		carbonFile = fs.String("carbon", "", "carbon trace CSV (overrides -region)")
 		carbonFmt  = fs.String("carbon-format", "gaia", "carbon CSV schema: gaia (hour,ci) or emaps (datetime,...,ci)")
 		wlFile     = fs.String("workload", "", "workload trace CSV (overrides -family)")
-		family     = fs.String("family", "alibaba", "synthetic workload family: alibaba|azure|mustang|poisson")
-		jobs       = fs.Int("jobs", 1000, "number of synthetic jobs")
-		days       = fs.Int("days", 7, "workload span in days")
-		reserved   = fs.Int("reserved", 0, "reserved CPU units")
-		workCons   = fs.Bool("work-conserving", false, "enable RES-First work conservation")
-		spotMax    = fs.Float64("spot-max", 0, "max job hours routed to spot (0 = no spot)")
-		eviction   = fs.Float64("eviction", 0, "hourly spot eviction probability")
-		waits      = fs.String("w", "6x24", "max waiting hours of the short (jobs up to 2h) and long queues as SHORTxLONG, e.g. 6x24; 0 means no waiting, e.g. 0x24")
-		seed       = fs.Int64("seed", 1, "random seed (workload generation and evictions)")
 		out        = fs.String("out", "", "output file prefix: writes <out>-summary.csv and <out>-details.csv")
 		dbPath     = fs.String("db", "", "append job records to this accounting CSV (query with gaiactl)")
 		runtime    = fs.String("runtime", "sim", "execution model: sim (GAIA-Simulator) or prototype (node-level batch runtime)")
 		scenario   = fs.String("scenario", "", "JSON scenario file describing a batch of runs to compare (ignores other flags)")
-		checkpoint = fs.Float64("checkpoint", 0, "spot checkpoint interval in hours (0 = progress lost on eviction)")
 		elastic    = fs.String("elastic", "", "malleable workload CSV with per-job replica bounds and scale curves (overrides -workload/-family)")
 		dag        = fs.String("dag", "", "precedence edges CSV (src,dst job ids) attached to the -elastic workload")
 		allocator  = fs.String("allocator", "", "elastic replica allocator: "+strings.Join(policy.AllocatorNames(), "|")+" (default static-min)")
@@ -83,27 +90,18 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) { spec.Jobs.Given = spec.Jobs.Given || f.Name == "jobs" })
 
 	if *scenario != "" {
 		return runScenario(*scenario)
 	}
-	// A span or a generated count below 1 would run an empty workload.
-	if *days < 1 {
-		return fmt.Errorf("-days %d must be at least 1", *days)
+	if *wlFile != "" || *elastic != "" {
+		spec.Jobs = def.Jobs // -jobs sizes only a generated workload
 	}
-	if *jobs < 1 && *wlFile == "" && *elastic == "" {
-		return fmt.Errorf("-jobs %d must be at least 1", *jobs)
+	if err := spec.Normalize(); err != nil {
+		return cell.FlagError(err, flagNames)
 	}
-
-	pol, err := policyByName(*policyName)
-	if err != nil {
-		return err
-	}
-	queues, err := parseWaits(*waits)
-	if err != nil {
-		return err
-	}
-	carbonTr, err := loadCarbon(*carbonFile, *carbonFmt, *region, *days)
+	carbonTr, err := loadCarbon(*carbonFile, *carbonFmt, spec)
 	if err != nil {
 		return err
 	}
@@ -119,7 +117,7 @@ func run(args []string) error {
 		if *dag != "" {
 			return fmt.Errorf("-dag requires -elastic (edges refer to the elastic workload's job ids)")
 		}
-		jobsTr, err = loadWorkload(*wlFile, *family, *jobs, *days, *seed)
+		jobsTr, err = loadJobs(*wlFile, spec)
 		if err != nil {
 			return err
 		}
@@ -135,7 +133,7 @@ func run(args []string) error {
 		}
 	}
 
-	horizon := simtime.Duration(*days+3) * simtime.Day
+	cfg := spec.Config(carbonTr)
 	if *runtime == "prototype" {
 		if elasticTr != nil {
 			return fmt.Errorf("the prototype runtime does not support -elastic workloads")
@@ -144,8 +142,8 @@ func run(args []string) error {
 			name string
 			set  bool
 		}{
-			{"work-conserving", *workCons},
-			{"checkpoint", *checkpoint != 0},
+			{"work-conserving", spec.WorkConserving},
+			{"checkpoint", spec.CheckpointHours != 0},
 			{"out", *out != ""},
 			{"db", *dbPath != ""},
 			{"elastic-capacity", *elasticCap != 0},
@@ -155,39 +153,25 @@ func run(args []string) error {
 			}
 		}
 		return runPrototype(batch.Config{
-			Policy:        pol,
-			Carbon:        carbonTr,
-			ReservedNodes: *reserved,
-			SpotMaxLen:    simtime.HoursDur(*spotMax),
-			EvictionRate:  *eviction,
-			Queues:        queues,
-			Horizon:       horizon,
-			Seed:          *seed,
+			Policy:        cfg.Policy,
+			Carbon:        cfg.Carbon,
+			ReservedNodes: cfg.Reserved,
+			SpotMaxLen:    cfg.SpotMaxLen,
+			EvictionRate:  cfg.EvictionRate,
+			Queues:        cfg.Queues,
+			Horizon:       cfg.Horizon,
+			Seed:          cfg.Seed,
 		}, jobsTr)
 	}
 	if *runtime != "sim" {
 		return fmt.Errorf("unknown -runtime %q (want sim or prototype)", *runtime)
 	}
 
-	cfg := core.Config{
-		Policy:             pol,
-		Carbon:             carbonTr,
-		Reserved:           *reserved,
-		WorkConserving:     *workCons,
-		SpotMaxLen:         simtime.HoursDur(*spotMax),
-		EvictionRate:       *eviction,
-		CheckpointInterval: simtime.HoursDur(*checkpoint),
-		Queues:             queues,
-		Horizon:            horizon,
-		Seed:               *seed,
-		// Per-job records are only needed when they are exported; plain
-		// summary runs stream into the aggregate accumulator.
-		RetainJobs:      *out != "" || *dbPath != "",
-		Elastic:         elasticTr,
-		Allocator:       alloc,
-		ElasticCapacity: *elasticCap,
-	}
-	res, err := core.Run(cfg, jobsTr)
+	// Per-job records are only needed when they are exported; plain
+	// summary runs stream into the aggregate accumulator.
+	cfg.RetainJobs = *out != "" || *dbPath != ""
+	cfg.Elastic, cfg.Allocator, cfg.ElasticCapacity = elasticTr, alloc, *elasticCap
+	res, err := simulate(cfg, jobsTr)
 	if err != nil {
 		return err
 	}
@@ -260,70 +244,38 @@ func runPrototype(cfg batch.Config, jobs *workload.Trace) error {
 	return nil
 }
 
-// policyByName delegates to the shared tag registry in internal/policy,
-// so the CLI and the serving API accept exactly the same names.
-func policyByName(name string) (policy.Policy, error) {
-	return policy.ByName(name)
-}
-
-// parseWaits reads SHORTxLONG waiting hours into the paper's two queues.
-func parseWaits(s string) (workload.QueueLadder, error) {
-	parts := strings.SplitN(strings.ToLower(s), "x", 2)
-	if len(parts) != 2 {
-		return nil, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
+// loadCarbon reads the carbon trace file, or generates the cell's trace.
+func loadCarbon(file, format string, spec cell.Spec) (*carbon.Trace, error) {
+	if file == "" {
+		return spec.Carbon(), nil
 	}
-	sh, err1 := strconv.ParseFloat(parts[0], 64)
-	lo, err2 := strconv.ParseFloat(parts[1], 64)
-	if err1 != nil || err2 != nil || sh < 0 || lo < 0 {
-		return nil, fmt.Errorf("bad -w %q (want SHORTxLONG, e.g. 6x24)", s)
-	}
-	return workload.PaperQueues(simtime.HoursDur(sh), simtime.HoursDur(lo)), nil
-}
-
-func loadCarbon(file, format, region string, days int) (*carbon.Trace, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		switch format {
-		case "gaia":
-			return carbon.ReadCSV(file, f)
-		case "emaps":
-			// ElectricityMaps exports: datetime first, intensity last.
-			return carbon.ReadElectricityMapsCSV(file, f, 0, 1)
-		default:
-			return nil, fmt.Errorf("unknown -carbon-format %q", format)
-		}
-	}
-	spec, err := carbon.RegionByCode(region)
+	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
-	return spec.Generate((days+3)*24, 2022), nil
+	defer f.Close()
+	switch format {
+	case "gaia":
+		return carbon.ReadCSV(file, f)
+	case "emaps":
+		// ElectricityMaps exports: datetime first, intensity last.
+		return carbon.ReadElectricityMapsCSV(file, f, 0, 1)
+	default:
+		return nil, fmt.Errorf("unknown -carbon-format %q", format)
+	}
 }
 
-func loadWorkload(file, family string, jobs, days int, seed int64) (*workload.Trace, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return workload.ReadCSV(file, f)
+// loadJobs reads the workload trace file, or generates the cell's workload.
+func loadJobs(file string, spec cell.Spec) (*workload.Trace, error) {
+	if file == "" {
+		return spec.Workload(), nil
 	}
-	span := simtime.Duration(days) * simtime.Day
-	rng := rand.New(rand.NewSource(seed))
-	name := strings.ToLower(family)
-	if name == "poisson" {
-		return workload.SectionThreeWorkload().Generate(rng, span), nil
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, err
 	}
-	fam, ok := workload.FamilyByName(name)
-	if !ok {
-		return nil, fmt.Errorf("unknown workload family %q", family)
-	}
-	return fam.GenerateByCount(rng, jobs, span), nil
+	defer f.Close()
+	return workload.ReadCSV(file, f)
 }
 
 // loadElastic reads a malleable workload CSV plus an optional precedence

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/metrics"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -100,21 +102,39 @@ func TestRunElectricityMapsFormat(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := []struct {
 		args []string
-		want string // a fragment the error must contain; "" checks only that it fails
+		want string // a fragment the error must contain
 	}{
-		{[]string{"-policy", "bogus"}, ""},
-		{[]string{"-w", "abc"}, ""},
-		{[]string{"-region", "XX"}, ""},
-		{[]string{"-family", "bogus"}, ""},
-		{[]string{"-carbon", "/nonexistent/ci.csv"}, ""},
-		{[]string{"-workload", "/nonexistent/wl.csv"}, ""},
-		{[]string{"-eviction", "1.5", "-spot-max", "1"}, ""},
+		{[]string{"-policy", "bogus"}, "-policy"},
+		{[]string{"-w", "abc"}, "-w"},
+		{[]string{"-region", "XX"}, "-region"},
+		{[]string{"-family", "bogus"}, "-family"},
+		{[]string{"-carbon", "/nonexistent/ci.csv"}, "/nonexistent/ci.csv"},
+		{[]string{"-workload", "/nonexistent/wl.csv"}, "/nonexistent/wl.csv"},
+		{[]string{"-eviction", "1.5", "-spot-max", "1"}, "-eviction"},
 		// An empty workload is an error naming the flag, never an empty run.
 		{[]string{"-jobs", "-5"}, "-jobs"},
 		{[]string{"-jobs", "0"}, "-jobs"},
 		{[]string{"-days", "0"}, "-days"},
 		{[]string{"-days", "-1"}, "-days"},
 		{[]string{"-runtime", "prototype", "-jobs", "0"}, "-jobs"},
+		// A poisson workload's count follows -days, so -jobs beside it is
+		// an error, whatever its value.
+		{[]string{"-family", "poisson", "-jobs", "5", "-days", "2"}, "-jobs"},
+		{[]string{"-family", "poisson", "-jobs", "1000", "-days", "2"}, "-jobs"},
+		// NaN fails every comparison, so every check must be written to fail it.
+		{[]string{"-spot-max", "2", "-eviction", "nan", "-jobs", "200", "-days", "2"}, "-eviction"},
+		// Hours lie within the run's horizon, (days + 3) × 24: no table sized
+		// by a wait, no overflowed duration.
+		{[]string{"-w", "6x1e15"}, "-w"},
+		{[]string{"-w", "infx24"}, "-w"},
+		{[]string{"-w", "6x1e300"}, "-w"},
+		{[]string{"-w", "-1x24"}, "-w"},
+		{[]string{"-w", "6x241", "-days", "7"}, "-w"},
+		{[]string{"-spot-max", "nan"}, "-spot-max"},
+		{[]string{"-spot-max", "1e7"}, "-spot-max"},
+		{[]string{"-spot-max", "2", "-checkpoint", "inf"}, "-checkpoint"},
+		// Suspend-resume plans cannot be work-conserving.
+		{[]string{"-policy", "wait-awhile", "-work-conserving"}, "-work-conserving"},
 	}
 	for i, c := range cases {
 		err := run(c.args)
@@ -124,18 +144,47 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// ranCell is one run gaia-sim simulated.
+type ranCell struct {
+	cfg  core.Config
+	jobs *workload.Trace
+}
+
+// runCells runs gaia-sim with args and returns every run it simulated.
+func runCells(t *testing.T, args ...string) []ranCell {
+	t.Helper()
+	var cells []ranCell
+	defer func(orig func(core.Config, *workload.Trace) (*metrics.Result, error)) { simulate = orig }(simulate)
+	simulate = func(cfg core.Config, jobs *workload.Trace) (*metrics.Result, error) {
+		cells = append(cells, ranCell{cfg, jobs})
+		return core.Run(cfg, jobs)
+	}
+	if err := run(args); err != nil {
+		t.Fatalf("gaia-sim %v: %v", args, err)
+	}
+	return cells
+}
+
+// TestParseWaits: -w reads SHORTxLONG hours into the paper's two queues,
+// and 0 is no waiting, not the default.
 func TestParseWaits(t *testing.T) {
-	q, err := parseWaits("6x24")
-	if err != nil || !slices.Equal(q, workload.PaperQueues(6*simtime.Hour, 24*simtime.Hour)) {
-		t.Errorf("parseWaits = %v, %v", q, err)
+	for _, c := range []struct {
+		w    string
+		want workload.QueueLadder
+	}{
+		{"6x24", workload.PaperQueues(6*simtime.Hour, 24*simtime.Hour)},
+		{"0x12", workload.PaperQueues(0, 12*simtime.Hour)},
+		{"1.5X0", workload.PaperQueues(90*simtime.Minute, 0)},
+	} {
+		cells := runCells(t, "-w", c.w, "-jobs", "20", "-days", "1")
+		if got := cells[0].cfg.Queues; !slices.Equal(got, c.want) {
+			t.Errorf("-w %s: queues %v, want %v", c.w, got, c.want)
+		}
 	}
-	// 0 is no waiting, not the default.
-	q, err = parseWaits("0x12")
-	if err != nil || !slices.Equal(q, workload.PaperQueues(0, 12*simtime.Hour)) {
-		t.Errorf("zero wait = %v, %v", q, err)
-	}
-	if _, err := parseWaits("xx"); err == nil {
-		t.Error("malformed waits should error")
+	for _, w := range []string{"xx", "6", "6x", "x24", "6x24x1"} {
+		if err := run([]string{"-w", w}); err == nil || !strings.Contains(err.Error(), "-w") {
+			t.Errorf("-w %s: err = %v, want an error naming -w", w, err)
+		}
 	}
 }
 

@@ -1,26 +1,23 @@
 package main
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"github.com/carbonsched/gaia/internal/accountdb"
-	"github.com/carbonsched/gaia/internal/core"
+	"github.com/carbonsched/gaia/internal/cell"
 	"github.com/carbonsched/gaia/internal/metrics"
-	"github.com/carbonsched/gaia/internal/simtime"
 )
 
 // Scenario is a JSON-described batch of simulator runs over one shared
 // workload and carbon trace — the artifact-appendix style "experiment
-// customization" file. All runs are compared against the first. A field
-// left out or set to 0 takes its default: region CA-US, family alibaba,
-// 1000 jobs, 7 days, seed 1 and waits 6x24. A negative jobs or days is an
-// error.
+// customization" file. All runs are compared against the first. The top
+// level is a cell.Spec: the recipe every run shares, and the knobs every
+// run starts from; each run names the knobs it changes. A field left out
+// takes cell.Default's value, and a field that is given means what it says.
 //
 //	{
 //	  "region": "SA-AU",
@@ -37,27 +34,18 @@ import (
 //	  ]
 //	}
 type Scenario struct {
-	Region     string        `json:"region"`
-	CarbonFile string        `json:"carbon_file"`
-	Family     string        `json:"family"`
-	Workload   string        `json:"workload_file"`
-	Jobs       int           `json:"jobs"`
-	Days       int           `json:"days"`
-	Seed       int64         `json:"seed"`
-	Waits      string        `json:"waits"` // "6x24"
-	DB         string        `json:"db"`    // optional accounting CSV to append to
-	Runs       []ScenarioRun `json:"runs"`
+	cell.Spec
+	CarbonFile string            `json:"carbon_file"`
+	Workload   string            `json:"workload_file"`
+	DB         string            `json:"db"` // optional accounting CSV to append to
+	Runs       []json.RawMessage `json:"runs"`
 }
 
-// ScenarioRun is one configuration inside a scenario.
+// ScenarioRun is one configuration inside a scenario, decoded over the
+// scenario's spec: it may change knobs, not the shared recipe.
 type ScenarioRun struct {
-	Name           string  `json:"name"`
-	Policy         string  `json:"policy"`
-	Reserved       int     `json:"reserved"`
-	WorkConserving bool    `json:"work_conserving"`
-	SpotMaxHours   float64 `json:"spot_max_hours"`
-	Eviction       float64 `json:"eviction"`
-	CheckpointH    float64 `json:"checkpoint_hours"`
+	Name string `json:"name"`
+	*cell.Spec
 }
 
 // runScenario executes every run and prints a comparison table.
@@ -66,53 +54,24 @@ func runScenario(path string) error {
 	if err != nil {
 		return err
 	}
-	// A misspelled field is an error naming it, not a silent default.
-	var sc Scenario
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	sc := Scenario{Spec: cell.Default()}
+	if err := cell.Decode(raw, &sc); err != nil {
 		return fmt.Errorf("scenario %s: %w", path, err)
 	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("scenario %s: trailing data after the scenario object", path)
-	}
 	if len(sc.Runs) == 0 {
-		return fmt.Errorf("scenario %s: no runs", path)
+		return fmt.Errorf("scenario %s: %w", path, &cell.FieldError{Field: "runs", Msg: "is empty"})
 	}
-	if sc.Jobs < 0 {
-		return fmt.Errorf("scenario %s: \"jobs\" %d must be positive (0 means the default, 1000)", path, sc.Jobs)
+	if sc.Workload != "" {
+		sc.Jobs = cell.Default().Jobs // jobs sizes only a generated workload
 	}
-	if sc.Days < 0 {
-		return fmt.Errorf("scenario %s: \"days\" %d must be positive (0 means the default, 7)", path, sc.Days)
+	if err := sc.Normalize(); err != nil {
+		return fmt.Errorf("scenario %s: %w", path, err)
 	}
-	// Defaults.
-	if sc.Region == "" {
-		sc.Region = "CA-US"
-	}
-	if sc.Family == "" {
-		sc.Family = "alibaba"
-	}
-	if sc.Jobs == 0 {
-		sc.Jobs = 1000
-	}
-	if sc.Days == 0 {
-		sc.Days = 7
-	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if sc.Waits == "" {
-		sc.Waits = "6x24"
-	}
-	queues, err := parseWaits(sc.Waits)
+	carbonTr, err := loadCarbon(sc.CarbonFile, "gaia", sc.Spec)
 	if err != nil {
 		return err
 	}
-	carbonTr, err := loadCarbon(sc.CarbonFile, "gaia", sc.Region, sc.Days)
-	if err != nil {
-		return err
-	}
-	jobsTr, err := loadWorkload(sc.Workload, sc.Family, sc.Jobs, sc.Days, sc.Seed)
+	jobsTr, err := loadJobs(sc.Workload, sc.Spec)
 	if err != nil {
 		return err
 	}
@@ -120,27 +79,24 @@ func runScenario(path string) error {
 	db := &accountdb.DB{}
 	var base *metrics.Result
 	fmt.Printf("%-28s %10s %9s %10s %9s\n", "run", "carbon_kg", "vs_base", "cost$", "wait")
-	for i, r := range sc.Runs {
-		pol, err := policyByName(r.Policy)
-		if err != nil {
-			return fmt.Errorf("run %d: %w", i, err)
+	for i, raw := range sc.Runs {
+		spec := sc.Spec
+		r := ScenarioRun{Spec: &spec}
+		err := cell.Decode(raw, &r)
+		if err == nil && (spec.Region != sc.Region || spec.Family != sc.Family || spec.Jobs != sc.Jobs || spec.Days != sc.Days || spec.Seed != sc.Seed) {
+			err = errors.New("region, family, jobs, days and seed are shared by every run; set them at the top level")
 		}
-		cfg := core.Config{
-			Label:              r.Name,
-			Policy:             pol,
-			Carbon:             carbonTr,
-			Reserved:           r.Reserved,
-			WorkConserving:     r.WorkConserving,
-			SpotMaxLen:         simtime.HoursDur(r.SpotMaxHours),
-			EvictionRate:       r.Eviction,
-			CheckpointInterval: simtime.HoursDur(r.CheckpointH),
-			Queues:             queues,
-			Horizon:            simtime.Duration(sc.Days+3) * simtime.Day,
-			Seed:               sc.Seed,
+		if err == nil {
+			err = spec.Normalize()
 		}
-		res, err := core.Run(cfg, jobsTr)
+		var res *metrics.Result
+		if err == nil {
+			cfg := spec.Config(carbonTr)
+			cfg.Label = r.Name
+			res, err = simulate(cfg, jobsTr)
+		}
 		if err != nil {
-			return fmt.Errorf("run %d (%s): %w", i, cmp.Or(r.Name, r.Policy), err)
+			return fmt.Errorf("scenario %s: run %d (%s): %w", path, i, cmp.Or(r.Name, r.Policy), err)
 		}
 		if i == 0 {
 			base = res

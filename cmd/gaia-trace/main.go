@@ -19,11 +19,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"strings"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cell"
 	"github.com/carbonsched/gaia/internal/simtime"
 	"github.com/carbonsched/gaia/internal/workload"
 )
@@ -37,14 +38,16 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("gaia-trace", flag.ContinueOnError)
+	// A workload is a cell's, from the same recipe flags as gaia-sim's.
+	spec := cell.Default()
+	fs.StringVar(&spec.Family, "family", spec.Family, "workload family: alibaba|azure|mustang|poisson")
+	fs.IntVar(&spec.Jobs.N, "jobs", spec.Jobs.N, "workload job count (not with -family poisson, whose count follows -days)")
+	fs.IntVar(&spec.Days, "days", spec.Days, "workload span in days")
+	fs.Int64Var(&spec.Seed, "seed", spec.Seed, "random seed")
 	var (
 		kind     = fs.String("kind", "carbon", "what to generate: carbon|workload")
 		region   = fs.String("region", "CA-US", "carbon region (SE|ON-CA|SA-AU|CA-US|NL|KY-US)")
 		hours    = fs.Int("hours", 24*365, "carbon trace length in hours")
-		family   = fs.String("family", "alibaba", "workload family: alibaba|azure|mustang|poisson")
-		jobs     = fs.Int("jobs", 1000, "workload job count")
-		days     = fs.Int("days", 7, "workload span in days")
-		seed     = fs.Int64("seed", 1, "random seed")
 		out      = fs.String("o", "", "output CSV path (default stdout)")
 		statsCar = fs.String("stats-carbon", "", "print statistics of a carbon CSV instead of generating")
 		statsWl  = fs.String("stats-workload", "", "print statistics of a workload CSV instead of generating")
@@ -52,6 +55,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) { spec.Jobs.Given = spec.Jobs.Given || f.Name == "jobs" })
 
 	switch {
 	case *statsCar != "":
@@ -60,39 +64,37 @@ func run(args []string) error {
 		return printWorkloadStats(*statsWl)
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-
+	// Generate before creating the output, so a rejected run writes nothing.
+	var tr interface{ WriteCSV(io.Writer) error }
 	switch strings.ToLower(*kind) {
 	case "carbon":
-		spec, err := carbon.RegionByCode(*region)
+		rs, err := carbon.RegionByCode(*region)
 		if err != nil {
 			return err
 		}
-		return spec.Generate(*hours, *seed).WriteCSV(w)
+		tr = rs.Generate(*hours, spec.Seed)
 	case "workload":
-		span := simtime.Duration(*days) * simtime.Day
-		rng := rand.New(rand.NewSource(*seed))
-		var tr *workload.Trace
-		if name := strings.ToLower(*family); name == "poisson" {
-			tr = workload.SectionThreeWorkload().Generate(rng, span)
-		} else if fam, ok := workload.FamilyByName(name); ok {
-			tr = fam.GenerateByCount(rng, *jobs, span)
-		} else {
-			return fmt.Errorf("unknown family %q", *family)
+		if err := spec.Normalize(); err != nil {
+			return cell.FlagError(err, nil)
 		}
-		tr.AssignQueues(workload.DefaultShortMax)
-		return tr.WriteCSV(w)
+		jobs := spec.Workload()
+		jobs.AssignQueues(workload.DefaultShortMax)
+		tr = jobs
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)
 	}
+	if *out == "" {
+		return tr.WriteCSV(os.Stdout)
+	}
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := tr.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printCarbonStats(path string) error {

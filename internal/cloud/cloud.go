@@ -60,13 +60,13 @@ func DefaultPricing() Pricing {
 
 // Validate reports whether the price book is sane.
 func (p Pricing) Validate() error {
-	if p.OnDemandHourly <= 0 {
+	if !(p.OnDemandHourly > 0) {
 		return fmt.Errorf("cloud: on-demand rate %v must be positive", p.OnDemandHourly)
 	}
-	if p.ReservedFraction <= 0 || p.ReservedFraction > 1 {
+	if !(p.ReservedFraction > 0 && p.ReservedFraction <= 1) {
 		return fmt.Errorf("cloud: reserved fraction %v must be in (0, 1]", p.ReservedFraction)
 	}
-	if p.SpotFraction <= 0 || p.SpotFraction > 1 {
+	if !(p.SpotFraction > 0 && p.SpotFraction <= 1) {
 		return fmt.Errorf("cloud: spot fraction %v must be in (0, 1]", p.SpotFraction)
 	}
 	return nil
@@ -110,7 +110,7 @@ func DefaultPower() Power { return Power{KWPerCPU: 0.010} }
 
 // Validate reports whether the power model is sane.
 func (pw Power) Validate() error {
-	if pw.KWPerCPU <= 0 {
+	if !(pw.KWPerCPU > 0) {
 		return fmt.Errorf("cloud: power draw %v must be positive", pw.KWPerCPU)
 	}
 	return nil

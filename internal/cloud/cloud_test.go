@@ -37,6 +37,10 @@ func TestPricingValidate(t *testing.T) {
 		{OnDemandHourly: 1, ReservedFraction: 1.5, SpotFraction: 0.2},
 		{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: 0},
 		{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: 2},
+		// NaN fails every comparison, so it must fail each check too.
+		{OnDemandHourly: math.NaN(), ReservedFraction: 0.4, SpotFraction: 0.2},
+		{OnDemandHourly: 1, ReservedFraction: math.NaN(), SpotFraction: 0.2},
+		{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: math.NaN()},
 	}
 	for i, p := range bad {
 		if p.Validate() == nil {
@@ -63,6 +67,9 @@ func TestPower(t *testing.T) {
 	}
 	if (Power{}).Validate() == nil {
 		t.Error("zero power should fail validation")
+	}
+	if (Power{KWPerCPU: math.NaN()}).Validate() == nil {
+		t.Error("NaN power should fail validation")
 	}
 	// 100 (g/kWh)·h integral × 0.01 kW × 2 CPUs = 2 g.
 	if got := pw.Carbon(100, 2); math.Abs(got-2) > 1e-12 {

@@ -273,7 +273,7 @@ func (c Config) validate() error {
 	if err := c.Power.Validate(); err != nil {
 		return err
 	}
-	if c.EvictionRate < 0 || c.EvictionRate >= 1 {
+	if !(c.EvictionRate >= 0 && c.EvictionRate < 1) {
 		return fmt.Errorf("core: eviction rate %v must be in [0, 1)", c.EvictionRate)
 	}
 	if c.SpotMaxLen < 0 {
@@ -307,8 +307,7 @@ func (c Config) validate() error {
 		if c.SpotMaxLen > 0 {
 			return errors.New("core: elastic managed jobs cannot route to spot capacity")
 		}
-		switch c.Policy.(type) {
-		case policy.WaitAwhile, policy.WaitAwhileEst, policy.Ecovisor:
+		if policy.PlansSuspendResume(c.Policy) {
 			return fmt.Errorf("core: plan-capable policy %s cannot drive elastic managed jobs", c.Policy.Name())
 		}
 	}

@@ -467,6 +467,12 @@ func TestConfigValidation(t *testing.T) {
 		{Policy: policy.NoWait{}, Carbon: tr, SpotMaxLen: -1},
 		{Policy: policy.NoWait{}, Carbon: tr, Pricing: cloud.Pricing{OnDemandHourly: -1, ReservedFraction: 0.4, SpotFraction: 0.2}},
 		{Policy: policy.NoWait{}, Carbon: tr, Mechanism: 3},
+		// NaN fails every comparison, so each check must be written to fail it.
+		{Policy: policy.NoWait{}, Carbon: tr, EvictionRate: math.NaN(), SpotMaxLen: simtime.Hour},
+		{Policy: policy.NoWait{}, Carbon: tr, Pricing: cloud.Pricing{OnDemandHourly: math.NaN(), ReservedFraction: 0.4, SpotFraction: 0.2}},
+		{Policy: policy.NoWait{}, Carbon: tr, Pricing: cloud.Pricing{OnDemandHourly: 1, ReservedFraction: math.NaN(), SpotFraction: 0.2}},
+		{Policy: policy.NoWait{}, Carbon: tr, Pricing: cloud.Pricing{OnDemandHourly: 1, ReservedFraction: 0.4, SpotFraction: math.NaN()}},
+		{Policy: policy.NoWait{}, Carbon: tr, Power: cloud.Power{KWPerCPU: math.NaN()}},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg, jobs); err == nil {

@@ -31,6 +31,16 @@ func ByName(name string) (Policy, error) {
 	return nil, fmt.Errorf("policy: unknown policy %q (have %v)", name, Names())
 }
 
+// PlansSuspendResume reports whether p may decide suspend-resume plans,
+// which neither work conservation nor elastic managed jobs can run.
+func PlansSuspendResume(p Policy) bool {
+	switch p.(type) {
+	case WaitAwhile, WaitAwhileEst, Ecovisor:
+		return true
+	}
+	return false
+}
+
 // Names returns every accepted policy tag, sorted.
 func Names() []string {
 	out := make([]string, 0, len(byTag))

@@ -30,10 +30,10 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/carbonsched/gaia/internal/carbon"
+	"github.com/carbonsched/gaia/internal/cell"
 	"github.com/carbonsched/gaia/internal/experiments"
 	"github.com/carbonsched/gaia/internal/fleet"
 	"github.com/carbonsched/gaia/internal/par"
@@ -48,7 +48,7 @@ type Config struct {
 	// Addr is the listen address for ListenAndServe; default ":8404".
 	Addr string
 	// TraceDays is the advisory horizon: each region's carbon trace
-	// covers TraceDays (+3 days of slack) from minute 0. Default 14.
+	// covers TraceDays plus cell.SlackDays from minute 0. Default 14.
 	TraceDays int
 	// MaxConcurrent bounds requests doing work at once; default 4.
 	MaxConcurrent int
@@ -122,9 +122,7 @@ type Server struct {
 	// run.
 	cache *runcache.Cache
 
-	traceMu      sync.Mutex
-	carbonMemo   map[carbonKey]*carbon.Trace
-	workloadMemo map[workloadKey]*workload.Trace
+	traces cell.Memo // /v1/simulate's traces, shared by recipe
 
 	mux     *http.ServeMux
 	httpSrv *http.Server
@@ -152,14 +150,12 @@ type TraceInfo struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:          cfg,
-		regions:      make(map[string]*carbon.Trace),
-		adm:          newAdmission(cfg.QueueDepth, cfg.MaxConcurrent),
-		obs:          newObserver(),
-		cache:        runcache.New(),
-		carbonMemo:   make(map[carbonKey]*carbon.Trace),
-		workloadMemo: make(map[workloadKey]*workload.Trace),
-		mux:          http.NewServeMux(),
+		cfg:     cfg,
+		regions: make(map[string]*carbon.Trace),
+		adm:     newAdmission(cfg.QueueDepth, cfg.MaxConcurrent),
+		obs:     newObserver(),
+		cache:   runcache.New(),
+		mux:     http.NewServeMux(),
 	}
 	s.cache.Logf = cfg.Logf
 	if cfg.CacheDir != "" {
@@ -168,10 +164,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	specs := carbon.Regions()
-	hours := (cfg.TraceDays + simulateSlackDays) * 24
-	for _, spec := range specs {
-		tr := spec.Generate(hours, carbonTraceSeed)
+	// Advice reads the carbon traces of cells over TraceDays, as gaia-sim runs them.
+	for _, spec := range carbon.Regions() {
+		tr := cell.Spec{Region: spec.Code, Days: cfg.TraceDays}.Carbon()
 		s.regions[spec.Code] = tr
 		sum := tr.Summary()
 		s.regionList = append(s.regionList, TraceInfo{
@@ -374,20 +369,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	buf := simulateBodies.Get().(*[]byte)
 	defer simulateBodies.Put(buf)
-	var req SimulateRequest
+	var spec cell.Spec
 	body, err := readBody(buf, r.Body, maxAdviseBodyLen)
 	if err == nil {
-		req, err = decodeSimulate(body)
-	}
-	if err == nil {
-		err = s.normalizeSimulate(&req)
+		spec, err = simulateCell(body)
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
-	resp, err := s.simulate(ctx, req)
+	resp, err := s.simulate(ctx, spec)
 	if err != nil {
 		code := http.StatusInternalServerError
 		msg := err.Error()

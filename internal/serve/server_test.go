@@ -7,10 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/carbonsched/gaia/internal/cell"
 )
 
 // newTestServer builds a small, fast server for handler tests.
@@ -93,8 +96,8 @@ func TestTracesEndpoint(t *testing.T) {
 		}
 	}
 	for _, tr := range out.Traces {
-		if tr.Hours != (2+simulateSlackDays)*24 {
-			t.Fatalf("region %s has %d hours, want %d", tr.Code, tr.Hours, (2+simulateSlackDays)*24)
+		if tr.Hours != (2+cell.SlackDays)*24 {
+			t.Fatalf("region %s has %d hours, want %d", tr.Code, tr.Hours, (2+cell.SlackDays)*24)
 		}
 		if tr.MeanCI <= 0 || tr.MinCI > tr.MeanCI || tr.MaxCI < tr.MeanCI {
 			t.Fatalf("region %s has implausible CI summary: %+v", tr.Code, tr)
@@ -299,15 +302,39 @@ func TestSimulateBadRequests(t *testing.T) {
 	// under a client still writing.
 	pad := strings.Repeat(" ", 2<<20)
 	cases := []struct {
-		body, wantErr string // wantErr "" = any error text
+		body, wantErr string // a fragment the error must contain
 	}{
-		{`{"policy":"nope","region":"SE"}`, ""},
-		{`{"policy":"nowait","region":"XX"}`, ""},
-		{`{"policy":"nowait","region":"SE","family":"netflix"}`, ""},
-		{`{"policy":"nowait","region":"SE","jobs":-1}`, ""},
-		{`{"policy":"nowait","region":"SE","days":9999}`, ""},
-		{`{"policy":"nowait","region":"SE","eviction_rate":1.5}`, ""},
-		{`{"policy":"nowait","region":"SE","reserved":-3}`, ""},
+		{`{"policy":"nope","region":"SE"}`, `"policy" "nope" is not a policy`},
+		{`{"policy":"nowait","region":"XX"}`, `"region" "XX"`},
+		{`{"policy":"nowait","region":"SE","family":"netflix"}`, `"family" "netflix"`},
+		{`{"policy":"nowait","region":"SE","jobs":-1}`, `"jobs" -1`},
+		{`{"policy":"nowait","region":"SE","jobs":"5"}`, `"jobs" "5" is not a whole number`},
+		{`{"policy":"nowait","region":"SE","days":"2"}`, `days`},
+		{`{"policy":"nowait","region":"SE","days":9999}`, `"days" 9999 exceeds`},
+		{`{"policy":"nowait","region":"SE","jobs":200001}`, `"jobs" 200001 exceeds`},
+		// A size that is given means what it says.
+		{`{"policy":"nowait","region":"SE","jobs":0}`, `"jobs" 0 must be at least 1`},
+		{`{"policy":"nowait","region":"SE","days":0}`, `"days" 0 must be at least 1`},
+		{`{"policy":"nowait","region":"SE","family":"poisson","jobs":100}`, `"jobs" 100 is given`},
+		{`{"policy":"nowait","region":"SE","eviction":1.5}`, `"eviction" 1.5`},
+		{`{"policy":"nowait","region":"SE","reserved":-3}`, `"reserved" -3`},
+		{`{"policy":"wait-awhile","region":"SE","work_conserving":true}`, `"work_conserving"`},
+		// The names this endpoint used to accept are unknown fields now.
+		{`{"policy":"nowait","region":"SE","eviction_rate":0.1}`, `unknown field "eviction_rate"`},
+		{`{"policy":"nowait","region":"SE","wait_short_hours":3}`, `unknown field "wait_short_hours"`},
+		{`{"policy":"nowait","region":"SE","wait_long_hours":1e6}`, `unknown field "wait_long_hours"`},
+		// Hours lie within the run's horizon, here (7 + 3) days: no oracle
+		// table sized by a wait, no panic, no overflowed duration.
+		{`{"policy":"nowait","region":"SE","waits":"6x1e6"}`, `"waits" 1e+06 h is outside [0, 240]`},
+		{`{"policy":"nowait","region":"SE","waits":"6x1e15"}`, `"waits" 1e+15 h`},
+		{`{"policy":"nowait","region":"SE","waits":"6x1e300"}`, `"waits" 1e+300 h`},
+		{`{"policy":"nowait","region":"SE","waits":"infx24"}`, `"waits" +Inf h`},
+		{`{"policy":"nowait","region":"SE","waits":"nanx24"}`, `"waits" NaN h`},
+		{`{"policy":"nowait","region":"SE","waits":"6"}`, `"waits" "6" is not SHORTxLONG`},
+		{`{"policy":"nowait","region":"SE","spot_max_hours":1e300}`, `"spot_max_hours" 1e+300 h`},
+		{`{"policy":"nowait","region":"SE","spot_max_hours":2,"checkpoint_hours":1e15}`, `"checkpoint_hours" 1e+15 h`},
+		{`{"policy":"nowait","region":"SE"} {}`, "trailing data"},
+		{`[]`, "want one object"},
 		// Simulate bodies share the advise endpoints' 1 MiB limit, wherever
 		// the excess sits.
 		{`{"policy":"nowait",` + pad + `"region":"SE"}`, "body exceeds 1048576 bytes"},
@@ -327,8 +354,35 @@ func TestSimulateBadRequests(t *testing.T) {
 		var out map[string]string
 		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out["error"] == "" {
 			t.Errorf("body %q: 400 body %s is not an error object", name, rec.Body)
-		} else if tc.wantErr != "" && out["error"] != tc.wantErr {
-			t.Errorf("body %q: error %q, want %q", name, out["error"], tc.wantErr)
+		} else if !strings.Contains(out["error"], tc.wantErr) {
+			t.Errorf("body %q: error %q, want it to contain %q", name, out["error"], tc.wantErr)
+		}
+	}
+}
+
+// TestSimulateDigestGolden pins the run-cache fingerprints of bodies whose
+// meaning has not changed since the /v1/simulate schema became cell.Spec:
+// the names of their entries in a -cache-dir, so a directory an older
+// gaia-serve wrote stays warm. gaia-sim's flags and a scenario build the
+// first cell too (cmd/gaia-sim TestOneCellThreeWays).
+func TestSimulateDigestGolden(t *testing.T) {
+	for _, c := range []struct{ body, digest string }{
+		{`{"policy":"carbon-time","region":"CA-US","jobs":300,"days":2,"seed":424242}`,
+			"f975d34f17d01dc0cb8284525700433a5def86b1248b4d6056f71fc879bda314"},
+		{`{"policy":"wait-awhile","region":"SA-AU","family":"azure","jobs":5000,"days":7,"seed":3}`,
+			"b67b049f873bd80958a312b3936d8c3b50266d9624984199054869495bbff041"},
+		{`{"policy":"carbon-time","region":"sa-au","jobs":200,"days":2,"seed":7,"reserved":10}`,
+			"2a5f49d955b381e77e2f6426808ef6653a5a38f4bacd3477fd6032a6a5ff6241"},
+	} {
+		dir := t.TempDir()
+		s := newTestServer(t, Config{CacheDir: dir})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(c.body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", c.body, rec.Code, rec.Body)
+		}
+		if got, _ := filepath.Glob(filepath.Join(dir, "*.c2.s1.gacc")); len(got) != 1 || filepath.Base(got[0]) != c.digest+".c2.s1.gacc" {
+			t.Errorf("%s: cache entries %v, want %s.c2.s1.gacc", c.body, got, c.digest)
 		}
 	}
 }
@@ -533,7 +587,7 @@ func TestAdviseTableMemoBounded(t *testing.T) {
 	growth := liveHeap() - before
 	// A table set is two float64 columns over the trace's hours, its
 	// slack days and a few padding slots.
-	perSet := int64(2 * 8 * ((traceDays+simulateSlackDays)*24 + 16))
+	perSet := int64(2 * 8 * ((traceDays+cell.SlackDays)*24 + 16))
 	if limit := 64*perSet + 1<<20; growth > limit {
 		t.Errorf("2000 distinct length estimates grew the post-GC heap by %d B, want at most %d (about %d B per table set)",
 			growth, limit, perSet)
