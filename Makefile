@@ -69,7 +69,10 @@ bench-check:
 # window, borrowed plans, allocs/job) under bench conditions
 # (and catch gross regressions or panics; PrototypeScale takes seconds
 # per op if node acquisition falls back to fleet scans), not to produce stable
-# numbers — those come from the committed BENCH_PR*.json snapshots. The
+# numbers — those come from the committed BENCH_PR*.json snapshots.
+# DirectRun runs at -cpu 1,2: one shard, whose replay computes the schedule
+# columns in its accounting pass, and two, whose columns run on the second
+# core beside the sort and sweep. The
 # -race pass replays the run-path differentials under
 # the race detector at a fixed parallelism, so every bench-quick run also
 # re-proves the direct path bit-identical to the engine and plan replays
@@ -79,7 +82,9 @@ bench-check:
 # elastic machinery), the resize/cancel-storm wheel-vs-heap fuzz seeds, the
 # shard-private usage-delta fill, the shard-boundary cases of the
 # replay's parallel validation scans, and concurrent replays of one plan
-# racing its memo's publication (shared schedule columns never written).
+# racing its memo's publication (shared schedule columns never written),
+# and a multi-shard direct run canceled at each of its probes, which must
+# join the column workers beside its sweep (TestCanceledDirectRunJoinsWorkers).
 # It also replays runcache's single flight, shared by the result and plan
 # tiers: one computation for concurrent callers, cancellation only when
 # the last waiter leaves, distinct keys independent, a retired flight
@@ -94,7 +99,7 @@ bench-check:
 # entry that matches no test without complaint, so bench-quick first
 # checks that every entry matches a test `go test -list` reports in the
 # listed packages, and fails naming any entry that does not.
-BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader|TestMemoryEvictionRaces|TestOracleMemoClearRaces
+BENCH_QUICK_RACE = TestFiguresIdenticalAcrossRunPaths|TestDirectMatchesEngine|TestShardedFillMatchesAddJob|TestShardedScan|TestReservedSweepSharesPlans|TestPlanReplayMatchesDirect|TestConcurrentPlanReplays|TestPlanTier|TestElasticDegenerateMatchesRigid|TestElasticStormWheelVsHeap|TestFiguresIdenticalElasticDegenerate|TestFlightSharesOneComputation|TestFlightCancelsWhenAllLeave|TestFlightDistinctKeysRunIndependently|TestFlightGenerationCheck|TestFlightPanicBecomesError|TestRunContextWaiterOutlivesCanceledLeader|TestMemoryEvictionRaces|TestOracleMemoClearRaces|TestCanceledDirectRunJoinsWorkers
 BENCH_QUICK_PKGS = ./internal/experiments ./internal/core ./internal/metrics ./internal/runcache ./internal/carbon
 bench-quick:
 	@listed=$$($(GO) test -list . $(BENCH_QUICK_PKGS)) || exit 1; \
@@ -102,7 +107,8 @@ bench-quick:
 		echo "$$listed" | grep -q -- "$$name" || { \
 			echo "bench-quick: -run entry $$name matches no test in $(BENCH_QUICK_PKGS)" >&2; exit 1; }; \
 	done
-	$(GO) test -run='^$$' -bench='EventCore|Chatty|DirectRun|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved|GenerateTrace|WaitAwhileYear' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='EventCore|Chatty|ReservedSweepPlanReuse|ElasticYear|DAGCriticalPath|X04Prototype|PrototypeScale|Fig08Policies|Fig12SpotReserved|GenerateTrace|WaitAwhileYear' -benchtime=0.1s -benchmem .
+	$(GO) test -run='^$$' -bench='DirectRun' -cpu 1,2 -benchtime=0.1s -benchmem .
 	$(GO) test -race -cpu 4 -run '$(BENCH_QUICK_RACE)' $(BENCH_QUICK_PKGS)
 
 # The benchmark (benchmark/) is a module of its own that imports this one

@@ -529,9 +529,14 @@ func BenchmarkWaitAwhileYear(b *testing.B) {
 // newBenchServer builds a small advisory service for the HTTP-layer
 // benchmarks and returns its base URL.
 func newBenchServer(b *testing.B) string {
+	return newBenchServerDays(b, 7)
+}
+
+// newBenchServerDays is newBenchServer over traceDays of advisory horizon.
+func newBenchServerDays(b *testing.B, traceDays int) string {
 	b.Helper()
 	srv, err := serve.New(serve.Config{
-		TraceDays:     7,
+		TraceDays:     traceDays,
 		MaxConcurrent: runtime.GOMAXPROCS(0),
 		QueueDepth:    1024,
 		Logf:          func(string, ...any) {},
@@ -584,6 +589,8 @@ func BenchmarkAdviseThroughput(b *testing.B) {
 // (few distinct shapes swept across arrival minutes), where the
 // intra-batch memo answers repeated queries from their first verdict.
 // "distinct" is the worst case: every job unique, every verdict computed.
+// "scattered" is the serving benchmark's shape: small batches of unique
+// jobs whose arrivals and queues jump back and forth in request order.
 func BenchmarkAdviseBatch(b *testing.B) {
 	base := newBenchServer(b)
 	url := base + "/v1/advise/batch"
@@ -618,6 +625,63 @@ func BenchmarkAdviseBatch(b *testing.B) {
 	run("distinct", 8192, batchBody(8192, func(i int) string {
 		return fmt.Sprintf(`{"length_minutes":%d,"arrival_minute":%d}`, 30+i%300, i)
 	}))
+
+	// scattered is the serve-mix benchmark's batch shape: 64 jobs of 15–615
+	// minutes, short and long interleaved, at arrivals uniform over 13 days,
+	// each batch in one of the six regions, on gaia-serve's default 14-day
+	// horizon.
+	const scatteredJobs = 64
+	scattered := newBenchServerDays(b, 14) + "/v1/advise/batch"
+	rng := rand.New(rand.NewSource(7))
+	regions := []string{"CA-US", "KY-US", "NL", "ON-CA", "SA-AU", "SE"}
+	for _, pol := range []string{"carbon-time", "wait-awhile"} {
+		bodies := make([]string, 16)
+		for k := range bodies {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, `{"policy":%q,"region":%q,"jobs":[`, pol, regions[rng.Intn(len(regions))])
+			for i := 0; i < scatteredJobs; i++ {
+				if i > 0 {
+					sb.WriteByte(',')
+				}
+				fmt.Fprintf(&sb, `{"length_minutes":%d,"arrival_minute":%d}`, 15+rng.Intn(600), rng.Intn(13*1440))
+			}
+			sb.WriteString(`]}`)
+			bodies[k] = sb.String()
+			benchPost(b, scattered, bodies[k], http.StatusOK) // warm the tables outside the timer
+		}
+		b.Run(fmt.Sprintf("scattered/%s/jobs=%d", pol, scatteredJobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += scatteredJobs {
+				benchPost(b, scattered, bodies[i/scatteredJobs%len(bodies)], http.StatusOK)
+			}
+		})
+	}
+}
+
+// BenchmarkSimulateHit measures one /v1/simulate cache hit in process,
+// without HTTP: decode, normalization, the trace memo, the run-cache
+// lookup and the response, the handler work a repeated what-if query
+// costs.
+func BenchmarkSimulateHit(b *testing.B) {
+	srv, err := serve.New(serve.Config{TraceDays: 7, Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	const body = `{"policy":"carbon-time","region":"SA-AU","jobs":200,"days":2,"seed":999,"waits":"6x24"}`
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	post() // compute the cell outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
 }
 
 // BenchmarkSimulateColdVsWarm measures one /v1/simulate cell against a

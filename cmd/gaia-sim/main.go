@@ -71,7 +71,7 @@ func run(args []string) error {
 	fs.BoolVar(&spec.WorkConserving, "work-conserving", def.WorkConserving, "enable RES-First work conservation")
 	fs.Float64Var(&spec.SpotMaxHours, "spot-max", def.SpotMaxHours, "max job hours routed to spot (0 = no spot)")
 	fs.Float64Var(&spec.Eviction, "eviction", def.Eviction, "hourly spot eviction probability")
-	fs.StringVar(&spec.Waits, "w", def.Waits, "max waiting hours of the short (jobs up to 2h) and long queues as SHORTxLONG, e.g. 6x24; 0 means no waiting, e.g. 0x24")
+	fs.Var(&spec.Waits, "w", "max waiting hours of the short (jobs up to 2h) and long queues as SHORTxLONG, e.g. 6x24; 0 means no waiting, e.g. 0x24")
 	fs.Int64Var(&spec.Seed, "seed", def.Seed, "random seed (workload generation and evictions)")
 	fs.Float64Var(&spec.CheckpointHours, "checkpoint", def.CheckpointHours, "spot checkpoint interval in hours (0 = progress lost on eviction)")
 	var (

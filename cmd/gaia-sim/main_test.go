@@ -116,6 +116,10 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-jobs", "0"}, "-jobs"},
 		{[]string{"-days", "0"}, "-days"},
 		{[]string{"-days", "-1"}, "-days"},
+		// A span past cell.MaxDays is an error naming the flag, never an
+		// overflowed horizon (a 0-job run) or a trace too long to allocate.
+		{[]string{"-days", "9223372036854775807"}, "-days"},
+		{[]string{"-days", "4000000000000000"}, "-days"},
 		{[]string{"-runtime", "prototype", "-jobs", "0"}, "-jobs"},
 		// A poisson workload's count follows -days, so -jobs beside it is
 		// an error, whatever its value.

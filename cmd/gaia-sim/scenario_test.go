@@ -92,6 +92,7 @@ func TestScenarioErrors(t *testing.T) {
 		{`{"jobs":30,"days":-2,"runs":[{"policy":"nowait"}]}`, `"days" -2`},
 		{`{"jobs": 0, "days": 2, "runs": [{"policy": "nowait"}]}`, `"jobs" 0`},
 		{`{"jobs": 30, "days": 0, "runs": [{"policy": "nowait"}]}`, `"days" 0`},
+		{`{"jobs": 30, "days": 3651, "runs": [{"policy": "nowait"}]}`, `"days" 3651 exceeds 3650`},
 		{`{"family":"poisson","jobs":30,"days":2,"runs":[{"policy":"nowait"}]}`, `"jobs" 30 is given`},
 		{`{"jobs":30,"days":2,"waits":"6x1e6","runs":[{"policy":"nowait"}]}`, `"waits"`},
 		{`{"jobs":30,"days":2,"runs":[{"policy":"nowait","spot_max_hours":1e300}]}`, `run 0 (nowait): "spot_max_hours"`},

@@ -48,6 +48,7 @@ func TestTraceErrors(t *testing.T) {
 		{[]string{"-kind", "workload", "-family", "bogus"}, "-family"},
 		{[]string{"-kind", "workload", "-jobs", "0"}, "-jobs"},
 		{[]string{"-kind", "workload", "-days", "0"}, "-days"},
+		{[]string{"-kind", "workload", "-days", "4000000000000000"}, "-days"},
 		{[]string{"-kind", "workload", "-family", "poisson", "-jobs", "50"}, "-jobs"},
 		{[]string{"-stats-carbon", "/nonexistent.csv"}, "/nonexistent.csv"},
 		{[]string{"-stats-workload", "/nonexistent.csv"}, "/nonexistent.csv"},

@@ -27,9 +27,12 @@ import (
 
 // SlackDays pads a cell's carbon trace and accounting horizon past its
 // workload span, so the last arrivals can still wait out their queues.
-// Every carbon trace a cell generates is drawn from carbonSeed.
+// MaxDays bounds the span: ten years, far past the paper's one-year
+// traces, and far below where (Days+SlackDays)*24 hours overflows. Every
+// carbon trace a cell generates is drawn from carbonSeed.
 const (
 	SlackDays  = 3
+	MaxDays    = 3650
 	carbonSeed = 2022
 	poisson    = "poisson"
 )
@@ -57,15 +60,49 @@ type Spec struct {
 	SpotMaxHours    float64 `json:"spot_max_hours"`
 	Eviction        float64 `json:"eviction"`
 	CheckpointHours float64 `json:"checkpoint_hours"`
-	// Waits holds the short and long queues' maximum waits in hours as
-	// SHORTxLONG, e.g. "6x24"; 0 means no waiting.
-	Waits string `json:"waits"`
+	Waits           Waits   `json:"waits"`
 }
 
 // Default returns the cell every surface starts from.
 func Default() Spec {
 	return Spec{Region: "CA-US", Family: "alibaba", Jobs: JobCount{N: 1000}, Days: 7, Seed: 1,
-		Policy: "carbon-time", Waits: "6x24"}
+		Policy: "carbon-time", Waits: Waits{Short: 6, Long: 24}}
+}
+
+// Waits holds the short and long queues' maximum waits in hours; 0 means
+// no waiting. It reads and writes itself as SHORTxLONG, e.g. "6x24": a
+// JSON string, and gaia-sim's -w flag (a flag.Value). So it is parsed once,
+// and only when given.
+type Waits struct{ Short, Long float64 }
+
+// String writes w as SHORTxLONG.
+func (w Waits) String() string {
+	return strconv.FormatFloat(w.Short, 'g', -1, 64) + "x" + strconv.FormatFloat(w.Long, 'g', -1, 64)
+}
+
+// Set reads w from SHORTxLONG, the x in either case. The hours are
+// range-checked by Normalize, against the cell's horizon.
+func (w *Waits) Set(s string) error {
+	short, long, ok := strings.Cut(strings.ToLower(s), "x")
+	sh, err1 := strconv.ParseFloat(short, 64)
+	lo, err2 := strconv.ParseFloat(long, 64)
+	if !ok || err1 != nil || err2 != nil {
+		return errors.New("is not SHORTxLONG hours, e.g. 6x24")
+	}
+	*w = Waits{Short: sh, Long: lo}
+	return nil
+}
+
+// MarshalText writes w as SHORTxLONG, a JSON string.
+func (w Waits) MarshalText() ([]byte, error) { return []byte(w.String()), nil }
+
+// UnmarshalText reads w from SHORTxLONG; a bad value is a FieldError
+// naming waits. JSON null leaves w unset, as it leaves every other field.
+func (w *Waits) UnmarshalText(b []byte) error {
+	if err := w.Set(string(b)); err != nil {
+		return &FieldError{"waits", strconv.Quote(string(b)) + " " + err.Error()}
+	}
+	return nil
 }
 
 // JobCount is a job count that knows whether it was given, so that one
@@ -109,7 +146,8 @@ func FlagError(err error, flags map[string]string) error {
 // Decode strictly decodes the JSON object data into v, which holds the
 // defaults (a Spec from Default, or a struct embedding one). A field left
 // out keeps its default; a body that is not one object, an unknown field
-// and trailing data are errors.
+// and trailing data are errors, and a value its field rejects (jobs,
+// waits) is that field's *FieldError.
 func Decode(data []byte, v any) error {
 	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) == 0 || rest[0] != '{' {
 		return errors.New("invalid JSON: want one object")
@@ -117,6 +155,10 @@ func Decode(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var fe *FieldError
+		if errors.As(err, &fe) {
+			return err // valid JSON, but a field's value is at fault
+		}
 		return fmt.Errorf("invalid JSON: %w", err)
 	}
 	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
@@ -142,7 +184,6 @@ func (s *Spec) Normalize() error {
 	if _, ok := workload.FamilyByName(s.Family); !ok && s.Family != poisson {
 		return &FieldError{"family", fmt.Sprintf("%q is not a workload family (have alibaba, azure, mustang, poisson)", s.Family)}
 	}
-	w, err := waitHours(s.Waits)
 	switch {
 	case s.Family == poisson && s.Jobs.Given:
 		return &FieldError{"jobs", fmt.Sprintf("%d is given, but a poisson workload's count follows days; leave jobs out", s.Jobs.N)}
@@ -150,36 +191,25 @@ func (s *Spec) Normalize() error {
 		return &FieldError{"jobs", fmt.Sprintf("%d must be at least 1", s.Jobs.N)}
 	case s.Days < 1:
 		return &FieldError{"days", fmt.Sprintf("%d must be at least 1", s.Days)}
+	case s.Days > MaxDays:
+		return &FieldError{"days", fmt.Sprintf("%d exceeds %d, ten years", s.Days, MaxDays)}
 	case s.Reserved < 0:
 		return &FieldError{"reserved", fmt.Sprintf("%d must be non-negative", s.Reserved)}
 	case s.WorkConserving && policy.PlansSuspendResume(pol):
 		return &FieldError{"work_conserving", fmt.Sprintf("is set, but policy %s plans suspend-resume, which cannot be work-conserving", s.Policy)}
 	case !(s.Eviction >= 0 && s.Eviction < 1):
 		return &FieldError{"eviction", fmt.Sprintf("%v must be in [0, 1)", s.Eviction)}
-	case err != nil:
-		return err
 	}
 	// Every hour field lies within the run's horizon: a wait or a spot bound
 	// past it changes nothing, and the oracle sizes its tables by the wait.
 	horizon := (float64(s.Days) + SlackDays) * 24
-	hours := [...]float64{s.SpotMaxHours, s.CheckpointHours, w[0], w[1]}
+	hours := [...]float64{s.SpotMaxHours, s.CheckpointHours, s.Waits.Short, s.Waits.Long}
 	for i, field := range [...]string{"spot_max_hours", "checkpoint_hours", "waits", "waits"} {
 		if h := hours[i]; !(h >= 0 && h <= horizon) {
 			return &FieldError{field, fmt.Sprintf("%v h is outside [0, %v], the run's horizon in hours (days + %d)", h, horizon, SlackDays)}
 		}
 	}
 	return nil
-}
-
-// waitHours reads the SHORTxLONG hours of a Waits.
-func waitHours(w string) ([2]float64, error) {
-	short, long, ok := strings.Cut(strings.ToLower(w), "x")
-	sh, err1 := strconv.ParseFloat(short, 64)
-	lo, err2 := strconv.ParseFloat(long, 64)
-	if !ok || err1 != nil || err2 != nil {
-		return [2]float64{}, &FieldError{"waits", fmt.Sprintf("%q is not SHORTxLONG hours, e.g. 6x24", w)}
-	}
-	return [2]float64{sh, lo}, nil
 }
 
 // must panics on a lookup that fails only for a spec Normalize rejects.
@@ -208,7 +238,6 @@ func (s Spec) Workload() *workload.Trace {
 
 // Config returns the cell's run configuration over carbon trace ci.
 func (s Spec) Config(ci *carbon.Trace) core.Config {
-	w := must(waitHours(s.Waits))
 	return core.Config{
 		Policy:             must(policy.ByName(s.Policy)),
 		Carbon:             ci,
@@ -217,7 +246,7 @@ func (s Spec) Config(ci *carbon.Trace) core.Config {
 		SpotMaxLen:         simtime.HoursDur(s.SpotMaxHours),
 		EvictionRate:       s.Eviction,
 		CheckpointInterval: simtime.HoursDur(s.CheckpointHours),
-		Queues:             workload.PaperQueues(simtime.HoursDur(w[0]), simtime.HoursDur(w[1])),
+		Queues:             workload.PaperQueues(simtime.HoursDur(s.Waits.Short), simtime.HoursDur(s.Waits.Long)),
 		Horizon:            simtime.Duration(s.Days+SlackDays) * simtime.Day,
 		Seed:               s.Seed,
 	}
@@ -231,31 +260,44 @@ func (s Spec) Build(m *Memo) (core.Config, *workload.Trace) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ci := memo(&m.carbon, Spec{Region: s.Region, Days: s.Days}, Spec.Carbon)
-	jobs := memo(&m.jobs, Spec{Family: s.Family, Jobs: JobCount{N: s.Jobs.N}, Days: s.Days, Seed: s.Seed}, Spec.Workload)
+	ci := memo(&m.carbon, carbonRecipe{s.Region, s.Days}, s.Carbon)
+	jobs := memo(&m.jobs, jobsRecipe{s.Family, s.Jobs.N, s.Days, s.Seed}, s.Workload)
 	return s.Config(ci), jobs
 }
 
-// Memo shares generated traces between cells, keyed by the part of the
-// recipe each trace reads. It saves only generation (fingerprints hash
-// trace contents), and each table is emptied at maxMemo traces, since
-// clients choose seeds. The zero Memo is ready to use.
+// Memo shares generated traces between cells, keyed by the recipe fields
+// each trace reads. It saves only generation (fingerprints hash trace
+// contents), and each table is emptied at maxMemo traces, since clients
+// choose seeds. The zero Memo is ready to use.
 type Memo struct {
 	mu     sync.Mutex
-	carbon map[Spec]*carbon.Trace
-	jobs   map[Spec]*workload.Trace
+	carbon map[carbonRecipe]*carbon.Trace
+	jobs   map[jobsRecipe]*workload.Trace
 }
+
+// carbonRecipe and jobsRecipe are what Spec.Carbon and Spec.Workload read.
+type (
+	carbonRecipe struct {
+		region string
+		days   int
+	}
+	jobsRecipe struct {
+		family     string
+		jobs, days int
+		seed       int64
+	}
+)
 
 const maxMemo = 256
 
-func memo[T any](table *map[Spec]T, key Spec, generate func(Spec) T) T {
+func memo[K comparable, T any](table *map[K]T, key K, generate func() T) T {
 	if v, ok := (*table)[key]; ok {
 		return v
 	}
 	if *table == nil || len(*table) >= maxMemo {
-		*table = make(map[Spec]T)
+		*table = make(map[K]T)
 	}
-	v := generate(key)
+	v := generate()
 	(*table)[key] = v
 	return v
 }

@@ -80,6 +80,7 @@ func TestErrorsNameTheField(t *testing.T) {
 		{`{"jobs":2.5}`, "jobs"},
 		{`{"family":"poisson","jobs":1000}`, "jobs"},
 		{`{"days":-3}`, "days"},
+		{`{"days":3651}`, "days"},
 		{`{"reserved":-1}`, "reserved"},
 		{`{"policy":"ecovisor","work_conserving":true}`, "work_conserving"},
 		{`{"eviction":1}`, "eviction"},

@@ -38,6 +38,8 @@ import (
 //	phase 3  fan the remaining order-free accounting (per-job columns,
 //	         shard-private usage deltas, cost column, retained records)
 //	         back across cores, then fold the deltas into the usage bins.
+//	         A run that fans out computes its per-job schedule columns
+//	         beside phase 2 instead, on the cores the sweep leaves idle.
 //
 // Phase 1 is the decide phase; phases 2-3 together are the replay
 // (replayDirect). The split is the seam the decision-plan cache rides
@@ -282,6 +284,69 @@ func (m *replayMemo) fill(cnt *[]int32, starts []simtime.Time) {
 	m.finOrd = simtime.OrderInto(m.finOrd, cnt, m.enR)
 }
 
+// scheduleCols writes a replay's schedule columns: each job's queue
+// class, waiting and both carbon integrals (PutJob). They read only the
+// start column, the trace and the carbon model, never the sweep, so they
+// may be computed beside it.
+type scheduleCols struct {
+	acc    *metrics.Accumulator
+	jobs   []workload.Job
+	starts []simtime.Time
+	bounds []simtime.Duration
+	carbon *carbon.Trace
+	power  cloud.Power
+}
+
+// put writes job i's schedule columns.
+func (c *scheduleCols) put(i int) {
+	job := &c.jobs[i]
+	iv := simtime.Interval{Start: c.starts[i], End: c.starts[i].Add(job.Length)}
+	q := workload.ClassifyLength(job.Length, c.bounds)
+	carbon := c.power.Carbon(c.carbon.Integral(iv), job.CPUs)
+	baseline := c.power.Carbon(c.carbon.Integral(simtime.Interval{Start: job.Arrival, End: job.Arrival.Add(job.Length)}), job.CPUs)
+	// Waiting is finish - arrival - length, which the integer time model
+	// reduces to start - arrival exactly.
+	c.acc.PutJob(i, iv.Start.Sub(job.Arrival), job.Length, carbon, baseline, q)
+}
+
+// columnWorkers computes a replay's schedule columns on other cores
+// while the calling goroutine sorts and sweeps.
+type columnWorkers struct {
+	wg  sync.WaitGroup
+	err error
+}
+
+// startColumns starts the schedule columns of every shard on
+// len(shards)-1 workers, leaving a core to the caller's sweep. It takes
+// cols by value so that only a run that overlaps moves it to the heap.
+func startColumns(ctx context.Context, cols scheduleCols, shards []par.Range) *columnWorkers {
+	w := new(columnWorkers)
+	done := ctx.Done()
+	w.wg.Add(1)
+	go func() {
+		defer w.wg.Done()
+		w.err = par.ForEach(len(shards)-1, shards, func(_ int, sh par.Range) error {
+			for i := sh.Lo; i < sh.Hi; i++ {
+				if done != nil && (i-sh.Lo)%interruptStride == 0 {
+					if err := ctx.Err(); err != nil {
+						return fmt.Errorf("core: run canceled: %w", err)
+					}
+				}
+				cols.put(i)
+			}
+			return nil
+		})
+	}()
+	return w
+}
+
+// join waits for the workers and returns their error; later calls return
+// at once.
+func (w *columnWorkers) join() error {
+	w.wg.Wait()
+	return w.err
+}
+
 // replayDirect is phases 2-3: given the decided start column (freshly
 // decided or replayed from a cached plan — the slice is treated as
 // immutable either way), sweep the endpoints sequentially and fan the
@@ -294,17 +359,8 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 	n := len(trace.Jobs)
 	bounds := cfg.Queues.Bounds()
 	key := columnsKey{carbon: cfg.Carbon, power: cfg.Power, bounds: bounds}
-	carbonOf := func(iv simtime.Interval, cpus int) float64 {
-		return cfg.Power.Carbon(cfg.Carbon.Integral(iv), cpus)
-	}
 	done := ctx.Done()
 
-	// Phase 2: sequential sweep. startOrd lists job IDs by (start, ID) —
-	// the engine's start fire order; finOrd lists start ranks by
-	// (finish, rank) — its finish fire order. The two-pointer merge below
-	// processes, at each instant, all finishes before any start, exactly
-	// as the engine's priority ordering does, replaying the reserved
-	// pool's acquire/release arithmetic and folding the CPU·hour totals.
 	sc := directScratchPool.Get().(*directScratch)
 	defer sc.release()
 	var memo *replayMemo
@@ -313,6 +369,37 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 			memo = m // warm sweep cell: skip both endpoint sorts
 		}
 	}
+	// shared: this cell's schedule columns are the memo's, so phase 3
+	// computes only costs, usage and records.
+	shared := memo != nil && memo.key.equal(key)
+	var acc *metrics.Accumulator
+	if shared {
+		acc = metrics.NewAccumulatorOver(memo.cols, cfg.Horizon)
+	} else {
+		acc = metrics.NewAccumulator(n, cfg.Horizon)
+	}
+	cols := scheduleCols{acc: acc, jobs: trace.Jobs, starts: starts, bounds: bounds, carbon: cfg.Carbon, power: cfg.Power}
+
+	// A run that fans out computes its own schedule columns on the other
+	// cores while this goroutine sorts and sweeps: they write only the
+	// ID-indexed schedule columns, which neither the sweep (CPU·hour
+	// totals, usage bins) nor the sort touches. A single-shard run keeps
+	// them in phase 3's one fused pass.
+	shards := par.Shards(directWorkers(n), n)
+	var workers *columnWorkers
+	if !shared && len(shards) >= 2 {
+		workers = startColumns(ctx, cols, shards)
+		// Every exit joins the workers — a canceled sweep and a panic
+		// alike — so none outlives the run.
+		defer workers.join()
+	}
+
+	// Phase 2: sequential sweep. startOrd lists job IDs by (start, ID) —
+	// the engine's start fire order; finOrd lists start ranks by
+	// (finish, rank) — its finish fire order. The two-pointer merge below
+	// processes, at each instant, all finishes before any start, exactly
+	// as the engine's priority ordering does, replaying the reserved
+	// pool's acquire/release arithmetic and folding the CPU·hour totals.
 	ord := memo
 	if ord == nil {
 		if plan != nil {
@@ -336,15 +423,6 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 		ord.fill(&sc.cnt, starts)
 	}
 	sc.growReserved(n)
-	// shared: this cell's schedule columns are the memo's, so phase 3
-	// computes only costs, usage and records.
-	shared := memo != nil && memo.key.equal(key)
-	var acc *metrics.Accumulator
-	if shared {
-		acc = metrics.NewAccumulatorOver(memo.cols, cfg.Horizon)
-	} else {
-		acc = metrics.NewAccumulator(n, cfg.Horizon)
-	}
 	startOrd, finOrd := ord.startOrd, ord.finOrd
 	stR, enR, cpuR := ord.stR, ord.enR, ord.cpuR
 	if n > 0 {
@@ -380,16 +458,23 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 		h[cloud.Spot] = float64(0) * hours
 		acc.AddCPUHours(h)
 	}
+	if workers != nil {
+		if err := workers.join(); err != nil {
+			return nil, err
+		}
+	}
 
-	// Phase 3: order-free accounting back in parallel — per-job columns,
-	// the cost column and retained records are ID-indexed, and each shard
-	// bins usage into its own difference-encoded delta (O(1) per job),
-	// folded into the pre-grown bins after the fan-out; integer addition
-	// commutes, so the fold order is free. The schedule columns (the
-	// carbon and baseline integrals among them) live here rather than in
-	// the decide phase because they read the realized carbon trace and
-	// power model, so a replayed cell computes them under its own knobs —
-	// unless the memo already holds them for exactly those knobs.
+	// Phase 3: order-free accounting back in parallel — the cost column
+	// and retained records are ID-indexed, and each shard bins usage into
+	// its own difference-encoded delta (O(1) per job), folded into the
+	// pre-grown bins after the fan-out; integer addition commutes, so the
+	// fold order is free. The schedule columns (the carbon and baseline
+	// integrals among them) live in the replay rather than in the decide
+	// phase because they read the realized carbon trace and power model,
+	// so a replayed cell computes them under its own knobs — unless the
+	// memo already holds them for exactly those knobs. A single-shard run
+	// computes them here, in the same pass.
+	fused := !shared && workers == nil
 	var results []metrics.JobResult
 	var segs []metrics.Segment
 	if cfg.RetainJobs {
@@ -401,26 +486,23 @@ func replayDirect(ctx context.Context, cfg Config, trace *workload.Trace, starts
 		segs = make([]metrics.Segment, n)
 	}
 	odRate, spotRate := cfg.Pricing.HourlyRate(cloud.OnDemand), cfg.Pricing.HourlyRate(cloud.Spot)
-	shards := par.Shards(directWorkers(n), n)
 	deltas := sc.usageDeltas(len(shards), acc)
 	account := func(k int, sh par.Range) error {
 		usage := &deltas[k]
+		// A copy: a closure that took cols' address would move it to the
+		// heap on every path.
+		cols := cols
 		for i := sh.Lo; i < sh.Hi; i++ {
 			if done != nil && (i-sh.Lo)%interruptStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return fmt.Errorf("core: run canceled: %w", err)
 				}
 			}
+			if fused {
+				cols.put(i)
+			}
 			job := &trace.Jobs[i]
 			iv := simtime.Interval{Start: starts[i], End: starts[i].Add(job.Length)}
-			if !shared {
-				q := workload.ClassifyLength(job.Length, bounds)
-				carbon := carbonOf(iv, job.CPUs)
-				baseline := carbonOf(simtime.Interval{Start: job.Arrival, End: job.Arrival.Add(job.Length)}, job.CPUs)
-				// Waiting is finish - arrival - length, which the integer
-				// time model reduces to start - arrival exactly.
-				acc.PutJob(i, iv.Start.Sub(job.Arrival), job.Length, carbon, baseline, q)
-			}
 			res := int(reservedBy[i])
 			od := job.CPUs - res
 			hours := iv.Len().Hours()

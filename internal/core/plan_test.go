@@ -439,14 +439,14 @@ func TestReplayAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// A pooled replay that hits the memo measures 13 allocs/run at any
-	// GOMAXPROCS. One that misses the memo's schedule columns measures 19
-	// (five columns and the republished memo); one without the pool 17
+	// A pooled replay that hits the memo measures 11 allocs/run at any
+	// GOMAXPROCS. One that misses the memo's schedule columns measures 17
+	// (five columns and the republished memo); one without the pool 15
 	// (the scratch, its allocation column, the usage deltas and their
-	// storage); one that loses the memoized endpoint orders 23
+	// storage); one that loses the memoized endpoint orders 21
 	// (two order and three rank columns besides the schedule columns).
 	// The ceiling sits between, so each regression fails.
-	const ceiling = 15
+	const ceiling = 13
 	if allocs > ceiling {
 		t.Errorf("replay allocates %.0f objects/run, want <= %d (scratch pooling or plan memo regressed?)", allocs, ceiling)
 	}

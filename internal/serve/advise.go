@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -202,10 +203,21 @@ type ctxKey struct {
 	avgLen  simtime.Duration
 }
 
+// adviseCtxMax bounds the policy contexts one scratch keeps, one per
+// distinct ctxKey: a batch's short and long queues under a few wait
+// bounds, so jobs that alternate between them reuse both contexts.
+const adviseCtxMax = 4
+
+// adviseCtx is a policy context and the key it was built for.
+type adviseCtx struct {
+	key  ctxKey
+	pctx *policy.Context
+}
+
 // adviseScratch is the reusable per-request state of the advise hot path.
 // handleAdvise pools these across requests and the batch endpoint carries
-// one per batch, so steady-state serving reuses the policy context (and
-// its oracle fast-path wiring), the response struct, the plan and window
+// one per batch, so steady-state serving reuses the policy contexts (and
+// their oracle fast-path wiring), the response struct, the plan and window
 // slices, and the output buffer instead of reallocating them per job.
 //
 // Reusing a policy.Context across sequential Decide calls is the
@@ -213,31 +225,58 @@ type ctxKey struct {
 // through one context); contexts are not concurrency-safe, which the
 // pool's one-owner discipline already guarantees.
 type adviseScratch struct {
-	key     ctxKey
-	pctx    *policy.Context
+	ctxs    []adviseCtx // at most adviseCtxMax, the latest built last
 	resp    AdviseResponse
 	buf     []byte
 	windows []simtime.Interval
 
 	// Request state: body buffer, decoder scratch, the decoded request
 	// (a batch of one on /v1/advise), and the batch endpoint's
-	// duplicate-query memo with its line arena. All reused via the pool.
-	body  []byte
-	dec   batchDecoder
-	batch AdviseBatchRequest
-	memo  map[memoKey]lineSpan
-	arena []byte
+	// duplicate-query memo with its line arena, its block's arrivals,
+	// their order (and sort buckets), the block's line spans and its
+	// lines the memo has no room for. All reused via the pool.
+	body     []byte
+	dec      batchDecoder
+	batch    AdviseBatchRequest
+	memo     map[memoKey]lineSpan
+	arena    []byte
+	arrivals []simtime.Time
+	ord, cnt []int32
+	spans    []lineSpan
+	lines    []byte
+}
+
+// context returns the scratch's policy context for key, building it when
+// the scratch has none; past adviseCtxMax the oldest is dropped.
+func (sc *adviseScratch) context(key ctxKey) *policy.Context {
+	for i := range sc.ctxs {
+		if sc.ctxs[i].key == key {
+			return sc.ctxs[i].pctx
+		}
+	}
+	pctx := &policy.Context{
+		CIS: carbon.NewPerfectService(key.tr),
+		Queues: map[workload.Queue]policy.QueueInfo{
+			key.queue: {MaxWait: key.maxWait, AvgLength: key.avgLen},
+		},
+	}
+	pctx.EnableFastPaths()
+	if len(sc.ctxs) == adviseCtxMax {
+		sc.ctxs = slices.Delete(sc.ctxs, 0, 1)
+	}
+	sc.ctxs = append(sc.ctxs, adviseCtx{key: key, pctx: pctx})
+	return pctx
 }
 
 var adviseScratchPool = sync.Pool{New: func() any { return new(adviseScratch) }}
 
 // adviseInto answers one normalized job for t. It follows the offline
-// scheduler's decision path exactly: a policy.Context (rebuilt only when
-// the region or the job's queue parameters change) layered over the region
-// trace's shared, immutable oracle tables, then the same Policy.Decide
-// call core.Run makes — so the advisory start times are byte-identical to
-// what a simulation of that moment would choose. The returned response
-// aliases sc.resp and is valid until sc is reused or released.
+// scheduler's decision path exactly: a policy.Context (one per region and
+// queue parameters, kept in sc) layered over the region trace's shared,
+// immutable oracle tables, then the same Policy.Decide call core.Run
+// makes — so the advisory start times are byte-identical to what a
+// simulation of that moment would choose. The returned response aliases
+// sc.resp and is valid until sc is reused or released.
 func adviseInto(t *adviseTarget, req *AdviseJob, sc *adviseScratch) (*AdviseResponse, error) {
 	tr := t.tr
 	queue := workload.QueueShort
@@ -252,23 +291,12 @@ func adviseInto(t *adviseTarget, req *AdviseJob, sc *adviseScratch) (*AdviseResp
 		CPUs:    req.CPUs,
 		Queue:   queue,
 	}
-	key := ctxKey{
+	pctx := sc.context(ctxKey{
 		tr:      tr,
 		queue:   queue,
 		maxWait: simtime.Duration(*req.MaxWaitMinutes),
 		avgLen:  simtime.Duration(req.AvgLengthMinutes),
-	}
-	pctx := sc.pctx
-	if pctx == nil || sc.key != key {
-		pctx = &policy.Context{
-			CIS: carbon.NewPerfectService(tr),
-			Queues: map[workload.Queue]policy.QueueInfo{
-				queue: {MaxWait: key.maxWait, AvgLength: key.avgLen},
-			},
-		}
-		pctx.EnableFastPaths()
-		sc.pctx, sc.key = pctx, key
-	}
+	})
 	// A reused context accumulates fast-path hits, so "did this decision
 	// take the fast path" is the delta, not the total.
 	fastBefore := pctx.FastPathHits()

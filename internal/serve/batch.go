@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+
+	"github.com/carbonsched/gaia/internal/simtime"
 )
 
 // This file is the fleet-scale advisory path: POST /v1/advise/batch
@@ -19,11 +22,18 @@ import (
 //
 // The per-job budget is what makes the endpoint worth having, so the hot
 // loop is allocation-lean end to end: a hand-rolled strict decoder
-// (batchdec.go), one pooled scratch carrying the policy context and
-// output buffer across jobs, the hand-rolled response encoder
+// (batchdec.go), one pooled scratch carrying the policy contexts and
+// output buffers across jobs, the hand-rolled response encoder
 // (jsonenc.go), and an intra-batch memo that answers duplicate queries by
 // replaying the first verdict's bytes — fleet batches are template-heavy,
 // and an advisory answer is a pure function of the normalized job.
+//
+// Because an answer is a pure function of its job, the batch is decided
+// in blocks of batchDeadlineStride jobs, each in arrival order and
+// written in request order. A policy context then sees its jobs'
+// arrivals move forward, the order WaitAwhile's rolling rank window is
+// built for: in request order, jobs at scattered arrivals rebuild it job
+// after job.
 //
 // Error contract: everything is validated before the first response byte
 // — a bad item fails the whole request with 400 naming jobs[i], so a 200
@@ -38,8 +48,10 @@ const (
 	maxBatchJobs    = 100_000
 )
 
-// batchDeadlineStride bounds how many jobs are answered between deadline
-// checks while streaming; checking every job would cost more than a job.
+// batchDeadlineStride is the block a batch is decided and written in: how
+// many jobs are answered between deadline checks while streaming
+// (checking every job would cost more than a job), and how many lines a
+// block holds before it is written.
 const batchDeadlineStride = 512
 
 // batchMemoMax caps the intra-batch dedup memo: past this many distinct
@@ -73,8 +85,12 @@ func newMemoKey(j *AdviseJob) memoKey {
 	return k
 }
 
-// lineSpan locates one memoized verdict line in the batch arena.
-type lineSpan struct{ off, end int }
+// lineSpan locates one verdict line: in the batch arena, where the memo's
+// lines live, or, once the memo is full, in the block's own lines.
+type lineSpan struct {
+	off, end int
+	inBlock  bool
+}
 
 func (s *Server) handleAdviseBatch(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(w, r)
@@ -117,44 +133,83 @@ func (s *Server) handleAdviseBatch(w http.ResponseWriter, r *http.Request) {
 		sc.memo = make(map[memoKey]lineSpan)
 	}
 	clear(sc.memo)
-	arena := sc.arena[:0]
+	sc.arena = sc.arena[:0]
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	bw := bufio.NewWriterSize(w, 64<<10)
-	for i := range batch.Jobs {
-		if i%batchDeadlineStride == 0 && ctx.Err() != nil {
+	for lo := 0; lo < len(batch.Jobs); lo += batchDeadlineStride {
+		if ctx.Err() != nil {
 			break // deadline or client gone: truncate the stream
 		}
-		job := &batch.Jobs[i]
-		key := newMemoKey(job)
-		if span, ok := sc.memo[key]; ok {
-			if _, err := bw.Write(arena[span.off:span.end]); err != nil {
-				break
-			}
-			continue
-		}
-		resp, err := adviseInto(&t, job, sc)
-		if err != nil {
+		block := batch.Jobs[lo:min(lo+batchDeadlineStride, len(batch.Jobs))]
+		if i, err := adviseBlock(&t, block, sc); err != nil {
 			// Unreachable for validated input (Decide is deterministic and
 			// its decisions validate); if a policy bug ever trips it, the
-			// truncated stream is the only honest signal left post-200.
-			s.cfg.Logf("serve: batch advise job %d: %v (stream truncated)", i, err)
+			// stream truncated before the job's block is the only honest
+			// signal left post-200.
+			s.cfg.Logf("serve: batch advise job %d: %v (stream truncated)", lo+i, err)
 			break
 		}
-		sc.buf = appendAdviseResponse(sc.buf[:0], resp)
-		sc.buf = append(sc.buf, '\n')
-		if len(sc.memo) < batchMemoMax {
-			off := len(arena)
-			arena = append(arena, sc.buf...)
-			sc.memo[key] = lineSpan{off: off, end: len(arena)}
-		}
-		if _, err := bw.Write(sc.buf); err != nil {
+		if writeBlock(bw, sc) != nil {
 			break
 		}
 	}
-	sc.arena = arena
 	bw.Flush()
+}
+
+// adviseBlock decides a block of normalized jobs in arrival order (ties
+// in request order) and leaves each job's line span in sc.spans, in
+// request order. A job whose query the memo holds is answered by its
+// line; each new line goes to the memo's arena while the memo has room,
+// and to the block's lines after. On failure it returns the index of the
+// job in block with the error.
+func adviseBlock(t *adviseTarget, block []AdviseJob, sc *adviseScratch) (int, error) {
+	sc.arrivals = sc.arrivals[:0]
+	for i := range block {
+		sc.arrivals = append(sc.arrivals, simtime.Time(block[i].ArrivalMinute))
+	}
+	sc.ord = simtime.OrderInto(slices.Grow(sc.ord[:0], len(block)), &sc.cnt, sc.arrivals)
+	sc.spans = slices.Grow(sc.spans[:0], len(block))[:len(block)]
+	sc.lines = sc.lines[:0]
+	for _, i := range sc.ord {
+		job := &block[i]
+		key := newMemoKey(job)
+		if span, ok := sc.memo[key]; ok {
+			sc.spans[i] = span
+			continue
+		}
+		resp, err := adviseInto(t, job, sc)
+		if err != nil {
+			return int(i), err
+		}
+		if len(sc.memo) < batchMemoMax {
+			off := len(sc.arena)
+			sc.arena = append(appendAdviseResponse(sc.arena, resp), '\n')
+			sc.spans[i] = lineSpan{off: off, end: len(sc.arena)}
+			sc.memo[key] = sc.spans[i]
+		} else {
+			off := len(sc.lines)
+			sc.lines = append(appendAdviseResponse(sc.lines, resp), '\n')
+			sc.spans[i] = lineSpan{off: off, end: len(sc.lines), inBlock: true}
+		}
+	}
+	return 0, nil
+}
+
+// writeBlock writes the lines adviseBlock left in sc.spans, in request
+// order.
+func writeBlock(bw *bufio.Writer, sc *adviseScratch) error {
+	for _, span := range sc.spans {
+		lines := sc.arena
+		if span.inBlock {
+			lines = sc.lines
+		}
+		if _, err := bw.Write(lines[span.off:span.end]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readBody reads at most limit bytes into the pooled buffer *dst,

@@ -13,14 +13,16 @@ func Order(keys []Time) []int32 {
 // lexicographic order both trace normalization and the direct path's
 // sweep need, and the module's one time sort. It is an LSD radix sort
 // over the offsets key − min: each pass is a stable counting sort on one
-// digit, so the passes compose into one stable sort. When one bucket per
-// offset is affordable — arrivals and simulation endpoints cluster into
-// at most a horizon's worth of minutes — the whole offset is the digit
-// and the sort is one counting pass. Sparser keys (a few thousand jobs
-// spread over months) take digits of about log2(n) bits, so every pass is
-// O(n). cnt is the reusable bucket buffer (resliced and cleared here,
-// grown when needed); a multi-pass sort also keeps its second order
-// column in it. Indices are int32, so len(keys) must stay below 2^31.
+// digit, so the passes compose into one stable sort. When the offsets
+// span fewer than 8n minutes — a million arrivals or simulation
+// endpoints over a year — the whole offset is the digit and the sort is
+// one counting pass. Sparser keys (a few thousand jobs spread over
+// months, or a batch of advice requests over two weeks) take digits of
+// about log2(n) bits, so every pass is O(n): a bucket per minute would
+// cost a pass over every minute of the span, however few the keys. cnt
+// is the reusable bucket buffer (resliced and cleared here, grown when
+// needed); a multi-pass sort also keeps its second order column in it.
+// Indices are int32, so len(keys) must stay below 2^31.
 func OrderInto(ord []int32, cnt *[]int32, keys []Time) []int32 {
 	n := len(keys)
 	ord = ord[:n]
@@ -40,7 +42,7 @@ func OrderInto(ord []int32, cnt *[]int32, keys []Time) []int32 {
 	}
 	// key − lo is exact in uint64 for any two int64 keys.
 	maxOff := uint64(hi) - uint64(lo)
-	if maxOff < uint64(8*n) || maxOff < 1<<16 {
+	if maxOff < uint64(8*n) {
 		buckets := growCleared(cnt, int(maxOff)+2)
 		for _, k := range keys {
 			buckets[uint64(k)-uint64(lo)+1]++

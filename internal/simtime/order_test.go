@@ -26,8 +26,8 @@ func TestTimeOrder(t *testing.T) {
 		t.Errorf("single-key order = %v", got)
 	}
 
-	// Random keys over spans from 2^10 (one counting pass) through 2^17
-	// (just past it) to 2^62, half of the trials drawing from a few
+	// Random keys over spans from 2^10 (one counting pass when n > 128)
+	// to 2^62 (multi-pass), half of the trials drawing from a few
 	// distinct values so ties are common, and some based below zero. One
 	// bucket buffer serves every trial, as the replay scratch does.
 	rnd := rand.New(rand.NewSource(9))
